@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from .polyring import ParseError, Polynomial, RingMismatch, RingSpec, parse_polynomial
 from .ideals import (
     Ideal,
+    NotArtinian,
     certify_regular_sequence,
     colon_by_variable_power,
     groebner_basis,
@@ -25,7 +26,6 @@ from .symfun import (
     vanishing_sum_residual,
 )
 from .quotient import (
-    NotArtinian,
     QuotientAlgebra,
     RationalMatrix,
     build_quotient,

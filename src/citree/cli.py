@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__, csm, symfun, tree
@@ -30,7 +28,6 @@ class RunConfig:
     check_top_degree: bool = False
     seed: int = 0
     modular_prefilter_prime: int | None = None
-    workers: int = 1
 
     def to_json(self):
         return {
@@ -41,7 +38,6 @@ class RunConfig:
             "check_top_degree": self.check_top_degree,
             "seed": self.seed,
             "modular_prefilter_prime": self.modular_prefilter_prime,
-            "workers": self.workers,
         }
 
 
@@ -57,23 +53,13 @@ def parse_ideal_file(path: str) -> Ideal:
     return Ideal(ring, gens)
 
 
-def _run_jobs(fn, items, workers):
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _grid_run(fn, grid, cfg):
     reports = []
-    if cfg.fail_fast:
-        for item in grid:
-            report = fn(item)
-            reports.append(report)
-            if not report.get("passed", False):
-                break
-    else:
-        reports = _run_jobs(fn, grid, cfg.workers)
+    for item in grid:
+        report = fn(item)
+        reports.append(report)
+        if cfg.fail_fast and not report.get("passed", False):
+            break
     return reports
 
 
@@ -302,6 +288,42 @@ _HANDLERS = {
 # --- argument parsing -----------------------------------------------------------
 
 
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2:
+        return False
+    if p in bases:
+        return True
+    if any(p % b == 0 for b in bases):
+        return False
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(text: str) -> int:
+    """argparse type for --prime: a prime p with 2 <= p < 2^63."""
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not (2 <= p < 2 ** 63 and _is_prime(p)):
+        raise argparse.ArgumentTypeError(f"{p} is not a prime p with 2 <= p < 2^63")
+    return p
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="citree",
@@ -318,7 +340,7 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--check-top-degree", action="store_true",
                        help="also test the top power map d = socle degree")
-        p.add_argument("--prime", type=int, default=None,
+        p.add_argument("--prime", type=_prime, default=None,
                        help="modular prefilter prime for rank computations")
 
     p = sub.add_parser("newton", help="power sum / elementary symmetric recurrences")
@@ -415,7 +437,6 @@ def _config_from_args(args) -> RunConfig:
     output = "json" if args.json else "text"
     if getattr(args, "dot", False):
         output = "dot"
-    workers = int(os.environ.get("CITREE_WORKERS", "1"))
     return RunConfig(
         command=args.command,
         params=params,
@@ -424,7 +445,6 @@ def _config_from_args(args) -> RunConfig:
         check_top_degree=args.check_top_degree,
         seed=args.seed,
         modular_prefilter_prime=args.prime,
-        workers=max(1, workers),
     )
 
 

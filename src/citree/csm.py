@@ -103,6 +103,52 @@ def mixed_chain_ideal(ring: RingSpec, a: int, b: int, k: int) -> Ideal:
     return Ideal(ring, gens)
 
 
+def power_chain_blocks(ring: RingSpec, a: int):
+    """Expected deduplicated chain (ideal, lo, hi) of the power family:
+    blocks of length a starting at ka, or one block 0..n when a = 1."""
+    n = xpart(ring)
+    if a == 1:
+        return [(power_chain_ideal(ring, a, n), 0, n),
+                (power_chain_ideal(ring, a, n + 1), n + 1, n + 1)]
+    blocks = [(power_chain_ideal(ring, a, k), k * a, (k + 1) * a - 1) for k in range(n + 1)]
+    blocks.append((power_chain_ideal(ring, a, n + 1), (n + 1) * a, (n + 1) * a))
+    return blocks
+
+
+def mixed_chain_blocks(ring: RingSpec, a: int, b: int):
+    """Expected deduplicated chain (ideal, lo, hi) of the mixed family:
+    a leading block of length n-b, then boundaries c_k = n-b+(k-1)a."""
+    n = xpart(ring)
+
+    def c_of(k):
+        return n - b + (k - 1) * a
+
+    blocks = [(mixed_chain_ideal(ring, a, b, 0), 0, n - b - 1)]
+    for k in range(1, b + 2):
+        blocks.append((mixed_chain_ideal(ring, a, b, k), c_of(k), c_of(k + 1) - 1))
+    blocks.append((mixed_chain_ideal(ring, a, b, b + 2), c_of(b + 2), c_of(b + 2)))
+    blocks = [e for e in blocks if e[1] <= e[2]]
+    # merge adjacent blocks whose predicted ideals coincide (deduplication
+    # in the computed chain joins them)
+    merged = []
+    for ideal, lo, hi in blocks:
+        if merged and ideal_equal(merged[-1][0], ideal) and merged[-1][2] + 1 == lo:
+            merged[-1][2] = hi
+        else:
+            merged.append([ideal, lo, hi])
+    return [tuple(e) for e in merged]
+
+
+def first_block_colon_holds(I: Ideal, a: int, b: int) -> bool:
+    """I : v^(n-b) = (p~_a..p~_(a+b), e_(b+1)..e_n) for the mixed family I."""
+    ring = I.ring
+    n = xpart(ring)
+    swap_target = Ideal(ring, [symmetric_generator("p_tilde", n, a + t) for t in range(b + 1)]
+                        + [sym_e(ring, j) for j in range(b + 1, n + 1)])
+    colon = colon_by_variable_power(I, ring.total_vars - 1, n - b)
+    return ideal_equal(colon, swap_target)
+
+
 def module_annihilator_ideal(ring: RingSpec, a: int, j: int, with_v=True) -> Ideal:
     """(p_(a-1), ..., p_(a+j-3), e_j, ..., e_n) (+ the cheapest variable)."""
     n = xpart(ring)
@@ -376,18 +422,10 @@ def verify_power_family(n: int, a: int) -> dict:
     if n < 1 or a < 1:
         raise ValueError("need n >= 1 and a >= 1")
     I = power_family_ideal(n, a)
-    ring = I.ring
     report = {"verifier": "power-family", "params": {"n": n, "a": a},
               "ideal": str(I)}
     checks = []
-    expected_blocks = []
-    if a == 1:
-        expected_blocks.append((power_chain_ideal(ring, a, n), 0, n))
-        expected_blocks.append((power_chain_ideal(ring, a, n + 1), n + 1, n + 1))
-    else:
-        for k in range(n + 1):
-            expected_blocks.append((power_chain_ideal(ring, a, k), k * a, (k + 1) * a - 1))
-        expected_blocks.append((power_chain_ideal(ring, a, n + 1), (n + 1) * a, (n + 1) * a))
+    expected_blocks = power_chain_blocks(I.ring, a)
     expected_count = 1 if a == 1 else n + 1
     _verify_family_common(report, checks, I, expected_blocks, expected_count, a)
     return _finish(report, checks)
@@ -400,35 +438,12 @@ def verify_mixed_family(n: int, a: int, b: int) -> dict:
     if n < 1 or a < 2 or not 0 <= b <= n - 1:
         raise ValueError("need n >= 1, a >= 2 and 0 <= b <= n-1")
     I = mixed_family_ideal(n, a, b)
-    ring = I.ring
     report = {"verifier": "mixed-family", "params": {"n": n, "a": a, "b": b},
               "ideal": str(I)}
     checks = []
-
-    def c_of(k):
-        return n - b + (k - 1) * a
-
-    expected_blocks = [(mixed_chain_ideal(ring, a, b, 0), 0, n - b - 1)]
-    for k in range(1, b + 2):
-        expected_blocks.append((mixed_chain_ideal(ring, a, b, k), c_of(k), c_of(k + 1) - 1))
-    expected_blocks.append((mixed_chain_ideal(ring, a, b, b + 2), c_of(b + 2), c_of(b + 2)))
-    expected_blocks = [e for e in expected_blocks if e[1] <= e[2]]
-    # merge adjacent blocks whose predicted ideals coincide (deduplication
-    # in the computed chain joins them)
-    merged = []
-    for ideal, lo, hi in expected_blocks:
-        if merged and ideal_equal(merged[-1][0], ideal) and merged[-1][2] + 1 == lo:
-            merged[-1][2] = hi
-        else:
-            merged.append([ideal, lo, hi])
-    expected_blocks = [tuple(e) for e in merged]
-
+    expected_blocks = mixed_chain_blocks(I.ring, a, b)
     _verify_family_common(report, checks, I, expected_blocks, b + 2, a)
-
-    swap_target = Ideal(ring, [symmetric_generator("p_tilde", n, a + t) for t in range(b + 1)]
-                        + [sym_e(ring, j) for j in range(b + 1, n + 1)])
-    colon = colon_by_variable_power(I, ring.total_vars - 1, n - b)
-    _check(checks, "first_block_colon", ideal_equal(colon, swap_target),
+    _check(checks, "first_block_colon", first_block_colon_holds(I, a, b),
            exponent=n - b)
     return _finish(report, checks)
 
@@ -544,30 +559,12 @@ def verify_chain_blocks(kind: str, n: int, a: int, b: int | None = None) -> dict
     checks = []
     if kind == "f":
         I = power_family_ideal(n, a)
-        ring = I.ring
-        expected = [(power_chain_ideal(ring, a, k), k * a, (k + 1) * a - 1) for k in range(n + 1)]
-        expected.append((power_chain_ideal(ring, a, n + 1), (n + 1) * a, (n + 1) * a))
+        expected = power_chain_blocks(I.ring, a)
     elif kind == "g":
         if b is None or not 0 <= b <= n - 1:
             raise ValueError("kind g needs 0 <= b <= n-1")
         I = mixed_family_ideal(n, a, b)
-        ring = I.ring
-
-        def c_of(k):
-            return n - b + (k - 1) * a
-
-        expected = [(mixed_chain_ideal(ring, a, b, 0), 0, n - b - 1)]
-        for k in range(1, b + 2):
-            expected.append((mixed_chain_ideal(ring, a, b, k), c_of(k), c_of(k + 1) - 1))
-        expected.append((mixed_chain_ideal(ring, a, b, b + 2), c_of(b + 2), c_of(b + 2)))
-        expected = [e for e in expected if e[1] <= e[2]]
-        merged = []
-        for ideal, lo, hi in expected:
-            if merged and ideal_equal(merged[-1][0], ideal) and merged[-1][2] + 1 == lo:
-                merged[-1][2] = hi
-            else:
-                merged.append([ideal, lo, hi])
-        expected = [tuple(e) for e in merged]
+        expected = mixed_chain_blocks(I.ring, a, b)
     else:
         raise ValueError(f"unknown chain kind {kind!r}")
 
@@ -585,10 +582,7 @@ def verify_chain_blocks(kind: str, n: int, a: int, b: int | None = None) -> dict
     _check(checks, "strict_inclusions", all(x > y for x, y in zip(dims, dims[1:])),
            dims=dims)
     if kind == "g":
-        swap_target = Ideal(ring, [symmetric_generator("p_tilde", n, a + t) for t in range(b + 1)]
-                            + [sym_e(ring, j) for j in range(b + 1, n + 1)])
-        colon = colon_by_variable_power(I, ring.total_vars - 1, n - b)
-        _check(checks, "first_block_colon", ideal_equal(colon, swap_target))
+        _check(checks, "first_block_colon", first_block_colon_holds(I, a, b))
     return _finish(report, checks)
 
 

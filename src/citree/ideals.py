@@ -5,88 +5,65 @@ basis under the ring's grevlex order; the reduced basis is canonical
 (primitive integer coefficients, positive leading coefficient, sorted), so
 two ideals are equal exactly when their reduced bases coincide.
 
-Colon ideals are computed three ways, all cross-checked in the test suite:
-an elimination (auxiliary variable) method for general quotients, a
-kernel-lifting method on standard monomials for Artinian quotients, and a
-basis-rewriting shortcut for division by the ring's cheapest variable.
+Colon ideals (I : f) are computed two ways, both checked against a
+brute-force linear-algebra oracle in the test suite: a basis-rewriting
+shortcut for division by the ring's cheapest variable, which works for any
+I, and a kernel-lifting method on standard monomials for every other f,
+which needs R/I to be Artinian (the only setting the paper uses).
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .polyring import Polynomial, RingMismatch, RingSpec, grevlex_key
-
-# --- monomial orders on encoded keys ----------------------------------------
-# A key is a tuple comparing like the monomial it encodes; multiplication of
-# monomials is componentwise addition of keys.
-
-
-class _Grevlex:
-    """key(e) = (deg, -e_k, ..., -e_1): tuple order = grevlex."""
-
-    __slots__ = ("width",)
-    prunable = True
-
-    def __init__(self, width):
-        self.width = width
-
-    def key(self, exps):
-        return (sum(exps),) + tuple(-e for e in reversed(exps))
-
-    def decode(self, key):
-        return tuple(-e for e in reversed(key[1:]))
+from .polyring import (
+    Polynomial,
+    RingMismatch,
+    RingSpec,
+    grevlex_key,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+)
 
 
-class _Elim:
-    """One auxiliary variable in slot 0, eliminated before grevlex on the rest."""
+class NotArtinian(ValueError):
+    """An operation needs R/I to be Artinian and it is not."""
 
-    __slots__ = ("width",)
-    prunable = False
-
-    def __init__(self, width):
-        self.width = width  # number of non-auxiliary variables
-
-    def key(self, exps):
-        rest = exps[1:]
-        return (exps[0], sum(rest)) + tuple(-e for e in reversed(rest))
-
-    def decode(self, key):
-        return (key[0],) + tuple(-e for e in reversed(key[2:]))
+    def __init__(self, ideal, variable):
+        super().__init__(
+            f"quotient by {ideal} is not Artinian: no pure power of {variable} "
+            "among the leading terms"
+        )
+        self.variable = variable
 
 
-def _kadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+# --- encoded monomials ------------------------------------------------------
+# The engine stores a monomial as its grevlex_key, a tuple comparing like
+# the monomial; multiplication of monomials is componentwise addition of keys.
 
 
-def _ksub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _decode(key):
+    """The exponent vector whose grevlex_key is key."""
+    return tuple(-e for e in reversed(key[1:]))
 
 
 def _coprime(a, b):
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def _lcm_exps(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 class _BasisElem:
     __slots__ = ("terms", "lm_key", "lm_exps", "lc")
 
-    def __init__(self, terms, order):
+    def __init__(self, terms):
         self.terms = terms
         self.lm_key = terms[0][0]
-        self.lm_exps = order.decode(self.lm_key)
+        self.lm_exps = _decode(self.lm_key)
         self.lc = terms[0][1]
 
 
@@ -123,7 +100,7 @@ def _axpy_shift(a, p, i0, b, q, j0, shift):
     np_, nq = len(p), len(q)
     qk = None
     if j < nq:
-        qk = _kadd(q[j][0], shift)
+        qk = mono_mul(q[j][0], shift)
     while i < np_ and j < nq:
         ki, ci = p[i]
         if ki == qk:
@@ -132,24 +109,24 @@ def _axpy_shift(a, p, i0, b, q, j0, shift):
                 out.append((ki, c))
             i += 1
             j += 1
-            qk = _kadd(q[j][0], shift) if j < nq else None
+            qk = mono_mul(q[j][0], shift) if j < nq else None
         elif ki > qk:
             out.append((ki, a * ci))
             i += 1
         else:
             out.append((qk, b * q[j][1]))
             j += 1
-            qk = _kadd(q[j][0], shift) if j < nq else None
+            qk = mono_mul(q[j][0], shift) if j < nq else None
     while i < np_:
         out.append((p[i][0], a * p[i][1]))
         i += 1
     while j < nq:
-        out.append((_kadd(q[j][0], shift), b * q[j][1]))
+        out.append((mono_mul(q[j][0], shift), b * q[j][1]))
         j += 1
     return out
 
 
-def _reduce_core(p, basis, order):
+def _reduce_core(p, basis):
     """Full division remainder of a core polynomial by the basis.
 
     Returns a list of (key, Fraction) pairs, descending: the true normal
@@ -163,17 +140,17 @@ def _reduce_core(p, basis, order):
     steps = 0
     while start < len(work):
         klead, clead = work[start]
-        elead = order.decode(klead)
+        elead = _decode(klead)
         hit = None
         for be in basis:
-            if _divides(be.lm_exps, elead):
+            if mono_divides(be.lm_exps, elead):
                 hit = be
                 break
         if hit is None:
             out.append((klead, clead / scale))
             start += 1
             continue
-        shift = _ksub(klead, hit.lm_key)
+        shift = mono_div(klead, hit.lm_key)
         g = gcd(clead, hit.lc)
         a = hit.lc // g
         b = clead // g
@@ -200,20 +177,19 @@ def _fractions_to_primitive(frac_terms):
     return _normalize(terms)
 
 
-def _reduce_to_primitive(p, basis, order):
-    return _fractions_to_primitive(_reduce_core(p, basis, order))
+def _reduce_to_primitive(p, basis):
+    return _fractions_to_primitive(_reduce_core(p, basis))
 
 
-def _spoly(f, g, order):
-    l = _lcm_exps(f.lm_exps, g.lm_exps)
-    lk = order.key(l)
-    sf = _ksub(lk, f.lm_key)
-    sg = _ksub(lk, g.lm_key)
+def _spoly(f, g):
+    lk = grevlex_key(mono_lcm(f.lm_exps, g.lm_exps))
+    sf = mono_div(lk, f.lm_key)
+    sg = mono_div(lk, g.lm_key)
     d = gcd(f.lc, g.lc)
     a = g.lc // d
     b = f.lc // d
     # a * x^sf * f - b * x^sg * g; the heads cancel by construction
-    return _axpy_shift(a, [(_kadd(k, sf), c) for k, c in f.terms], 1,
+    return _axpy_shift(a, [(mono_mul(k, sf), c) for k, c in f.terms], 1,
                        -b, g.terms, 1, sg)
 
 
@@ -276,10 +252,9 @@ def standard_monomials_of_degree(lms, width, d):
 
 
 class _GBState:
-    __slots__ = ("order", "G", "pairs", "heap", "seq")
+    __slots__ = ("G", "pairs", "heap", "seq")
 
-    def __init__(self, order):
-        self.order = order
+    def __init__(self):
         self.G = []
         self.pairs = {}
         self.heap = []
@@ -288,20 +263,19 @@ class _GBState:
 
 def _add_element(st: _GBState, terms):
     """Gebauer-Moeller pair update for one new basis element."""
-    order = st.order
-    h = _BasisElem(terms, order)
+    h = _BasisElem(terms)
     t = len(st.G)
     G = st.G
-    lcms = {i: _lcm_exps(G[i].lm_exps, h.lm_exps) for i in range(t)}
+    lcms = {i: mono_lcm(G[i].lm_exps, h.lm_exps) for i in range(t)}
 
-    remaining = sorted(range(t), key=lambda i: (sum(lcms[i]), order.key(lcms[i])))
+    remaining = sorted(range(t), key=lambda i: grevlex_key(lcms[i]))
     kept = []
     while remaining:
         i = remaining.pop(0)
         li = lcms[i]
         if _coprime(G[i].lm_exps, h.lm_exps) or not (
-            any(_divides(lcms[j], li) for j in remaining)
-            or any(_divides(lcms[j], li) for j in kept)
+            any(mono_divides(lcms[j], li) for j in remaining)
+            or any(mono_divides(lcms[j], li) for j in kept)
         ):
             kept.append(i)
     new_pairs = [i for i in kept if not _coprime(G[i].lm_exps, h.lm_exps)]
@@ -310,9 +284,9 @@ def _add_element(st: _GBState, terms):
     hlm = h.lm_exps
     for (i, j), l in list(st.pairs.items()):
         if (
-            _divides(hlm, l)
-            and _lcm_exps(G[i].lm_exps, hlm) != l
-            and _lcm_exps(G[j].lm_exps, hlm) != l
+            mono_divides(hlm, l)
+            and mono_lcm(G[i].lm_exps, hlm) != l
+            and mono_lcm(G[j].lm_exps, hlm) != l
         ):
             del st.pairs[(i, j)]
 
@@ -320,15 +294,15 @@ def _add_element(st: _GBState, terms):
     for i in new_pairs:
         st.pairs[(i, t)] = lcms[i]
         st.seq += 1
-        heapq.heappush(st.heap, (order.key(lcms[i]), st.seq, i, t))
+        heapq.heappush(st.heap, (grevlex_key(lcms[i]), st.seq, i, t))
 
 
-def _buchberger(cores, order, max_steps=500000):
-    st = _GBState(order)
+def _buchberger(cores, max_steps=500000):
+    st = _GBState()
     seeds = [c for c in cores if c]
     seeds.sort(key=lambda c: c[0][0])
     for core in seeds:
-        r = _reduce_to_primitive(core, st.G, order)
+        r = _reduce_to_primitive(core, st.G)
         if r:
             _add_element(st, r)
 
@@ -342,44 +316,44 @@ def _buchberger(cores, order, max_steps=500000):
         l = st.pairs.pop((i, j), None)
         if l is None:
             continue
-        if order.prunable:
-            d = sum(l)
-            if empty_from is not None and d >= empty_from:
-                continue
-            key = (len(st.G), d)
-            known = std_cache.get(key)
-            if known is None:
-                lms = [g.lm_exps for g in st.G]
-                caps = _pure_power_caps(lms, order.width)
-                if caps is not None and all(c is not None for c in caps):
-                    known = _has_standard_monomial(lms, order.width, d)
-                else:
-                    known = True
-                std_cache[key] = known
-            if not known:
-                empty_from = d
-                continue
-        s = _spoly(st.G[i], st.G[j], order)
-        r = _reduce_to_primitive(s, st.G, order)
+        d = sum(l)
+        if empty_from is not None and d >= empty_from:
+            continue
+        key = (len(st.G), d)
+        known = std_cache.get(key)
+        if known is None:
+            lms = [g.lm_exps for g in st.G]
+            width = len(l)
+            caps = _pure_power_caps(lms, width)
+            if caps is not None and all(c is not None for c in caps):
+                known = _has_standard_monomial(lms, width, d)
+            else:
+                known = True
+            std_cache[key] = known
+        if not known:
+            empty_from = d
+            continue
+        s = _spoly(st.G[i], st.G[j])
+        r = _reduce_to_primitive(s, st.G)
         if r:
             _add_element(st, r)
         steps += 1
         if steps > max_steps:
             raise RuntimeError("Groebner computation exceeded the step budget")
-    return _interreduce(st.G, order)
+    return _interreduce(st.G)
 
 
-def _interreduce(G, order):
+def _interreduce(G):
     """Minimal generators, fully tail-reduced: the reduced Groebner basis."""
     keep = []
     for g in sorted(G, key=lambda g: g.lm_key):
-        if not any(_divides(k.lm_exps, g.lm_exps) for k in keep):
+        if not any(mono_divides(k.lm_exps, g.lm_exps) for k in keep):
             keep.append(g)
     out = []
     for idx, g in enumerate(keep):
         others = keep[:idx] + keep[idx + 1:]
-        r = _reduce_to_primitive(g.terms, others, order)
-        out.append(_BasisElem(r, order))
+        r = _reduce_to_primitive(g.terms, others)
+        out.append(_BasisElem(r))
     out.sort(key=lambda g: g.lm_key)
     return out
 
@@ -389,40 +363,31 @@ def _interreduce(G, order):
 _GB_CACHE: dict = {}
 
 
-def _poly_to_core_den(poly: Polynomial, order, t_exp=None):
-    """Clear denominators and encode; with t_exp, prepend an auxiliary slot.
+def _poly_to_core_den(poly: Polynomial):
+    """Clear denominators and encode.
 
     Returns (terms, den) with terms = den * poly in core form.
     """
     den = 1
     for _, c in poly.terms:
         den = den * c.denominator // gcd(den, c.denominator)
-    terms = []
-    for m, c in poly.terms:
-        coeff = int(c * den)
-        if t_exp is None:
-            terms.append((order.key(m), coeff))
-        else:
-            terms.append((order.key((t_exp,) + m), coeff))
+    terms = [(grevlex_key(m), int(c * den)) for m, c in poly.terms]
     terms.sort(reverse=True)
     return terms, den
 
 
-def _poly_to_core(poly: Polynomial, order, t_exp=None):
-    return _poly_to_core_den(poly, order, t_exp)[0]
+def _poly_to_core(poly: Polynomial):
+    return _poly_to_core_den(poly)[0]
 
 
-def _core_to_poly(terms, ring: RingSpec, order, divisor=1):
-    acc = {}
-    for k, c in terms:
-        acc[order.decode(k)] = Fraction(c) / divisor
-    return Polynomial(ring, acc)
+def _core_to_poly(terms, ring: RingSpec):
+    return Polynomial(ring, {_decode(k): Fraction(c) for k, c in terms})
 
 
 class Ideal:
     """A homogeneous ideal with cached reduced Groebner basis."""
 
-    __slots__ = ("ring", "generators", "_lock", "_elems", "_gb_polys", "_basis")
+    __slots__ = ("ring", "generators", "_elems", "_gb_polys", "_basis")
 
     def __init__(self, ring: RingSpec, generators):
         gens = []
@@ -438,7 +403,6 @@ class Ideal:
             gens.append(g)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "_lock", threading.Lock())
         object.__setattr__(self, "_elems", None)
         object.__setattr__(self, "_gb_polys", None)
         object.__setattr__(self, "_basis", None)
@@ -452,28 +416,20 @@ class Ideal:
 
         return cls(ring, [parse_polynomial(t, ring) for t in texts])
 
-    def _order(self):
-        return _Grevlex(self.ring.total_vars)
-
     def _gb_elems(self):
         if self._elems is None:
-            with self._lock:
-                if self._elems is None:
-                    cache_key = (self.ring, tuple(g.terms for g in self.generators))
-                    hit = _GB_CACHE.get(cache_key)
-                    if hit is None:
-                        order = self._order()
-                        cores = [_poly_to_core(g, order) for g in self.generators]
-                        hit = _buchberger(cores, order)
-                        _GB_CACHE[cache_key] = hit
-                    object.__setattr__(self, "_elems", hit)
+            cache_key = (self.ring, tuple(g.terms for g in self.generators))
+            hit = _GB_CACHE.get(cache_key)
+            if hit is None:
+                hit = _buchberger([_poly_to_core(g) for g in self.generators])
+                _GB_CACHE[cache_key] = hit
+            object.__setattr__(self, "_elems", hit)
         return self._elems
 
     def groebner_basis(self):
         """The reduced Groebner basis, canonical for the ideal."""
         if self._gb_polys is None:
-            order = self._order()
-            polys = tuple(_core_to_poly(g.terms, self.ring, order) for g in self._gb_elems())
+            polys = tuple(_core_to_poly(g.terms, self.ring) for g in self._gb_elems())
             object.__setattr__(self, "_gb_polys", polys)
         return self._gb_polys
 
@@ -522,10 +478,9 @@ def normal_form(p: Polynomial, I: Ideal) -> Polynomial:
     """Remainder of p modulo the reduced basis; zero exactly on members."""
     if p.ring != I.ring:
         raise RingMismatch(f"{p.ring} vs {I.ring}")
-    order = I._order()
-    core, den = _poly_to_core_den(p, order)
-    rem = _reduce_core(core, I._gb_elems(), order)
-    acc = {order.decode(k): c / den for k, c in rem}
+    core, den = _poly_to_core_den(p)
+    rem = _reduce_core(core, I._gb_elems())
+    acc = {_decode(k): c / den for k, c in rem}
     return Polynomial(I.ring, acc)
 
 
@@ -545,25 +500,6 @@ def _last_variable(ring: RingSpec) -> int:
     return ring.total_vars - 1
 
 
-def _exact_divide(p: Polynomial, f: Polynomial) -> Polynomial:
-    """Quotient p/f for exactly divisible p; raises if division fails."""
-    ring = p.ring
-    out = {}
-    rest = p
-    flm = f.leading_monomial()
-    flc = f.leading_coefficient()
-    while not rest.is_zero():
-        m = rest.leading_monomial()
-        c = rest.leading_coefficient()
-        if not all(a >= b for a, b in zip(m, flm)):
-            raise ArithmeticError(f"{f} does not divide {p}")
-        qm = tuple(a - b for a, b in zip(m, flm))
-        qc = c / flc
-        out[qm] = out.get(qm, Fraction(0)) + qc
-        rest = rest - Polynomial.monomial(ring, qm, qc) * f
-    return Polynomial(ring, out)
-
-
 def _colon_by_last_variable(I: Ideal) -> Ideal:
     """(I : v) for the cheapest variable v, by rewriting the reduced basis.
 
@@ -571,53 +507,21 @@ def _colon_by_last_variable(I: Ideal) -> Ideal:
     v | g, and {g/v : v | lm g} + {g : otherwise} is a Groebner basis of
     the colon ideal.
     """
-    order = I._order()
     slot = _last_variable(I.ring)
-    vkey = order.key(tuple(1 if i == slot else 0 for i in range(I.ring.total_vars)))
+    vkey = grevlex_key(tuple(1 if i == slot else 0 for i in range(I.ring.total_vars)))
     elems = []
     for g in I._gb_elems():
         if g.lm_exps[slot] > 0:
-            shifted = [(_ksub(k, vkey), c) for k, c in g.terms]
-            if any(min(order.decode(k)) < 0 for k, _ in shifted):
+            shifted = [(mono_div(k, vkey), c) for k, c in g.terms]
+            if any(min(_decode(k)) < 0 for k, _ in shifted):
                 raise AssertionError("division by the cheapest variable failed")
-            elems.append(_BasisElem(shifted, order))
+            elems.append(_BasisElem(shifted))
         else:
             elems.append(g)
-    reduced = _interreduce(elems, order)
-    out = Ideal(I.ring, [_core_to_poly(g.terms, I.ring, order) for g in reduced])
-    with out._lock:
-        object.__setattr__(out, "_elems", reduced)
+    reduced = _interreduce(elems)
+    out = Ideal(I.ring, [_core_to_poly(g.terms, I.ring) for g in reduced])
+    object.__setattr__(out, "_elems", reduced)
     return out
-
-
-def _colon_elimination(I: Ideal, f: Polynomial) -> Ideal:
-    """(I : f) through I ∩ (f), eliminating one auxiliary variable."""
-    ring = I.ring
-    order = _Elim(ring.total_vars)
-    cores = [_poly_to_core(g, order, t_exp=1) for g in I.groebner_basis()]
-    # (1 - t) * f
-    fden = 1
-    for _, c in f.terms:
-        fden = fden * c.denominator // gcd(fden, c.denominator)
-    mixed = []
-    for m, c in f.terms:
-        coeff = int(c * fden)
-        mixed.append((order.key((0,) + m), coeff))
-        mixed.append((order.key((1,) + m), -coeff))
-    mixed.sort(reverse=True)
-    cores.append(mixed)
-    gb = _buchberger(cores, order)
-    gens = []
-    for g in gb:
-        if g.lm_exps[0] == 0:
-            # in this block order a t-free leading term forces t-free tails
-            acc = {}
-            for k, c in g.terms:
-                exps = order.decode(k)
-                acc[exps[1:]] = Fraction(c)
-            inter = Polynomial(ring, acc)
-            gens.append(_exact_divide(inter, f))
-    return Ideal(ring, gens)
 
 
 def _colon_artinian(I: Ideal, f: Polynomial) -> Ideal:
@@ -628,7 +532,6 @@ def _colon_artinian(I: Ideal, f: Polynomial) -> Ideal:
     lifted kernels generates (I : f).
     """
     basis_by_degree = artinian_monomial_basis(I)
-    order = I._order()
     elems = I._gb_elems()
     ring = I.ring
     e = f.degree()
@@ -643,9 +546,9 @@ def _colon_artinian(I: Ideal, f: Polynomial) -> Ideal:
         rows = [[Fraction(0)] * len(monos) for _ in range(len(target))]
         for col, m in enumerate(monos):
             prod = f * Polynomial.monomial(ring, m)
-            rem = _reduce_core(_poly_to_core(prod, order), elems, order)
+            rem = _reduce_core(_poly_to_core(prod), elems)
             for k, c in rem:
-                rows[index[order.decode(k)]][col] = c
+                rows[index[_decode(k)]][col] = c
         for vec in linalg.kernel_basis(rows, ncols=len(monos)):
             acc = {m: c for m, c in zip(monos, vec) if c}
             gens.append(Polynomial(ring, acc))
@@ -653,7 +556,11 @@ def _colon_artinian(I: Ideal, f: Polynomial) -> Ideal:
 
 
 def ideal_colon(I: Ideal, f: Polynomial) -> Ideal:
-    """The colon ideal (I : f) = {g : g*f in I}."""
+    """The colon ideal (I : f) = {g : g*f in I}.
+
+    Raises NotArtinian when R/I is not Artinian, unless f is the cheapest
+    variable.
+    """
     if f.ring != I.ring:
         raise RingMismatch(f"{f.ring} vs {I.ring}")
     if f.is_zero():
@@ -666,9 +573,9 @@ def ideal_colon(I: Ideal, f: Polynomial) -> Ideal:
     unit_last = tuple(1 if i == slot else 0 for i in range(I.ring.total_vars))
     if len(f.terms) == 1 and f.terms[0][0] == unit_last:
         return _colon_by_last_variable(I)
-    if artinian_monomial_basis(I) is not None:
-        return _colon_artinian(I, f)
-    return _colon_elimination(I, f)
+    if artinian_monomial_basis(I) is None:
+        raise NotArtinian(I, artinian_offending_variable(I))
+    return _colon_artinian(I, f)
 
 
 def colon_by_variable_power(I: Ideal, var: int | str, i: int) -> Ideal:

@@ -126,7 +126,7 @@ def module_view(ambient: QuotientAlgebra, generator: Polynomial) -> GradedModule
             if any(vec):
                 vectors.append(vec)
         if vectors:
-            reduced, _ = linalg.row_space_basis(vectors)
+            reduced, _ = linalg.rref(vectors)
             if reduced:
                 bases[d] = [tuple(r) for r in reduced]
     if not bases:

@@ -154,9 +154,3 @@ def kernel_basis(rows, ncols=None):
             v[pc] = -r[f]
         basis.append(tuple(v))
     return basis
-
-
-def row_space_basis(rows):
-    """Independent spanning subset data: rref rows (canonical basis)."""
-    reduced, pivots = rref(rows)
-    return reduced, pivots

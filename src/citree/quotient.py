@@ -12,17 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .ideals import Ideal, artinian_monomial_basis, artinian_offending_variable, normal_form
+from .ideals import (
+    Ideal,
+    NotArtinian,
+    artinian_monomial_basis,
+    artinian_offending_variable,
+    normal_form,
+)
 from .polyring import Polynomial
-
-
-class NotArtinian(ValueError):
-    def __init__(self, ideal, variable):
-        super().__init__(
-            f"quotient by {ideal} is not Artinian: no pure power of {variable} "
-            "among the leading terms"
-        )
-        self.variable = variable
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .csm import (
     central_simple_modules,
     csm_chain,
     cyclic_presentation,
+    hf_of,
     sym_e,
 )
 from .ideals import (
@@ -103,14 +104,18 @@ def _smaller_ring(ring: RingSpec) -> RingSpec:
 
 
 def contract_modulo_last(I: Ideal) -> Ideal:
-    """Contraction of I + (v) to the ring without the cheapest variable."""
+    """Contraction of I + (v) to the ring without the cheapest variable v.
+
+    When v is already a generator of I, I's own basis is used: a new Ideal
+    for I + (v) would miss the Groebner cache, which is keyed on generators.
+    """
     small = _smaller_ring(I.ring)
     slot = I.ring.total_vars - 1
-    gens = []
-    for g in ideal_sum(I, Ideal(I.ring, [Polynomial.variable(I.ring, slot)])).groebner_basis():
-        if g.leading_monomial()[slot] == 0:
-            gens.append(g.contract(small))
-    return Ideal(small, gens)
+    v = Polynomial.variable(I.ring, slot)
+    if v not in I.generators:
+        I = ideal_sum(I, Ideal(I.ring, [v]))
+    return Ideal(small, [g.contract(small) for g in I.groebner_basis()
+                         if g.leading_monomial()[slot] == 0])
 
 
 def children(I: Ideal):
@@ -133,9 +138,9 @@ def exact_sequence_check(I: Ideal) -> dict:
     slot = I.ring.total_vars - 1
     left = colon_by_variable_power(I, slot, 1)
     right = ideal_sum(I, Ideal(I.ring, [Polynomial.variable(I.ring, slot)]))
-    hf = _hf_or_empty(I)
-    hf_left = _hf_or_empty(left)
-    hf_right = _hf_or_empty(right)
+    hf = hf_of(I)
+    hf_left = hf_of(left)
+    hf_right = hf_of(right)
     width = max(len(hf), len(hf_left) + 1, len(hf_right))
 
     def at(v, d):
@@ -152,15 +157,6 @@ def exact_sequence_check(I: Ideal) -> dict:
         "right": list(hf_right),
         "passed": ok,
     }
-
-
-def _hf_or_empty(I: Ideal):
-    from .ideals import artinian_monomial_basis
-
-    basis = artinian_monomial_basis(I)
-    if basis is None:
-        raise ValueError(f"{I} is not Artinian")
-    return tuple(len(b) for b in basis)
 
 
 # --- complete intersection certification for computed ideals --------------------
@@ -324,17 +320,6 @@ def verify_tree_conditions(kind: str, n_max: int, bound: int) -> dict:
 # --- central simple module arrows -------------------------------------------------
 
 
-def _contract_annihilator(ann: Ideal) -> Ideal:
-    """Drop the cheapest variable from an annihilator that contains it."""
-    small = _smaller_ring(ann.ring)
-    slot = ann.ring.total_vars - 1
-    gens = []
-    for g in ann.groebner_basis():
-        if g.leading_monomial()[slot] == 0:
-            gens.append(g.contract(small))
-    return Ideal(small, gens)
-
-
 def resolve_member_label(ideal: Ideal, n: int, a_bound: int):
     """Find (a, m) with A_n(a, m) equal to the ideal, or None."""
     dim = quotient_dimension(ideal)
@@ -371,7 +356,7 @@ def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: i
         entry = {"j": j, "presentation": sub["passed"]}
         target = None
         if sub["passed"]:
-            contracted = _contract_annihilator(checked.annihilator)
+            contracted = contract_modulo_last(checked.annihilator)
             target = resolve_member_label(contracted, n - 1, max(member.a, 2))
         if target is None:
             passed = False
@@ -478,7 +463,7 @@ def tree_graph(node: TreeNode) -> dict:
     edges = []
 
     def walk(cur, name):
-        hf = list(_hf_or_empty(cur.ideal))
+        hf = list(hf_of(cur.ideal))
         nodes.append({"label": name, "level": cur.depth,
                       "ideal": cur.ideal.canonical_str(), "hilbert": hf})
         if cur.left is not None:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from citree.cli import RunConfig, main, parse_ideal_file, run
 
 
@@ -101,6 +103,24 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(["slp", "--ideal", path, "--y", "x1"]) == 2
     err = capsys.readouterr().err
     assert "column 6" in err
+
+
+@pytest.mark.parametrize("prime", ["0", "1", "4", "-7"])
+def test_prime_must_be_prime(tmp_path, capsys, prime):
+    path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
+    with pytest.raises(SystemExit) as exc:
+        main(["slp", "--ideal", path, "--y", "x1+x2", "--prime", prime])
+    assert exc.value.code == 2
+    assert "--prime" in capsys.readouterr().err
+
+
+def test_slp_with_large_prime(tmp_path, capsys):
+    path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
+    prime = 2 ** 61 - 1
+    assert main(["slp", "--ideal", path, "--y", "x1+x2", "--prime", str(prime), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["reports"][0]["holds"]
+    assert data["config"]["modular_prefilter_prime"] == prime
 
 
 def test_unknown_variable_in_file(tmp_path, capsys):

@@ -5,17 +5,17 @@ by degree it spans the ideal with monomial multiples of the generators and
 row-reduces over the rationals.
 """
 
-from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citree import linalg
+from citree import linalg, quotient
 from citree.ideals import (
     Ideal,
+    NotArtinian,
     _colon_artinian,
     _colon_by_last_variable,
-    _colon_elimination,
     artinian_monomial_basis,
     certify_regular_sequence,
     colon_by_variable_power,
@@ -42,11 +42,20 @@ def P(text, ring):
 # --- brute-force membership oracle (no Groebner bases) --------------------------
 
 
-def oracle_degree_span(gens, degree):
-    """Row space of the degree-d piece of the ideal, in monomial coordinates."""
-    if not gens:
-        return [], []
-    ring = gens[0].ring
+def oracle_row(p, index):
+    """Coordinates of p in the monomial index, denominators cleared."""
+    den = 1
+    for _, c in p.terms:
+        den = den * c.denominator // gcd(den, c.denominator)
+    row = [0] * len(index)
+    for mono, c in p.terms:
+        row[index[mono]] = int(c * den)
+    return row
+
+
+def oracle_degree_span(gens, ring, degree):
+    """Rows spanning the degree-d piece of the ideal, and the monomials
+    indexing their columns."""
     monos = standard_monomials_of_degree([], ring.total_vars, degree)
     index = {m: i for i, m in enumerate(monos)}
     rows = []
@@ -55,11 +64,7 @@ def oracle_degree_span(gens, degree):
         if gdeg > degree:
             continue
         for m in standard_monomials_of_degree([], ring.total_vars, degree - gdeg):
-            prod = g * Polynomial.monomial(ring, m)
-            row = [Fraction(0)] * len(monos)
-            for mono, c in prod.terms:
-                row[index[mono]] = c
-            rows.append(row)
+            rows.append(oracle_row(g * Polynomial.monomial(ring, m), index))
     return rows, monos
 
 
@@ -67,22 +72,34 @@ def oracle_member(p, gens):
     """Membership of a homogeneous polynomial via exact row reduction."""
     if p.is_zero():
         return True
-    degree = p.degree()
-    rows, monos = oracle_degree_span(gens, degree)
-    index = {m: i for i, m in enumerate(monos)}
-    target = [Fraction(0)] * len(monos)
-    for mono, c in p.terms:
-        target[index[mono]] = c
-    base = linalg.rank(rows)
-    return linalg.rank(rows + [target]) == base
+    rows, monos = oracle_degree_span(gens, p.ring, p.degree())
+    target = oracle_row(p, {m: i for i, m in enumerate(monos)})
+    return linalg.bareiss_rank(rows + [target]) == linalg.bareiss_rank(rows)
 
 
 def oracle_hilbert(gens, ring, up_to):
     out = []
     for d in range(up_to + 1):
-        rows, monos = oracle_degree_span(gens, d)
-        out.append(len(monos) - linalg.rank(rows))
+        rows, monos = oracle_degree_span(gens, ring, d)
+        out.append(len(monos) - linalg.bareiss_rank(rows))
     return out
+
+
+def assert_colon_matches_oracle(C, gens, f, up_to):
+    """C = (I : f), degree by degree: f*C_d lies in I_(d+e), and C_d has
+    the dimension of the kernel of g -> g*f from R_d to R_(d+e)/I_(d+e)."""
+    ring = f.ring
+    for d in range(up_to + 1):
+        ideal_rows, monos = oracle_degree_span(gens, ring, d + f.degree())
+        index = {m: i for i, m in enumerate(monos)}
+        base = linalg.bareiss_rank(ideal_rows)
+        in_colon = [oracle_row(c * f, index) for c in C.generators if c.degree() == d]
+        assert linalg.bareiss_rank(ideal_rows + in_colon) == base
+        images = [oracle_row(f * Polynomial.monomial(ring, m), index)
+                  for m in standard_monomials_of_degree([], ring.total_vars, d)]
+        kernel_dim = len(images) - (linalg.bareiss_rank(ideal_rows + images) - base)
+        colon_rows, _ = oracle_degree_span(C.generators, ring, d)
+        assert linalg.bareiss_rank(colon_rows) == kernel_dim
 
 
 # --- spec examples ----------------------------------------------------------------
@@ -187,9 +204,20 @@ def test_colon_by_variable_power_examples():
 
 
 def test_colon_by_non_last_variable():
-    I = Ideal.from_strings(R2, ["x1^2", "x1*x2"])
+    I = Ideal.from_strings(R2, ["x1^2", "x1*x2", "x2^3"])
     assert ideal_equal(colon_by_variable_power(I, "x1", 1),
                        Ideal.from_strings(R2, ["x1", "x2"]))
+
+
+def test_colon_rejects_non_artinian():
+    I = Ideal.from_strings(R2, ["x1^2", "x1*x2"])
+    with pytest.raises(NotArtinian):
+        ideal_colon(I, P("x1", R2))
+    with pytest.raises(NotArtinian):
+        colon_by_variable_power(I, "x1", 1)
+    # the cheapest variable needs no Artinian quotient
+    assert ideal_equal(colon_by_variable_power(I, "x2", 2), Ideal.from_strings(R2, ["x1"]))
+    assert quotient.NotArtinian is NotArtinian
 
 
 def test_initial_ideal_examples():
@@ -248,6 +276,11 @@ def test_membership_against_oracle():
         assert normal_form(probe, I).is_zero() == oracle_member(probe, gens)
 
 
+def test_oracle_member_zero_ideal():
+    assert not oracle_member(P("z^2", R2Z), [])
+    assert oracle_member(Polynomial.zero(R2Z), [])
+
+
 def test_hilbert_against_oracle():
     e_gens = [symmetric_generator("e_signed", 3, i) for i in (1, 2, 3)]
     I = Ideal(RingSpec(3), e_gens)
@@ -263,12 +296,11 @@ def test_buchberger_criterion_on_output():
 
     gens = [P("x1^2 + x2*z", R2Z), P("x1*x2 - z^2", R2Z), P("x2^3", R2Z)]
     I = Ideal(R2Z, gens)
-    order = I._order()
     elems = I._gb_elems()
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            s = _spoly(elems[i], elems[j], order)
-            assert not _reduce_to_primitive(s, elems, order)
+            s = _spoly(elems[i], elems[j])
+            assert not _reduce_to_primitive(s, elems)
 
 
 # --- property tests ------------------------------------------------------------------
@@ -293,6 +325,15 @@ def small_ideals(draw, ring=R2Z):
     return Ideal(ring, gens)
 
 
+@st.composite
+def artinian_ideals(draw):
+    """A small R2Z ideal made Artinian by x1^k, x2^k and z^k; returns (I, k)."""
+    I = draw(small_ideals())
+    k = draw(st.integers(min_value=2, max_value=3))
+    powers = [Polynomial.variable(R2Z, v) ** k for v in range(3)]
+    return Ideal(R2Z, list(I.generators) + powers), k
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_ideals(), homogeneous_polys(R2Z, 2))
 def test_normal_form_idempotent(I, p):
@@ -307,8 +348,9 @@ def test_membership_oracle_property(I, probe):
 
 
 @settings(max_examples=25, deadline=None)
-@given(small_ideals(), homogeneous_polys(R2Z, 1), homogeneous_polys(R2Z, 2))
-def test_colon_membership_characterization(I, f, g):
+@given(artinian_ideals(), homogeneous_polys(R2Z, 1), homogeneous_polys(R2Z, 2))
+def test_colon_membership_characterization(Ik, f, g):
+    I, _ = Ik
     if f.is_zero():
         return
     C = ideal_colon(I, f)
@@ -328,28 +370,24 @@ def test_colon_chain_monotone(I):
 
 
 @settings(max_examples=20, deadline=None)
-@given(small_ideals())
-def test_colon_routes_agree(I):
-    # the rewriting shortcut, the elimination route and (when Artinian)
-    # the kernel-lifting route compute the same colon
+@given(artinian_ideals())
+def test_colon_by_last_variable_against_oracle(Ik):
+    # both colon routes, for the one divisor they share
+    I, k = Ik
     z = Polynomial.variable(R2Z, "z")
-    fast = _colon_by_last_variable(I)
-    elim = _colon_elimination(I, z)
-    assert ideal_equal(fast, elim)
-    if artinian_monomial_basis(I) is not None:
-        kern = _colon_artinian(I, z)
-        assert ideal_equal(fast, kern)
+    gens = list(I.generators)
+    assert_colon_matches_oracle(_colon_by_last_variable(I), gens, z, 3 * k - 2)
+    assert_colon_matches_oracle(_colon_artinian(I, z), gens, z, 3 * k - 2)
 
 
 @settings(max_examples=15, deadline=None)
-@given(small_ideals(), homogeneous_polys(R2Z, 2))
-def test_colon_routes_agree_general_divisor(I, f):
+@given(artinian_ideals(), st.integers(min_value=1, max_value=2).flatmap(
+    lambda d: homogeneous_polys(R2Z, d)))
+def test_colon_artinian_against_oracle(Ik, f):
+    I, k = Ik
     if f.is_zero():
         return
-    elim = _colon_elimination(I, f)
-    if artinian_monomial_basis(I) is not None:
-        assert ideal_equal(elim, _colon_artinian(I, f))
-    assert elim.contains_ideal(I)
+    assert_colon_matches_oracle(_colon_artinian(I, f), list(I.generators), f, 3 * k - 2)
 
 
 def test_regular_sequence_permutation_invariant():
