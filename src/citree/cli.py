@@ -1,8 +1,13 @@
 """Command line interface: verification suites and ad-hoc queries.
 
 Every run prints either a human-readable summary or a deterministic JSON
-report (sorted keys, seed recorded).  Exit status: 0 when every requested
-check passes, 1 on a verification failure, 2 on invalid input.
+report (sorted keys, seed recorded).  Exit status:
+
+    0  every requested check passed
+    1  a verification failed
+    2  invalid input (bad flags, unreadable or malformed ideal file)
+    3  internal error: the verifier itself raised (an assertion or a
+       budget exceeded); one "internal error: ..." line goes to stderr
 """
 
 from __future__ import annotations
@@ -338,10 +343,6 @@ def _build_parser():
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--fail-fast", action="store_true")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--check-top-degree", action="store_true",
-                       help="also test the top power map d = socle degree")
-        p.add_argument("--prime", type=_prime, default=None,
-                       help="modular prefilter prime for rank computations")
 
     p = sub.add_parser("newton", help="power sum / elementary symmetric recurrences")
     p.add_argument("--n", type=int)
@@ -390,6 +391,10 @@ def _build_parser():
     p.add_argument("--ideal", required=True)
     p.add_argument("--y", help="linear form; omitted means search")
     p.add_argument("--max-tries", type=int, default=24)
+    p.add_argument("--check-top-degree", action="store_true",
+                   help="also test the top power map d = socle degree")
+    p.add_argument("--prime", type=_prime, default=None,
+                   help="modular prefilter prime for rank computations")
     common(p)
 
     p = sub.add_parser("csm", help="central simple module decomposition of an ideal file")
@@ -442,9 +447,9 @@ def _config_from_args(args) -> RunConfig:
         params=params,
         output=output,
         fail_fast=args.fail_fast,
-        check_top_degree=args.check_top_degree,
+        check_top_degree=getattr(args, "check_top_degree", False),
         seed=args.seed,
-        modular_prefilter_prime=args.prime,
+        modular_prefilter_prime=getattr(args, "prime", None),
     )
 
 
@@ -514,6 +519,9 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
+        return 3
     sys.stdout.write(text)
     return code
 

@@ -664,8 +664,13 @@ def quotient_dimension(I: Ideal):
 def certify_regular_sequence(gens) -> bool:
     """Whether n homogeneous forms in n variables cut out a quotient of
     dimension equal to the product of their degrees (equivalently, form a
-    regular sequence in this square Artinian setting)."""
-    gens = list(gens)
+    regular sequence in this square Artinian setting).
+
+    gens is a list of forms or an Ideal; an Ideal is certified in place, so
+    its standard monomials stay cached for later dimension queries.
+    """
+    ideal = gens if isinstance(gens, Ideal) else None
+    gens = list(ideal.generators if ideal is not None else gens)
     if not gens:
         raise ValueError("empty generator list")
     ring = gens[0].ring
@@ -680,5 +685,6 @@ def certify_regular_sequence(gens) -> bool:
         if g.is_zero() or not g.is_homogeneous() or g.degree() < 1:
             return False
         product *= g.degree()
-    dim = quotient_dimension(Ideal(ring, gens))
-    return dim == product
+    if ideal is None:
+        ideal = Ideal(ring, gens)
+    return quotient_dimension(ideal) == product

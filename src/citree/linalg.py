@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals: rank, kernel, row reduction.
 
-The rank path is fraction-free (Bareiss) on integer rows; rational input is
-cleared row by row first.  An optional modular pass can certify full rank
-quickly, but any claimed deficiency is always re-verified exactly.
+Both paths work on integer rows; rational input is cleared row by row
+first.  The rank is fraction-free (Bareiss); an optional modular pass can
+certify full rank quickly, but any claimed deficiency is always re-verified
+exactly.  Row reduction (rref, and kernel_basis on top of it) is integer
+Gauss-Jordan that divides out each row's content and forms Fractions only
+when the pivot rows are divided by their pivots at the end.
 """
 
 from __future__ import annotations
@@ -10,16 +13,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+_ZERO = Fraction(0)
+
 
 def _int_rows(rows):
-    """Clear denominators row by row; scaling rows does not change rank."""
+    """Clear denominators row by row; scaling rows changes neither the rank
+    nor the reduced row echelon form."""
     out = []
     for row in rows:
+        row = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in row]
         den = 1
         for c in row:
-            c = Fraction(c)
-            den = den * c.denominator // gcd(den, c.denominator)
-        out.append([int(Fraction(c) * den) for c in row])
+            if c.denominator != 1:
+                den = den * c.denominator // gcd(den, c.denominator)
+        out.append([c.numerator * (den // c.denominator) for c in row])
     return out
 
 
@@ -110,33 +117,55 @@ def rank(rows, prefilter_prime: int | None = None) -> int:
 
 
 def rref(rows):
-    """Reduced row echelon form over the rationals; returns (rows, pivots)."""
-    m = [[Fraction(c) for c in row] for row in rows]
+    """Reduced row echelon form over the rationals; returns (rows, pivots).
+
+    Integer Gauss-Jordan: denominators are cleared row by row, each
+    elimination step is an integer row combination whose content is then
+    divided out, and Fractions are formed only when the pivot rows are
+    divided by their pivots at the end.  The reduced form is unique, so the
+    result equals that of elimination in Fraction arithmetic.
+    """
+    m = _int_rows(rows)
     if not m:
         return [], []
-    ncols = len(m[0])
+    nrows, ncols = len(m), len(m[0])
     pivots = []
     row = 0
     for col in range(ncols):
         pivot = None
-        for r in range(row, len(m)):
+        for r in range(row, nrows):
             if m[r][col]:
                 pivot = r
                 break
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [c * inv for c in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+        prow = m[row]
+        g = gcd(*prow)
+        if g > 1:
+            prow = m[row] = [x // g for x in prow]
+        pv = prow[col]
+        support = [c for c in range(col, ncols) if prow[c]]
+        for r in range(nrows):
+            b = m[r][col]
+            if r == row or not b:
+                continue
+            g = gcd(pv, b)
+            a, b = pv // g, b // g
+            cur = m[r] if a == 1 else [a * x for x in m[r]]
+            for c in support:
+                cur[c] -= b * prow[c]
+            g = gcd(*cur)
+            m[r] = [x // g for x in cur] if g > 1 else cur
         pivots.append(col)
         row += 1
-        if row == len(m):
+        if row == nrows:
             break
-    return [r for r in m if any(r)], pivots
+    out = []
+    for r, pc in zip(m, pivots):
+        pv = r[pc]
+        out.append([Fraction(x, pv) if x else _ZERO for x in r])
+    return out, pivots
 
 
 def kernel_basis(rows, ncols=None):
@@ -145,7 +174,8 @@ def kernel_basis(rows, ncols=None):
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
         v = [Fraction(0)] * ncols

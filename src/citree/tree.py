@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from . import linalg
 from .csm import (
@@ -78,9 +79,18 @@ def family_member(n: int, a: int, m: int) -> FamilyMember:
         gens += [symmetric_generator("e_signed", n, i) for i in range(m + 1, n + 1)]
     else:
         raise ValueError(f"invalid a={a}")
-    if not certify_regular_sequence(gens):
+    ideal = Ideal(ring, gens)
+    if not certify_regular_sequence(ideal):
         raise AssertionError(f"family member ({n},{a},{m}) failed certification")
-    return FamilyMember(n, a, m, member_label(n, a, m), Ideal(ring, gens))
+    return FamilyMember(n, a, m, member_label(n, a, m), ideal)
+
+
+def _member_dimension(n: int, a: int, m: int) -> int:
+    """dim A_n(a, m) as family_member certifies it: the product of the
+    generator degrees."""
+    if a == 1:
+        return prod(range(1, n + 1))
+    return prod(range(a, a + m)) * prod(range(m + 1, n + 1))
 
 
 def family_members(n: int, a_max: int):
@@ -321,15 +331,19 @@ def verify_tree_conditions(kind: str, n_max: int, bound: int) -> dict:
 
 
 def resolve_member_label(ideal: Ideal, n: int, a_bound: int):
-    """Find (a, m) with A_n(a, m) equal to the ideal, or None."""
+    """Find (a, m) with A_n(a, m) equal to the ideal, or None.
+
+    Candidates are tried in the order (1, n), then a = 2..a_bound with
+    m = 1..n; only those whose certified dimension matches the ideal's are
+    built and compared by exact ideal equality.
+    """
     dim = quotient_dimension(ideal)
-    candidates = [family_member(n, 1, n)]
-    for a in range(2, a_bound + 1):
-        for m in range(1, n + 1):
-            candidates.append(family_member(n, a, m))
-    for cand in candidates:
-        if quotient_dimension(cand.ideal) == dim and ideal_equal(cand.ideal, ideal):
-            return cand
+    candidates = [(1, n)] + [(a, m) for a in range(2, a_bound + 1) for m in range(1, n + 1)]
+    for a, m in candidates:
+        if _member_dimension(n, a, m) == dim:
+            cand = family_member(n, a, m)
+            if ideal_equal(cand.ideal, ideal):
+                return cand
     return None
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from citree import cli
 from citree.cli import RunConfig, main, parse_ideal_file, run
 
 
@@ -121,6 +122,35 @@ def test_slp_with_large_prime(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["reports"][0]["holds"]
     assert data["config"]["modular_prefilter_prime"] == prime
+
+
+@pytest.mark.parametrize("flag", [["--prime", "7"], ["--check-top-degree"]])
+def test_lefschetz_flags_only_on_slp(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["thm31", "--n", "1", "--a", "2"] + flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+def test_lefschetz_flags_default_in_config(capsys):
+    assert main(["thm31", "--n", "1", "--a", "2", "--json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["modular_prefilter_prime"] is None
+    assert config["check_top_degree"] is False
+
+
+@pytest.mark.parametrize("error", [AssertionError("chain failed\nto terminate"),
+                                   RuntimeError("step budget")])
+def test_internal_error_exit_3(monkeypatch, capsys, error):
+    def boom(cfg):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "newton", boom)
+    assert main(["newton", "--n", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: " + type(error).__name__)
+    assert captured.err.count("\n") == 1
 
 
 def test_unknown_variable_in_file(tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from citree import ideals
 from citree.ideals import Ideal, ideal_equal, ideal_sum, normal_form, quotient_dimension
 from citree.polyring import Polynomial, RingSpec
 from citree.symfun import symmetric_generator
@@ -235,6 +236,27 @@ def test_resolve_label():
     member = family_member(2, 5, 1)
     assert resolve_member_label(member.ideal, 2, 5).label == member.label
     assert resolve_member_label(Ideal.from_strings(R2, ["x1", "x2"]), 2, 3) is None
+
+
+def test_resolve_label_every_level_three_member():
+    for member in family_members(3, 5):
+        assert resolve_member_label(member.ideal, 3, 5).label == member.label
+
+
+def test_member_ideal_keeps_its_certified_basis(monkeypatch):
+    calls = []
+    original = ideals.standard_monomials_of_degree
+
+    def counting(lms, width, d):
+        calls.append(d)
+        return original(lms, width, d)
+
+    monkeypatch.setattr(ideals, "standard_monomials_of_degree", counting)
+    member = family_member(3, 4, 2)
+    assert calls  # certification enumerated the basis once
+    calls.clear()
+    assert quotient_dimension(member.ideal) == 4 * 5 * 3
+    assert calls == []
 
 
 def test_depth_five_roots_fan_out():
