@@ -5,7 +5,8 @@ the distinguished linear form), the chain (I : v^i) + (v) is computed
 exactly, deduplicated into blocks, and the successive quotients are checked
 against their predicted cyclic presentations: numerator = denominator +
 (e_{j-1}) and annihilator (denominator : e_{j-1}) with a shifted Hilbert
-function match.
+function match.  Predicted annihilators and colon identities are certified
+(ideals.certify_colon); a colon is derived only when a prediction fails.
 
 Every verifier returns a structured report; a failing sub-check is recorded
 rather than raised, so a whole grid can run to completion.
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 
 from .ideals import (
     Ideal,
-    artinian_monomial_basis,
+    certify_colon,
     certify_regular_sequence,
     colon_by_variable_power,
+    hf_of,
     ideal_colon,
     ideal_equal,
     ideal_sum,
@@ -54,11 +56,20 @@ def last_variable(ring: RingSpec) -> Polynomial:
     return Polynomial.variable(ring, ring.total_vars - 1)
 
 
-def hf_of(J: Ideal):
-    basis = artinian_monomial_basis(J)
-    if basis is None:
-        raise ValueError(f"{J} is not Artinian")
-    return tuple(len(b) for b in basis)
+def hf_difference(den_hf, num_hf):
+    """Graded dimensions of num/den from HF(R/den) and HF(R/num)."""
+    width = max(len(den_hf), len(num_hf))
+    return tuple(
+        (den_hf[d] if d < len(den_hf) else 0) - (num_hf[d] if d < len(num_hf) else 0)
+        for d in range(width)
+    )
+
+
+def shifted_hf_matches(dims, hf, shift: int) -> bool:
+    """Whether dims equals hf moved up by shift degrees, zero-padded."""
+    shifted = (0,) * shift + tuple(hf)
+    padded = max(len(dims), len(shifted))
+    return tuple(dims) + (0,) * (padded - len(dims)) == shifted + (0,) * (padded - len(shifted))
 
 
 def power_family_ideal(n: int, a: int) -> Ideal:
@@ -262,13 +273,7 @@ def central_simple_modules(I: Ideal, chain: CsmChain | None = None):
     out = []
     m = len(ideals) - 1
     for j in range(1, m + 1):
-        den_hf = hfs[m - j]
-        num_hf = hfs[m - j + 1]
-        width = max(len(den_hf), len(num_hf))
-        dims = tuple(
-            (den_hf[d] if d < len(den_hf) else 0) - (num_hf[d] if d < len(num_hf) else 0)
-            for d in range(width)
-        )
+        dims = hf_difference(hfs[m - j], hfs[m - j + 1])
         nonzero = [d for d, v in enumerate(dims) if v]
         out.append(
             CentralSimpleModule(
@@ -282,26 +287,23 @@ def central_simple_modules(I: Ideal, chain: CsmChain | None = None):
     return out
 
 
-def cyclic_presentation(num: Ideal, den: Ideal, g: Polynomial):
-    """Check num = den + (g), compute the annihilator (den : g) and the
-    graded dimensions; returns (module, report)."""
+def cyclic_presentation(num: Ideal, den: Ideal, g: Polynomial, annihilator: Ideal | None = None):
+    """Check num = den + (g), find the annihilator (den : g) and compare the
+    graded dimensions with its shifted Hilbert function; returns (module,
+    report).
+
+    A predicted annihilator is taken when certify_colon proves it equal to
+    (den : g); without one, or when the proof fails, the colon is derived
+    by kernel lifting, so the report always names the true annihilator.
+    """
     ring = num.ring
     presentation_ok = ideal_equal(num, ideal_sum(den, Ideal(ring, [g])))
-    ann = ideal_colon(den, g)
-    den_hf = hf_of(den)
-    num_hf = hf_of(num)
-    ann_hf = hf_of(ann)
-    width = max(len(den_hf), len(num_hf))
-    dims = tuple(
-        (den_hf[d] if d < len(den_hf) else 0) - (num_hf[d] if d < len(num_hf) else 0)
-        for d in range(width)
-    )
-    gdeg = g.degree()
-    shifted = tuple([0] * gdeg) + tuple(ann_hf)
-    padded = max(len(dims), len(shifted))
-    dims_ok = tuple(dims + (0,) * (padded - len(dims))) == tuple(
-        shifted + (0,) * (padded - len(shifted))
-    )
+    if annihilator is not None and certify_colon(den, g, annihilator):
+        ann = annihilator
+    else:
+        ann = ideal_colon(den, g)
+    dims = hf_difference(hf_of(den), hf_of(num))
+    dims_ok = shifted_hf_matches(dims, hf_of(ann), g.degree())
     nonzero = [d for d, v in enumerate(dims) if v]
     module = CentralSimpleModule(
         index=0,
@@ -382,8 +384,8 @@ def _verify_family_common(report, checks, I, expected_blocks, expected_count, a)
     for mod in modules:
         j = mod.index
         g = sym_e(ring, j - 1)
-        checked, sub = cyclic_presentation(mod.numerator, mod.denominator, g)
         expected_ann = module_annihilator_ideal(ring, a, j)
+        checked, sub = cyclic_presentation(mod.numerator, mod.denominator, g, expected_ann)
         ann_ok = ideal_equal(checked.annihilator, expected_ann)
         sub["annihilator_matches"] = ann_ok
         sub["shift_ok"] = checked.shift == j - 1
@@ -532,7 +534,7 @@ def verify_colon_identity(n: int, a: int, s: int | None = None) -> dict:
                          + [sym_e(ring, i) for i in range(s + 2, n + 1)] + [v])
         divisor = sym_e(ring, s + 1)
         top = s
-    colon = ideal_colon(J, divisor)
+    colon = expected if certify_colon(J, divisor, expected) else ideal_colon(J, divisor)
     _check(checks, "colon_equality", ideal_equal(colon, expected),
            colon=colon.canonical_str(), expected=expected.canonical_str())
 

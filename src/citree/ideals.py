@@ -5,11 +5,17 @@ basis under the ring's grevlex order; the reduced basis is canonical
 (primitive integer coefficients, positive leading coefficient, sorted), so
 two ideals are equal exactly when their reduced bases coincide.
 
-Colon ideals (I : f) are computed two ways, both checked against a
-brute-force linear-algebra oracle in the test suite: a basis-rewriting
-shortcut for division by the ring's cheapest variable, which works for any
-I, and a kernel-lifting method on standard monomials for every other f,
-which needs R/I to be Artinian (the only setting the paper uses).
+A colon ideal (I : f) that the caller can predict is certified rather
+than built: certify_colon proves (I : f) = J from f*J inside I and the
+Hilbert function of R/(I : f), which the exact sequence
+0 -> R/(I : f)(-deg f) -> R/I -> R/(I + (f)) -> 0 gives without the colon.
+Without a prediction, or when certification fails, the colon is derived:
+by rewriting the reduced basis for division by the ring's cheapest
+variable, which works for any I, and otherwise by lifting kernels of
+multiplication on standard monomials, which needs R/I to be Artinian (the
+only setting the paper uses).  The test suite checks both derivations
+against a brute-force linear-algebra oracle and the certifier against the
+kernel-lifting colon.
 """
 
 from __future__ import annotations
@@ -576,6 +582,53 @@ def ideal_colon(I: Ideal, f: Polynomial) -> Ideal:
     if artinian_monomial_basis(I) is None:
         raise NotArtinian(I, artinian_offending_variable(I))
     return _colon_artinian(I, f)
+
+
+def hf_of(I: Ideal):
+    """HF of R/I in degrees 0..socle (empty for the unit ideal); R/I must
+    be Artinian."""
+    basis = artinian_monomial_basis(I)
+    if basis is None:
+        raise ValueError(f"{I} is not Artinian")
+    return tuple(len(b) for b in basis)
+
+
+def colon_hilbert_function(I: Ideal, f: Polynomial):
+    """HF of R/(I : f) without computing the colon; R/I must be Artinian.
+
+    Multiplication by f (degree e) gives the exact sequence
+    0 -> R/(I : f)(-e) -> R/I -> R/(I + (f)) -> 0, so
+    HF(R/(I : f))_d = HF(R/I)_(d+e) - HF(R/(I + (f)))_(d+e).
+    """
+    hf = hf_of(I)
+    hf_sum = hf_of(ideal_sum(I, Ideal(I.ring, [f])))
+    e = f.degree()
+    out = [hf[d] - (hf_sum[d] if d < len(hf_sum) else 0) for d in range(e, len(hf))]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def multiplies_into(I: Ideal, f: Polynomial, gens) -> bool:
+    """Whether f*h reduces to zero modulo I for every h in gens."""
+    elems = I._gb_elems()
+    return all(not _reduce_core(_poly_to_core(f * h), elems) for h in gens)
+
+
+def certify_colon(I: Ideal, f: Polynomial, J: Ideal) -> bool:
+    """Whether (I : f) = J, proved without computing the colon.
+
+    f*J inside I gives J inside (I : f); equal Hilbert functions of R/J and
+    R/(I : f) (colon_hilbert_function) then force equality.  For Artinian
+    R/I a False proves J != (I : f); for any other I it proves nothing.
+    """
+    if f.ring != I.ring or J.ring != I.ring:
+        raise RingMismatch(f"{f.ring}, {J.ring} vs {I.ring}")
+    if artinian_monomial_basis(I) is None or artinian_monomial_basis(J) is None:
+        return False
+    if hf_of(J) != colon_hilbert_function(I, f):
+        return False
+    return multiplies_into(I, f, J.generators)
 
 
 def colon_by_variable_power(I: Ideal, var: int | str, i: int) -> Ideal:

@@ -4,8 +4,8 @@ Members of the power-sum family A_n(a, m) live in K[x1..xn]; the left child
 of an ideal is (I : xn) and the right child is the contraction of I + (xn)
 to one variable fewer.  This module enumerates the families, verifies the
 tree closure conditions on bounded enumerations, checks Hilbert-function
-additivity of the child split, derives central-simple-module arrows with
-the engine, and exports diagrams as DOT or JSON.
+additivity of the child split, certifies central-simple-module arrows
+against the family one level down, and exports diagrams as DOT or JSON.
 """
 
 from __future__ import annotations
@@ -19,15 +19,17 @@ from .csm import (
     central_simple_modules,
     csm_chain,
     cyclic_presentation,
-    hf_of,
+    shifted_hf_matches,
     sym_e,
 )
 from .ideals import (
     Ideal,
     certify_regular_sequence,
     colon_by_variable_power,
+    hf_of,
     ideal_equal,
     ideal_sum,
+    multiplies_into,
     normal_form,
     quotient_dimension,
     standard_monomials_of_degree,
@@ -41,7 +43,8 @@ _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
 
 def member_label(n: int, a: int, m: int) -> str:
-    """Compact label with the level and column as subscripts, e.g. ''"""
+    """Compact label with the level and column as subscripts:
+    member_label(5, 3, 3) is '₅3₃'."""
     return f"{n}".translate(_SUB) + str(a) + f"{m}".translate(_SUB)
 
 
@@ -330,48 +333,85 @@ def verify_tree_conditions(kind: str, n_max: int, bound: int) -> dict:
 # --- central simple module arrows -------------------------------------------------
 
 
-def resolve_member_label(ideal: Ideal, n: int, a_bound: int):
-    """Find (a, m) with A_n(a, m) equal to the ideal, or None.
-
-    Candidates are tried in the order (1, n), then a = 2..a_bound with
-    m = 1..n; only those whose certified dimension matches the ideal's are
-    built and compared by exact ideal equality.
-    """
-    dim = quotient_dimension(ideal)
+def _members_of_dimension(n: int, a_bound: int, dim: int):
+    """The members A_n(a, m) of dimension dim, built lazily in the order
+    (1, n), then a = 2..a_bound with m = 1..n."""
     candidates = [(1, n)] + [(a, m) for a in range(2, a_bound + 1) for m in range(1, n + 1)]
     for a, m in candidates:
         if _member_dimension(n, a, m) == dim:
-            cand = family_member(n, a, m)
-            if ideal_equal(cand.ideal, ideal):
-                return cand
+            yield family_member(n, a, m)
+
+
+def resolve_member_label(ideal: Ideal, n: int, a_bound: int):
+    """Find (a, m) with A_n(a, m) equal to the ideal, or None.
+
+    Only the candidates whose certified dimension matches the ideal's are
+    built, and the first one equal to the ideal is returned.
+    """
+    for cand in _members_of_dimension(n, a_bound, quotient_dimension(ideal)):
+        if ideal_equal(cand.ideal, ideal):
+            return cand
+    return None
+
+
+def _certified_arrow_target(mod, g: Polynomial, a_bound: int):
+    """The first member J' one level down whose extension J'R + (v), v the
+    cheapest variable, is certified to be (den : g); None when none is.
+
+    The caller has checked num = den + (g), so the module's graded
+    dimensions are HF(R/(den : g)) moved up by deg g (the exact sequence of
+    multiplication by g).  R/(J'R + (v)) is R'/J', whose Hilbert function
+    the certified member already has, and g*(J'R + (v)) inside den gives
+    J'R + (v) inside (den : g); equal Hilbert functions then force equality
+    without a Groebner basis of J'R + (v).  Since v lies in den,
+    contracting (den : g) gives J' back, the member exact ideal equality
+    would pick.
+    """
+    den = mod.denominator
+    ring = den.ring
+    e = g.degree()
+    for cand in _members_of_dimension(ring.total_vars - 1, a_bound, sum(mod.graded_dims)):
+        if not shifted_hf_matches(mod.graded_dims, hf_of(cand.ideal), e):
+            continue
+        lifted = [h.extend(ring) for h in cand.ideal.generators]
+        lifted.append(Polynomial.variable(ring, ring.total_vars - 1))
+        if multiplies_into(den, g, lifted):
+            return cand
     return None
 
 
 def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: int = 0):
-    """Engine-derived arrows from one member to the members one level down.
+    """Certified arrows from one member to the members one level down.
 
     Every central simple module of (A, xn) is presented cyclically by the
     matching elementary symmetric polynomial; its annihilator, contracted
-    below xn, is located inside the level-(n-1) family by exact ideal
-    equality."""
+    below xn, is the level-(n-1) member certified by
+    _certified_arrow_target.  When no member certifies, the annihilator is
+    derived by kernel lifting and looked up by exact ideal equality."""
     n = member.n
     if n < 2:
         return [], {"passed": True, "modules": []}
     I = member.ideal
     chain = csm_chain(I)
     modules = central_simple_modules(I, chain)
+    a_bound = max(member.a, 2)
     arrows = []
     details = []
     passed = True
     for mod in modules:
         j = mod.index
         g = sym_e(I.ring, j - 1)
-        checked, sub = cyclic_presentation(mod.numerator, mod.denominator, g)
-        entry = {"j": j, "presentation": sub["passed"]}
         target = None
-        if sub["passed"]:
-            contracted = contract_modulo_last(checked.annihilator)
-            target = resolve_member_label(contracted, n - 1, max(member.a, 2))
+        if ideal_equal(mod.numerator, ideal_sum(mod.denominator, Ideal(I.ring, [g]))):
+            target = _certified_arrow_target(mod, g, a_bound)
+        presented = target is not None
+        if target is None:
+            checked, sub = cyclic_presentation(mod.numerator, mod.denominator, g)
+            presented = sub["passed"]
+            if presented:
+                contracted = contract_modulo_last(checked.annihilator)
+                target = resolve_member_label(contracted, n - 1, a_bound)
+        entry = {"j": j, "presentation": presented}
         if target is None:
             passed = False
             entry["target"] = None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from citree import csm
 from citree.csm import (
     add_last_variable,
     central_simple_modules,
@@ -9,6 +10,7 @@ from citree.csm import (
     cyclic_presentation,
     filtration_check,
     mixed_family_ideal,
+    module_annihilator_ideal,
     nilpotency_index,
     power_chain_ideal,
     power_family_ideal,
@@ -21,7 +23,7 @@ from citree.csm import (
     verify_power_family,
     verify_terminal_csm,
 )
-from citree.ideals import Ideal, ideal_equal
+from citree.ideals import Ideal, ideal_colon, ideal_equal
 from citree.polyring import Polynomial, RingSpec
 from citree.quotient import build_quotient
 from citree.symfun import symmetric_generator
@@ -239,6 +241,43 @@ def test_annihilator_contains_denominator():
         checked, report = cyclic_presentation(mod.numerator, mod.denominator, g)
         assert report["passed"]
         assert checked.annihilator.contains_ideal(mod.denominator)
+
+
+def _counting_colon(monkeypatch):
+    """Record every kernel-lifting colon the csm module derives."""
+    calls = []
+
+    def counting(I, f):
+        calls.append(f)
+        return ideal_colon(I, f)
+
+    monkeypatch.setattr(csm, "ideal_colon", counting)
+    return calls
+
+
+def test_cyclic_presentation_falls_back_on_wrong_prediction(monkeypatch):
+    calls = _counting_colon(monkeypatch)
+    I = power_family_ideal(2, 3)
+    mod = central_simple_modules(I)[1]
+    j = mod.index
+    g = sym_e(I.ring, j - 1)
+    wrong = module_annihilator_ideal(I.ring, 4, j)  # a + 1 for a = 3
+    checked, report = cyclic_presentation(mod.numerator, mod.denominator, g, wrong)
+    assert calls == [g]
+    derived = ideal_colon(mod.denominator, g)
+    assert report["annihilator"] == derived.canonical_str()
+    assert ideal_equal(checked.annihilator, derived)
+    assert not ideal_equal(checked.annihilator, wrong)
+    assert report["passed"]  # the presentation itself is still right
+
+
+def test_family_and_identity_verifiers_derive_no_colon(monkeypatch):
+    calls = _counting_colon(monkeypatch)
+    assert verify_power_family(2, 3)["passed"]
+    assert verify_mixed_family(3, 2, 1)["passed"]
+    assert verify_colon_identity(3, 2, 0)["passed"]
+    assert verify_colon_identity(3, 3, None)["passed"]
+    assert calls == []
 
 
 # --- generator swaps -------------------------------------------------------------------

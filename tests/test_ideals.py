@@ -17,6 +17,7 @@ from citree.ideals import (
     _colon_artinian,
     _colon_by_last_variable,
     artinian_monomial_basis,
+    certify_colon,
     certify_regular_sequence,
     colon_by_variable_power,
     ideal_colon,
@@ -393,3 +394,71 @@ def test_colon_artinian_against_oracle(Ik, f):
 def test_regular_sequence_permutation_invariant():
     gens = [symmetric_generator("p", 2, 2), symmetric_generator("p", 2, 3)]
     assert certify_regular_sequence(gens) == certify_regular_sequence(gens[::-1])
+
+
+# --- colon certification ----------------------------------------------------------
+
+divisors = st.integers(min_value=1, max_value=2).flatmap(lambda d: homogeneous_polys(R2Z, d))
+
+
+@settings(max_examples=15, deadline=None)
+@given(artinian_ideals(), divisors)
+def test_certify_colon_accepts_derived_colon(Ik, f):
+    I, _ = Ik
+    if f.is_zero():
+        return
+    assert certify_colon(I, f, _colon_artinian(I, f))
+
+
+@settings(max_examples=15, deadline=None)
+@given(artinian_ideals(), divisors, st.data())
+def test_certify_colon_rejects_extra_generator(Ik, f, data):
+    I, _ = Ik
+    if f.is_zero():
+        return
+    C = _colon_artinian(I, f)
+    outside = [m for monos in artinian_monomial_basis(C) for m in monos]
+    if not outside:  # (I : f) is the unit ideal
+        return
+    extra = Polynomial.monomial(R2Z, data.draw(st.sampled_from(outside)))
+    assert not certify_colon(I, f, ideal_sum(C, Ideal(R2Z, [extra])))
+
+
+@settings(max_examples=15, deadline=None)
+@given(artinian_ideals(), divisors)
+def test_certify_colon_rejects_the_ideal_itself(Ik, f):
+    # f*I lies in I, so only the Hilbert functions tell I from (I : f)
+    I, _ = Ik
+    if f.is_zero():
+        return
+    assert certify_colon(I, f, I) == ideal_equal(_colon_artinian(I, f), I)
+
+
+@settings(max_examples=15, deadline=None)
+@given(artinian_ideals(), divisors)
+def test_certify_colon_rejects_initial_ideal(Ik, f):
+    # in(I : f) has the Hilbert function of (I : f), so only containment
+    # tells them apart
+    I, _ = Ik
+    if f.is_zero():
+        return
+    C = _colon_artinian(I, f)
+    init = initial_ideal(C).ideal
+    assert certify_colon(I, f, init) == ideal_equal(init, C)
+
+
+def test_certify_colon_examples():
+    # (p_2, p_3, z) : e_2 = (p_1, p_2, z), and two wrong candidates: one with
+    # the right Hilbert function but not inside the colon, one inside the
+    # colon with the wrong Hilbert function
+    z = Polynomial.variable(R2Z, "z")
+    p = lambda i: symmetric_generator("p", 2, i).extend(R2Z)
+    e2 = symmetric_generator("e_signed", 2, 2).extend(R2Z)
+    J = Ideal(R2Z, [p(2), p(3), z])
+    colon = Ideal(R2Z, [p(1), p(2), z])
+    assert certify_colon(J, e2, colon)
+    assert not certify_colon(J, e2, initial_ideal(colon).ideal)
+    assert not certify_colon(J, e2, J)
+    # a non-Artinian I proves nothing, so the certifier declines
+    I = Ideal.from_strings(R2, ["x1^2", "x1*x2"])
+    assert not certify_colon(I, P("x1", R2), Ideal.from_strings(R2, ["x1", "x2"]))

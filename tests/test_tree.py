@@ -1,18 +1,29 @@
 """Family constructors, children, tree conditions, arrows, export."""
 
+import dataclasses
 import json
 
 import pytest
 
-from citree import ideals
-from citree.ideals import Ideal, ideal_equal, ideal_sum, normal_form, quotient_dimension
+from citree import csm, ideals
+from citree.csm import central_simple_modules, sym_e
+from citree.ideals import (
+    Ideal,
+    ideal_colon,
+    ideal_equal,
+    ideal_sum,
+    normal_form,
+    quotient_dimension,
+)
 from citree.polyring import Polynomial, RingSpec
 from citree.symfun import symmetric_generator
 from citree.tree import (
+    _certified_arrow_target,
     binary_tree,
     certify_complete_intersection,
     children,
     colon_closure_family,
+    contract_modulo_last,
     csm_diagram,
     exact_sequence_check,
     export_dot,
@@ -230,6 +241,41 @@ def test_coinvariant_chain_arrows():
     arrows, rep = member_csm_arrows(family_member(3, 1, 3))
     assert rep["passed"]
     assert [t.label for _, t in arrows] == ["₂1₂"]
+
+
+def test_certified_arrows_match_derived_colons(monkeypatch):
+    # the kernel-colon route: derive each annihilator, contract it below xn
+    # and look it up by exact ideal equality
+    derived_colons = []
+
+    def counting(I, f):
+        derived_colons.append(f)
+        return ideal_colon(I, f)
+
+    monkeypatch.setattr(csm, "ideal_colon", counting)
+    for member in family_members(3, 4):
+        arrows, rep = member_csm_arrows(member)
+        assert rep["passed"]
+        I = member.ideal
+        expected = []
+        for mod in central_simple_modules(I):
+            g = sym_e(I.ring, mod.index - 1)
+            contracted = contract_modulo_last(ideal_colon(mod.denominator, g))
+            target = resolve_member_label(contracted, 2, max(member.a, 2))
+            expected.append((mod.index, target.label))
+        assert [(j, t.label) for j, t in arrows] == expected
+    assert derived_colons == []  # every arrow was certified
+
+
+def test_arrow_target_needs_the_module_hilbert_function():
+    # moving the module's graded dimensions up one degree keeps its total
+    # dimension, so only the Hilbert-function comparison rejects the target
+    member = family_member(3, 4, 3)
+    mod = central_simple_modules(member.ideal)[1]
+    g = sym_e(member.ideal.ring, mod.index - 1)
+    assert _certified_arrow_target(mod, g, 4).label == member_label(2, 3, 1)
+    moved = dataclasses.replace(mod, graded_dims=(0,) + mod.graded_dims)
+    assert _certified_arrow_target(moved, g, 4) is None
 
 
 def test_resolve_label():
