@@ -8,7 +8,6 @@ from .polyring import ParseError, Polynomial, RingMismatch, RingSpec, parse_poly
 from .ideals import (
     Ideal,
     NotArtinian,
-    certify_colon,
     certify_regular_sequence,
     colon_by_variable_power,
     groebner_basis,

@@ -18,7 +18,6 @@ from . import linalg
 from .csm import (
     central_simple_modules,
     csm_chain,
-    cyclic_presentation,
     shifted_hf_matches,
     sym_e,
 )
@@ -29,7 +28,6 @@ from .ideals import (
     hf_of,
     ideal_equal,
     ideal_sum,
-    multiplies_into,
     normal_form,
     quotient_dimension,
     standard_monomials_of_degree,
@@ -363,9 +361,11 @@ def _certified_arrow_target(mod, g: Polynomial, a_bound: int):
     multiplication by g).  R/(J'R + (v)) is R'/J', whose Hilbert function
     the certified member already has, and g*(J'R + (v)) inside den gives
     J'R + (v) inside (den : g); equal Hilbert functions then force equality
-    without a Groebner basis of J'R + (v).  Since v lies in den,
-    contracting (den : g) gives J' back, the member exact ideal equality
-    would pick.
+    without a Groebner basis of J'R + (v).  Every chain ideal contains v
+    (csm_chain adds it), so v lies in den and in (den : g); contracting
+    (den : g) therefore gives J' back, and no other route can find a
+    target this one misses: the candidates, their order and the test are
+    those of resolve_member_label on the contracted colon.
     """
     den = mod.denominator
     ring = den.ring
@@ -375,7 +375,7 @@ def _certified_arrow_target(mod, g: Polynomial, a_bound: int):
             continue
         lifted = [h.extend(ring) for h in cand.ideal.generators]
         lifted.append(Polynomial.variable(ring, ring.total_vars - 1))
-        if multiplies_into(den, g, lifted):
+        if all(den.contains(g * h) for h in lifted):
             return cand
     return None
 
@@ -386,8 +386,7 @@ def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: i
     Every central simple module of (A, xn) is presented cyclically by the
     matching elementary symmetric polynomial; its annihilator, contracted
     below xn, is the level-(n-1) member certified by
-    _certified_arrow_target.  When no member certifies, the annihilator is
-    derived by kernel lifting and looked up by exact ideal equality."""
+    _certified_arrow_target, and the arrow has no target when none is."""
     n = member.n
     if n < 2:
         return [], {"passed": True, "modules": []}
@@ -401,16 +400,8 @@ def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: i
     for mod in modules:
         j = mod.index
         g = sym_e(I.ring, j - 1)
-        target = None
-        if ideal_equal(mod.numerator, ideal_sum(mod.denominator, Ideal(I.ring, [g]))):
-            target = _certified_arrow_target(mod, g, a_bound)
-        presented = target is not None
-        if target is None:
-            checked, sub = cyclic_presentation(mod.numerator, mod.denominator, g)
-            presented = sub["passed"]
-            if presented:
-                contracted = contract_modulo_last(checked.annihilator)
-                target = resolve_member_label(contracted, n - 1, a_bound)
+        presented = ideal_equal(mod.numerator, ideal_sum(mod.denominator, Ideal(I.ring, [g])))
+        target = _certified_arrow_target(mod, g, a_bound) if presented else None
         entry = {"j": j, "presentation": presented}
         if target is None:
             passed = False
