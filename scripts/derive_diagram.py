@@ -17,19 +17,27 @@ import sys
 from citree.tree import csm_diagram, export_dot, export_json, family_member
 
 
+def _member(text: str):
+    """argparse type for --member: three integers N,A,M naming a member."""
+    try:
+        n, a, m = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected three integers N,A,M, got {text!r}") from None
+    try:
+        return family_member(n, a, m)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--member", action="append", required=True,
+    parser.add_argument("--member", action="append", required=True, type=_member,
                         metavar="N,A,M", help="family member, e.g. 4,7,3")
     parser.add_argument("--format", choices=["dot", "json"], default="dot")
     parser.add_argument("-o", "--output", help="file path; stdout otherwise")
     args = parser.parse_args()
 
-    roots = []
-    for spec in args.member:
-        n, a, m = (int(v) for v in spec.split(","))
-        roots.append(family_member(n, a, m))
-    graph = csm_diagram(roots)
+    graph = csm_diagram(args.member)
     text = export_dot(graph) if args.format == "dot" else export_json(graph)
     if args.output:
         with open(args.output, "w") as handle:

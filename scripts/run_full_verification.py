@@ -1,100 +1,54 @@
 #!/usr/bin/env python3
-"""Run every verification grid at the default desk-scale bounds and print a
-timing table.  Exit status 0 only if everything passes."""
+"""Run the default grid of every verification subcommand of the citree
+command line and print one timing row per run and a total.
+
+There are no options: the grids are the command line's defaults.  Exit
+status follows the command line's contract, the gravest over all runs: 0
+when every run passes, 1 when a verification failed, 3 when a verifier
+raised (its one "internal error: ..." line goes to stderr); any argument
+is rejected with 2.
+"""
 
 import argparse
+import contextlib
+import io
 import sys
 import time
 
-from citree.csm import (
-    filtration_check,
-    mixed_family_ideal,
-    power_family_ideal,
-    verify_chain_blocks,
-    verify_colon_identity,
-    verify_generator_swap,
-    verify_mixed_family,
-    verify_power_family,
-)
-from citree.symfun import derivative_identity_check, newton_check, vanishing_sum_residual
-from citree.tree import verify_family_slp, verify_tree_conditions
+from citree import cli
+
+RUNS = [
+    ["newton"],
+    ["identity"],
+    ["thm31"],
+    ["thm41"],
+    ["swap"],
+    ["chain"],
+    ["colon-lemma"],
+    ["tree"],
+    ["tree", "--family", "colon-closure"],
+    ["thm53"],
+]
+STATUS = {0: "PASS", 1: "FAIL"}
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=3)
-    parser.add_argument("--a-max", type=int, default=4)
-    parser.add_argument("--skip-modules", action="store_true",
-                        help="skip the per-module Lefschetz cross-checks")
-    args = parser.parse_args()
-
-    rows = []
-
-    def step(name, fn):
-        started = time.time()
-        ok = fn()
-        rows.append((name, ok, time.time() - started))
-        return ok
-
-    def newton_suite():
-        return all(
-            newton_check(n, k)[0]
-            for n in range(1, 6)
-            for k in range(1, 2 * n + 1)
-        ) and all(
-            vanishing_sum_residual(n, m).is_zero()
-            for n in range(1, 6)
-            for m in range(n, 2 * n + 1)
-        )
-
-    def identities():
-        ok = all(
-            derivative_identity_check("f", n, None, k)
-            for n in range(1, 7)
-            for k in range(2, n)
-        )
-        return ok and all(
-            derivative_identity_check("g", n, b, k)
-            for n in range(1, 7)
-            for b in range(n)
-            for k in range(2, b)
-        )
-
-    power_grid = [(n, a) for n in range(1, args.n_max + 1) for a in range(1, args.a_max + 1)]
-    mixed_grid = [(n, a, b) for n in range(1, args.n_max + 1)
-                  for a in range(2, min(args.a_max, 3) + 1) for b in range(n)]
-
-    step("newton recurrences", newton_suite)
-    step("derivative identities", identities)
-    step("power family grid", lambda: all(verify_power_family(*t)["passed"] for t in power_grid))
-    step("mixed family grid", lambda: all(verify_mixed_family(*t)["passed"] for t in mixed_grid))
-    step("generator swaps", lambda: all(
-        verify_generator_swap("f", n, a)["passed"] for n, a in power_grid if a >= 2
-    ) and all(verify_generator_swap("g", n, a, b)["passed"] for n, a, b in mixed_grid))
-    step("chain blocks", lambda: all(
-        verify_chain_blocks("f", n, a)["passed"] for n, a in power_grid if a >= 2
-    ) and all(verify_chain_blocks("g", n, a, b)["passed"] for n, a, b in mixed_grid))
-    step("colon identities", lambda: all(
-        verify_colon_identity(n, a, s)["passed"]
-        for n in range(1, 5) for a in range(2, 5) for s in list(range(n - 1)) + [None]
-    ))
-    step("filtration identity", lambda: all(
-        filtration_check(power_family_ideal(n, a))["passed"] for n, a in power_grid
-    ) and all(filtration_check(mixed_family_ideal(n, a, b))["passed"] for n, a, b in mixed_grid))
-    step("tree conditions (monomial)", lambda: verify_tree_conditions("monomial", 3, 3)["passed"])
-    step("tree conditions (colon closure)", lambda: verify_tree_conditions("colon-closure", 2, 3)["passed"])
-    step("family slp + arrows", lambda: verify_family_slp(
-        args.n_max, args.a_max, check_modules=not args.skip_modules)["passed"])
-
-    width = max(len(name) for name, _, _ in rows)
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
+    width = max(len(" ".join(run)) for run in RUNS)
+    codes = []
     total = 0.0
-    failed = 0
-    for name, ok, elapsed in rows:
+    for run in RUNS:
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(run)
+        elapsed = time.perf_counter() - started
         total += elapsed
-        failed += 0 if ok else 1
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {elapsed:7.2f}s")
-    print(f"{'total':<{width}}  {'PASS' if failed == 0 else 'FAIL'}  {total:7.2f}s")
-    return 0 if failed == 0 else 1
+        codes.append(code)
+        print(f"{' '.join(run):<{width}}  {STATUS.get(code, 'ERROR')}  {elapsed:7.2f}s",
+              flush=True)
+    worst = max(codes)
+    print(f"{'total':<{width}}  {STATUS.get(worst, 'ERROR')}  {total:7.2f}s")
+    return worst
 
 
 if __name__ == "__main__":

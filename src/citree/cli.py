@@ -58,133 +58,116 @@ def parse_ideal_file(path: str) -> Ideal:
     return Ideal(ring, gens)
 
 
-def _grid_run(fn, grid, cfg):
-    reports = []
-    for item in grid:
-        report = fn(item)
-        reports.append(report)
-        if cfg.fail_fast and not report.get("passed", False):
-            break
-    return reports
+# --- verification grids ------------------------------------------------------
+# The default run of each grid subcommand is the only definition of its grid:
+# tests/test_acceptance.py and scripts/run_full_verification.py read these.
+# One override rule throughout: a value that is given is used as given.
+
+
+def _given(value, default):
+    return default if value is None else [value]
+
+
+def newton_grid(n=None, kmax=None):
+    """(n, kmax): n = 1..5, each with kmax = 2n."""
+    return [(m, 2 * m if kmax is None else kmax) for m in _given(n, range(1, 6))]
+
+
+def identity_grid(kind=None, n=None, b=None):
+    """(kind, n, b values): kinds f and g for n = 1..6; kind f has the one
+    b value None, kind g has b = 0..n-1."""
+    return [(kd, m, _given(b, range(m)) if kd == "g" else [None])
+            for kd in _given(kind, ("f", "g")) for m in _given(n, range(1, 7))]
+
+
+def power_grid(n=None, a=None):
+    """(n, a) for thm31: n = 1..3, a = 1..4."""
+    return [(m, c) for m in _given(n, range(1, 4)) for c in _given(a, range(1, 5))]
+
+
+def mixed_grid(n=None, a=None, b=None):
+    """(n, a, b) for thm41: n = 1..3, a = 2..3, b = 0..n-1."""
+    return [(m, c, d) for m in _given(n, range(1, 4)) for c in _given(a, range(2, 4))
+            for d in _given(b, range(m))]
+
+
+def kind_grid(kind=None, n=None, a=None, b=None):
+    """(kind, n, a, b) for swap and chain: kind f over the power grid with
+    a >= 2 (b is None), then kind g over the mixed grid."""
+    out = []
+    if kind in (None, "f"):
+        out += [("f", m, c, None) for m, c in power_grid(n, a) if c >= 2]
+    if kind in (None, "g"):
+        out += [("g", *t) for t in mixed_grid(n, a, b)]
+    return out
+
+
+def colon_grid(n=None, a=None, s=None, top=False):
+    """(n, a, s) for colon-lemma: n = 1..4, a = 2..4, s = 0..n-2 and the top
+    case s = None; top keeps only the top case."""
+    out = []
+    for m in _given(n, range(1, 5)):
+        for c in _given(a, range(2, 5)):
+            ss = [s] if s is not None else [None] if top else [*range(m - 1), None]
+            out += [(m, c, t) for t in ss]
+    return out
+
+
+def tree_bounds(family=None, n_max=None, bound=None):
+    """(family, n_max, bound) for tree: the monomial family to n_max = 3, or
+    colon closures to n_max = 2, with bound 3."""
+    family = family or "monomial"
+    if n_max is None:
+        n_max = 3 if family == "monomial" else 2
+    return family, n_max, 3 if bound is None else bound
+
+
+def thm53_bounds(n_max=None, a_max=None):
+    """(n_max, a_max) for thm53: the members A_n(a, m) with n <= 3, a <= 4."""
+    return 3 if n_max is None else n_max, 4 if a_max is None else a_max
 
 
 # --- command handlers ---------------------------------------------------------
 
 
-def _cmd_newton(cfg: RunConfig):
-    n_values = [cfg.params["n"]] if cfg.params.get("n") else list(range(1, 6))
-    reports = []
-    for n in n_values:
-        kmax = cfg.params.get("kmax") or 2 * n
-        checks = []
-        for k in range(1, kmax + 1):
-            ok, residual = symfun.newton_check(n, k)
-            checks.append({"name": f"newton_n{n}_k{k}", "passed": ok,
-                           "residual": str(residual)})
-        for m in range(n, 2 * n + 1):
-            res = symfun.vanishing_sum_residual(n, m)
-            checks.append({"name": f"vanishing_n{n}_m{m}", "passed": res.is_zero()})
-        reports.append({"verifier": "newton", "params": {"n": n, "kmax": kmax},
-                        "checks": checks,
-                        "passed": all(c["passed"] for c in checks)})
-    return reports
+def _newton_report(n, kmax):
+    checks = []
+    for k in range(1, kmax + 1):
+        ok, residual = symfun.newton_check(n, k)
+        checks.append({"name": f"newton_n{n}_k{k}", "passed": ok,
+                       "residual": str(residual)})
+    for m in range(n, 2 * n + 1):
+        res = symfun.vanishing_sum_residual(n, m)
+        checks.append({"name": f"vanishing_n{n}_m{m}", "passed": res.is_zero()})
+    return {"verifier": "newton", "params": {"n": n, "kmax": kmax},
+            "checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
-def _cmd_identity(cfg: RunConfig):
-    kind = cfg.params.get("kind")
-    kinds = [kind] if kind else ["f", "g"]
-    n_values = [cfg.params["n"]] if cfg.params.get("n") else list(range(1, 7))
-    reports = []
-    for kd in kinds:
-        for n in n_values:
-            checks = []
-            if kd == "f":
-                for k in range(2, n):
-                    ok = symfun.derivative_identity_check("f", n, None, k)
-                    checks.append({"name": f"f_n{n}_k{k}", "passed": ok})
-            else:
-                b_values = [cfg.params["b"]] if cfg.params.get("b") is not None else list(range(n))
-                for b in b_values:
-                    for k in range(2, b):
-                        ok = symfun.derivative_identity_check("g", n, b, k)
-                        checks.append({"name": f"g_n{n}_b{b}_k{k}", "passed": ok})
-            reports.append({"verifier": "derivative-identity",
-                            "params": {"kind": kd, "n": n},
-                            "checks": checks,
-                            "passed": all(c["passed"] for c in checks)})
-    return reports
+def _identity_report(kind, n, b_values):
+    checks = []
+    for b in b_values:
+        for k in range(2, n if kind == "f" else b):
+            name = f"f_n{n}_k{k}" if kind == "f" else f"g_n{n}_b{b}_k{k}"
+            checks.append({"name": name,
+                           "passed": symfun.derivative_identity_check(kind, n, b, k)})
+    return {"verifier": "derivative-identity", "params": {"kind": kind, "n": n},
+            "checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
-def _default_grid(cfg, mixed: bool):
-    if cfg.params.get("n"):
-        ns = [cfg.params["n"]]
-    else:
-        ns = list(range(1, 4))
-    grid = []
-    for n in ns:
-        a_values = [cfg.params["a"]] if cfg.params.get("a") else (
-            list(range(2, 4)) if mixed else list(range(1, 5)))
-        for a in a_values:
-            if mixed:
-                b_values = ([cfg.params["b"]] if cfg.params.get("b") is not None
-                            else list(range(n)))
-                for b in b_values:
-                    grid.append((n, a, b))
-            else:
-                grid.append((n, a))
-    return grid
+def _grid_command(grid, verifier, *keys):
+    """Handler running verifier on each item of grid(*overrides), the
+    overrides being the run's params named by keys; --fail-fast stops at
+    the first failing report."""
 
+    def handler(cfg: RunConfig):
+        reports = []
+        for item in grid(*(cfg.params.get(key) for key in keys)):
+            reports.append(verifier(*item))
+            if cfg.fail_fast and not reports[-1].get("passed", False):
+                break
+        return reports
 
-def _cmd_thm31(cfg: RunConfig):
-    grid = _default_grid(cfg, mixed=False)
-    return _grid_run(lambda t: csm.verify_power_family(*t), grid, cfg)
-
-
-def _cmd_thm41(cfg: RunConfig):
-    grid = _default_grid(cfg, mixed=True)
-    return _grid_run(lambda t: csm.verify_mixed_family(*t), grid, cfg)
-
-
-def _cmd_swap(cfg: RunConfig):
-    kind = cfg.params.get("kind")
-    reports = []
-    if kind in (None, "f"):
-        grid = [(n, a) for (n, a) in _default_grid(cfg, mixed=False) if a >= 2]
-        reports += _grid_run(lambda t: csm.verify_generator_swap("f", *t), grid, cfg)
-    if kind in (None, "g"):
-        grid = _default_grid(cfg, mixed=True)
-        reports += _grid_run(lambda t: csm.verify_generator_swap("g", t[0], t[1], t[2]),
-                             grid, cfg)
-    return reports
-
-
-def _cmd_chain(cfg: RunConfig):
-    kind = cfg.params.get("kind")
-    reports = []
-    if kind in (None, "f"):
-        grid = [(n, a) for (n, a) in _default_grid(cfg, mixed=False) if a >= 2]
-        reports += _grid_run(lambda t: csm.verify_chain_blocks("f", *t), grid, cfg)
-    if kind in (None, "g"):
-        grid = _default_grid(cfg, mixed=True)
-        reports += _grid_run(lambda t: csm.verify_chain_blocks("g", t[0], t[1], t[2]),
-                             grid, cfg)
-    return reports
-
-
-def _cmd_colon_lemma(cfg: RunConfig):
-    ns = [cfg.params["n"]] if cfg.params.get("n") else list(range(1, 5))
-    a_values = [cfg.params["a"]] if cfg.params.get("a") else list(range(2, 5))
-    jobs = []
-    for n in ns:
-        for a in a_values:
-            if cfg.params.get("s") is not None:
-                jobs.append((n, a, cfg.params["s"]))
-            elif cfg.params.get("top"):
-                jobs.append((n, a, None))
-            else:
-                jobs.extend((n, a, s) for s in range(0, n - 1))
-                jobs.append((n, a, None))
-    return _grid_run(lambda t: csm.verify_colon_identity(*t), jobs, cfg)
+    return handler
 
 
 def _cmd_slp(cfg: RunConfig):
@@ -221,8 +204,7 @@ def _cmd_csm(cfg: RunConfig):
         "verifier": "csm",
         "ideal": str(I),
         "nilpotency_index": chain.p,
-        "chain": [{"ideal": J.canonical_str(), "exponents": [lo, hi]}
-                  for J, lo, hi in chain.entries],
+        "chain": chain.to_json(),
         "modules": [{"index": m.index, "graded_dims": list(m.graded_dims),
                      "shift": m.shift} for m in modules],
     }
@@ -240,15 +222,13 @@ def _cmd_tree(cfg: RunConfig):
         node = tree.binary_tree(I, cfg.params.get("depth", 3))
         graph = tree.tree_graph(node)
         return [{"verifier": "tree-export", "graph": graph, "passed": True}]
-    family = cfg.params.get("family", "monomial")
-    n_max = cfg.params.get("n_max", 3 if family == "monomial" else 2)
-    bound = cfg.params.get("bound", 3)
-    return [tree.verify_tree_conditions(family, n_max, bound)]
+    p = cfg.params
+    bounds = tree_bounds(p.get("family"), p.get("n_max"), p.get("bound"))
+    return [tree.verify_tree_conditions(*bounds)]
 
 
 def _cmd_thm53(cfg: RunConfig):
-    n_max = cfg.params.get("n_max", 3)
-    a_max = cfg.params.get("a_max", 4)
+    n_max, a_max = thm53_bounds(cfg.params.get("n_max"), cfg.params.get("a_max"))
     report = tree.verify_family_slp(n_max, a_max,
                                     check_modules=cfg.params.get("check_modules", True),
                                     seed=cfg.seed)
@@ -275,13 +255,13 @@ def _cmd_hilbert(cfg: RunConfig):
 
 
 _HANDLERS = {
-    "newton": _cmd_newton,
-    "identity": _cmd_identity,
-    "thm31": _cmd_thm31,
-    "thm41": _cmd_thm41,
-    "swap": _cmd_swap,
-    "chain": _cmd_chain,
-    "colon-lemma": _cmd_colon_lemma,
+    "newton": _grid_command(newton_grid, _newton_report, "n", "kmax"),
+    "identity": _grid_command(identity_grid, _identity_report, "kind", "n", "b"),
+    "thm31": _grid_command(power_grid, csm.verify_power_family, "n", "a"),
+    "thm41": _grid_command(mixed_grid, csm.verify_mixed_family, "n", "a", "b"),
+    "swap": _grid_command(kind_grid, csm.verify_generator_swap, "kind", "n", "a", "b"),
+    "chain": _grid_command(kind_grid, csm.verify_chain_blocks, "kind", "n", "a", "b"),
+    "colon-lemma": _grid_command(colon_grid, csm.verify_colon_identity, "n", "a", "s", "top"),
     "slp": _cmd_slp,
     "csm": _cmd_csm,
     "tree": _cmd_tree,
@@ -329,6 +309,18 @@ def _prime(text: str) -> int:
     return p
 
 
+def _positive(text: str) -> int:
+    """argparse type for the bounds --n, --a, --kmax, --n-max, --a-max,
+    --bound and --max-tries: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="citree",
@@ -345,44 +337,39 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("newton", help="power sum / elementary symmetric recurrences")
-    p.add_argument("--n", type=int)
-    p.add_argument("--kmax", type=int)
+    p.add_argument("--n", type=_positive)
+    p.add_argument("--kmax", type=_positive)
     common(p)
 
     p = sub.add_parser("identity", help="triangular derivative identities")
     p.add_argument("--kind", choices=["f", "g"])
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive)
     p.add_argument("--b", type=int)
     common(p)
 
     p = sub.add_parser("thm31", help="module decomposition of the pure power-sum family")
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=int)
+    p.add_argument("--n", type=_positive)
+    p.add_argument("--a", type=_positive)
     common(p)
 
     p = sub.add_parser("thm41", help="module decomposition of the mixed family")
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=int)
+    p.add_argument("--n", type=_positive)
+    p.add_argument("--a", type=_positive)
     p.add_argument("--b", type=int)
     common(p)
 
-    p = sub.add_parser("swap", help="generator replacement identities")
-    p.add_argument("--kind", choices=["f", "g"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    common(p)
-
-    p = sub.add_parser("chain", help="colon chain block boundaries")
-    p.add_argument("--kind", choices=["f", "g"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    common(p)
+    for name, text in (("swap", "generator replacement identities"),
+                       ("chain", "colon chain block boundaries")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--kind", choices=["f", "g"])
+        p.add_argument("--n", type=_positive)
+        p.add_argument("--a", type=_positive)
+        p.add_argument("--b", type=int)
+        common(p)
 
     p = sub.add_parser("colon-lemma", help="colon of chain blocks by elementary symmetric polynomials")
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=int)
+    p.add_argument("--n", type=_positive)
+    p.add_argument("--a", type=_positive)
     p.add_argument("--s", type=int)
     p.add_argument("--top", action="store_true", help="only the top (e_n) case")
     common(p)
@@ -390,7 +377,7 @@ def _build_parser():
     p = sub.add_parser("slp", help="strong Lefschetz check for an ideal file")
     p.add_argument("--ideal", required=True)
     p.add_argument("--y", help="linear form; omitted means search")
-    p.add_argument("--max-tries", type=int, default=24)
+    p.add_argument("--max-tries", type=_positive, default=24)
     p.add_argument("--check-top-degree", action="store_true",
                    help="also test the top power map d = socle degree")
     p.add_argument("--prime", type=_prime, default=None,
@@ -403,16 +390,16 @@ def _build_parser():
 
     p = sub.add_parser("tree", help="binary tree conditions or tree export")
     p.add_argument("--family", choices=["monomial", "colon-closure"])
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--bound", type=int)
+    p.add_argument("--n-max", type=_positive)
+    p.add_argument("--bound", type=_positive)
     p.add_argument("--ideal", help="export the tree under this root instead")
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--dot", action="store_true")
     common(p)
 
     p = sub.add_parser("thm53", help="Lefschetz elements and module arrows for the whole family")
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--a-max", type=int)
+    p.add_argument("--n-max", type=_positive)
+    p.add_argument("--a-max", type=_positive)
     p.add_argument("--skip-modules", action="store_true")
     p.add_argument("--diagram", action="store_true")
     p.add_argument("--dot", action="store_true")
@@ -428,13 +415,9 @@ def _build_parser():
 def _config_from_args(args) -> RunConfig:
     params = {}
     for key in ("n", "a", "b", "s", "kind", "kmax", "ideal", "y", "top",
-                "depth", "family", "bound", "diagram"):
-        if hasattr(args, key) and getattr(args, key) is not None:
+                "depth", "family", "bound", "diagram", "n_max", "a_max"):
+        if getattr(args, key, None) is not None:
             params[key] = getattr(args, key)
-    if hasattr(args, "n_max") and args.n_max is not None:
-        params["n_max"] = args.n_max
-    if hasattr(args, "a_max") and args.a_max is not None:
-        params["a_max"] = args.a_max
     if hasattr(args, "max_tries"):
         params["max_tries"] = args.max_tries
     if getattr(args, "skip_modules", False):

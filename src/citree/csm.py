@@ -193,6 +193,24 @@ class CsmChain:
     def distinct_ideals(self):
         return [e[0] for e in self.entries]
 
+    def to_json(self):
+        return [{"ideal": J.canonical_str(), "exponents": [lo, hi]}
+                for J, lo, hi in self.entries]
+
+    def matches(self, expected_blocks) -> bool:
+        """Whether the blocks equal the predicted (ideal, lo, hi) blocks."""
+        return len(self.entries) == len(expected_blocks) and all(
+            (lo, hi) == (elo, ehi) and ideal_equal(J, E)
+            for (J, lo, hi), (E, elo, ehi) in zip(self.entries, expected_blocks))
+
+    def filtration_summands(self):
+        """dim R/((I : v^i) + (v)) for i = 0..p; the filtration identity
+        says they sum to dim R/I."""
+        summands = []
+        for J, lo, hi in self.entries:
+            summands.extend([quotient_dimension(J) or 0] * (hi - lo + 1))
+        return summands
+
 
 @dataclass
 class CentralSimpleModule:
@@ -358,21 +376,10 @@ def _verify_family_common(report, checks, I, expected_blocks, expected_count, a)
     _check(checks, "hilbert_symmetric", hf == tuple(reversed(hf)))
 
     chain = csm_chain(I)
-    report["chain"] = [
-        {"ideal": J.canonical_str(), "exponents": [lo, hi]} for J, lo, hi in chain.entries
-    ]
-    blocks_ok = len(expected_blocks) == len(chain.entries)
-    for (J, lo, hi), (expect, elo, ehi) in zip(chain.entries, expected_blocks):
-        if not blocks_ok:
-            break
-        blocks_ok = (lo, hi) == (elo, ehi) and ideal_equal(J, expect)
-    _check(checks, "chain_blocks", blocks_ok,
+    report["chain"] = chain.to_json()
+    _check(checks, "chain_blocks", chain.matches(expected_blocks),
            expected=[[lo, hi] for _, lo, hi in expected_blocks])
-
-    # filtration: summing dim R/((I:v^i)+(v)) over all exponents recovers dim
-    total = 0
-    for J, lo, hi in chain.entries:
-        total += (hi - lo + 1) * (quotient_dimension(J) or 0)
+    total = sum(chain.filtration_summands())
     _check(checks, "filtration_dimension", total == dim, total=total, dim=dim)
 
     modules = central_simple_modules(I, chain)
@@ -571,13 +578,9 @@ def verify_chain_blocks(kind: str, n: int, a: int, b: int | None = None) -> dict
         raise ValueError(f"unknown chain kind {kind!r}")
 
     chain = csm_chain(I)
-    report["chain"] = [{"ideal": J.canonical_str(), "exponents": [lo, hi]} for J, lo, hi in chain.entries]
-    ok = len(chain.entries) == len(expected)
-    for (J, lo, hi), (E, elo, ehi) in zip(chain.entries, expected):
-        if not ok:
-            break
-        ok = (lo, hi) == (elo, ehi) and ideal_equal(J, E)
-    _check(checks, "blocks", ok, expected=[[lo, hi] for _, lo, hi in expected])
+    report["chain"] = chain.to_json()
+    _check(checks, "blocks", chain.matches(expected),
+           expected=[[lo, hi] for _, lo, hi in expected])
 
     # strictness via strictly dropping quotient dimensions
     dims = [quotient_dimension(J) for J, _, _ in chain.entries]
@@ -626,13 +629,8 @@ def verify_terminal_csm(I: Ideal) -> dict:
 
 def filtration_check(I: Ideal) -> dict:
     """Sum of dim R/((I : v^i) + (v)) over i equals dim R/I."""
-    chain = csm_chain(I)
-    total = 0
-    summands = []
-    for J, lo, hi in chain.entries:
-        d = quotient_dimension(J) or 0
-        summands.extend([d] * (hi - lo + 1))
-        total += (hi - lo + 1) * d
+    summands = csm_chain(I).filtration_summands()
+    total = sum(summands)
     dim = quotient_dimension(I)
     return {
         "verifier": "filtration",

@@ -270,14 +270,6 @@ def colon_closure_family(n: int, a_max: int):
     return out
 
 
-def _find_in(ideal: Ideal, pool) -> bool:
-    dim = quotient_dimension(ideal)
-    for entry in pool:
-        if quotient_dimension(entry["ideal"]) == dim and ideal_equal(entry["ideal"], ideal):
-            return True
-    return False
-
-
 def verify_tree_conditions(kind: str, n_max: int, bound: int) -> dict:
     """Closure of a bounded family enumeration under both children:
     the right child of every level-n member appears at level n-1, the
@@ -294,27 +286,17 @@ def verify_tree_conditions(kind: str, n_max: int, bound: int) -> dict:
     checks = []
     counts = {n: len(families[n]) for n in families}
     report["family_sizes"] = counts
+    # equal ideals have equal reduced bases, which Ideal hashes and compares
+    levels = {n: {entry["ideal"] for entry in families[n]} for n in families}
     for n in range(1, n_max + 1):
         for entry in families[n]:
             I = entry["ideal"]
             name = f"n{n}:{entry}"
             ci_ok = certify_complete_intersection(I)
-            exact_ok = exact_sequence_check(I)["passed"] if n >= 1 else True
-            left_ok = True
-            right_ok = True
-            left, right = children(I) if n >= 2 else (None, None)
-            if n >= 2:
-                right_ok = _find_in(right, families[n - 1])
-                slot = n - 1
-                v = Polynomial.variable(I.ring, slot)
-                if not normal_form(v, I).is_zero():
-                    left_ok = _find_in(left, families[n])
-            elif n == 1:
-                # level 1: left child (when present) must stay in the family
-                slot = 0
-                v = Polynomial.variable(I.ring, slot)
-                if not normal_form(v, I).is_zero():
-                    left_ok = _find_in(colon_by_variable_power(I, slot, 1), families[1])
+            exact_ok = exact_sequence_check(I)["passed"]
+            left, right = children(I)
+            left_ok = left is None or left in levels[n]
+            right_ok = right is None or right in levels[n - 1]
             ok = ci_ok and exact_ok and left_ok and right_ok
             if not ok:
                 checks.append({
@@ -458,7 +440,6 @@ def csm_diagram(roots, check_modules: bool = False, seed: int = 0) -> dict:
     nodes = {}
     edges = []
     queue = list(roots)
-    resolved = {}
     all_ok = True
     while queue:
         member = queue.pop(0)
@@ -473,11 +454,9 @@ def csm_diagram(roots, check_modules: bool = False, seed: int = 0) -> dict:
         }
         if member.n < 2:
             continue
-        if member.label not in resolved:
-            arrows, rep = member_csm_arrows(member, check_modules=check_modules, seed=seed)
-            resolved[member.label] = arrows
-            all_ok = all_ok and rep["passed"]
-        for j, target in resolved[member.label]:
+        arrows, rep = member_csm_arrows(member, check_modules=check_modules, seed=seed)
+        all_ok = all_ok and rep["passed"]
+        for j, target in arrows:
             edges.append({"from": member.label, "to": target.label, "kind": "csm", "index": j})
             queue.append(target)
     edges.sort(key=lambda e: (-nodes[e["from"]]["level"], e["from"], e["index"]))

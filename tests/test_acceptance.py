@@ -1,36 +1,25 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Every check below is exact (rational arithmetic, zero tolerance); the
-printed timings are informational targets, not assertions.
+The grids are the command line's defaults: a criterion either runs its
+subcommand with no overrides or reads the grid from citree.cli.  Every
+check below is exact (rational arithmetic, zero tolerance); the printed
+timings are informational targets, not assertions.
 """
 
 import time
 
+from citree import cli
 from citree.csm import (
     filtration_check,
     mixed_chain_ideal,
     mixed_family_ideal,
     power_chain_ideal,
     power_family_ideal,
-    verify_colon_identity,
-    verify_generator_swap,
-    verify_mixed_family,
-    verify_power_family,
 )
 from citree.ideals import quotient_dimension
 from citree.lefschetz import find_lefschetz_element
 from citree.quotient import build_quotient
-from citree.symfun import derivative_identity_check, newton_check, vanishing_sum_residual
-from citree.tree import (
-    csm_diagram,
-    family_member,
-    family_members,
-    member_label,
-    verify_tree_conditions,
-)
-
-POWER_GRID = [(n, a) for n in (1, 2, 3) for a in (1, 2, 3, 4)]
-MIXED_GRID = [(n, a, b) for n in (1, 2, 3) for a in (2, 3) for b in range(n)]
+from citree.tree import csm_diagram, family_member, family_members, member_label
 
 
 def _report(num, name, ok, started):
@@ -39,27 +28,21 @@ def _report(num, name, ok, started):
     assert ok, f"criterion {num} ({name}) failed"
 
 
+def _default_run(command, **params):
+    """Whether the subcommand's default grid is non-empty and passes."""
+    code, envelope, _ = cli.run(cli.RunConfig(command=command, params=params))
+    return code == 0 and envelope["passed"] and bool(envelope["reports"])
+
+
 def test_criterion_01_newton_suite():
     started = time.time()
-    ok = True
-    for n in range(1, 6):
-        for k in range(1, 2 * n + 1):
-            passed, _ = newton_check(n, k)
-            ok = ok and passed
-        for m in range(n, 2 * n + 1):
-            ok = ok and vanishing_sum_residual(n, m).is_zero()
+    ok = _default_run("newton")
     _report(1, "newton suite", ok, started)
 
 
 def test_criterion_02_derivative_identities():
     started = time.time()
-    ok = True
-    for n in range(1, 7):
-        for k in range(2, n):
-            ok = ok and derivative_identity_check("f", n, None, k)
-        for b in range(n):
-            for k in range(2, b):
-                ok = ok and derivative_identity_check("g", n, b, k)
+    ok = _default_run("identity")
     _report(2, "derivative identities", ok, started)
 
 
@@ -67,18 +50,19 @@ def _suite_ideals():
     """Every complete intersection the verification grids build: the family
     ideals and their predicted chain blocks (unit blocks skipped)."""
     out = []
-    for n, a in POWER_GRID:
+    for n, a in cli.power_grid():
         I = power_family_ideal(n, a)
         out.append(I)
         for k in range(n + 1):
             out.append(power_chain_ideal(I.ring, a, k))
-    for n, a, b in MIXED_GRID:
+    for n, a, b in cli.mixed_grid():
         I = mixed_family_ideal(n, a, b)
         out.append(I)
         for k in range(b + 2):
             out.append(mixed_chain_ideal(I.ring, a, b, k))
-    for n in (1, 2, 3):
-        for member in family_members(n, 4):
+    n_max, a_max = cli.thm53_bounds()
+    for n in range(1, n_max + 1):
+        for member in family_members(n, a_max):
             out.append(member.ideal)
     return out
 
@@ -100,57 +84,40 @@ def test_criterion_03_dimension_law():
 
 def test_criterion_04_power_family_grid():
     started = time.time()
-    ok = True
-    for n, a in POWER_GRID:
-        report = verify_power_family(n, a)
-        ok = ok and report["passed"]
+    ok = _default_run("thm31")
     _report(4, "power family grid", ok, started)
 
 
 def test_criterion_05_mixed_family_grid():
     started = time.time()
-    ok = True
-    for n, a, b in MIXED_GRID:
-        report = verify_mixed_family(n, a, b)
-        ok = ok and report["passed"]
+    ok = _default_run("thm41")
     _report(5, "mixed family grid", ok, started)
 
 
 def test_criterion_06_generator_swaps():
     started = time.time()
-    ok = True
-    for n, a in POWER_GRID:
-        if a >= 2:
-            ok = ok and verify_generator_swap("f", n, a)["passed"]
-    for n, a, b in MIXED_GRID:
-        ok = ok and verify_generator_swap("g", n, a, b)["passed"]
+    ok = _default_run("swap")
     _report(6, "generator swaps", ok, started)
 
 
 def test_criterion_07_colon_identities():
     started = time.time()
-    ok = True
-    for n in (1, 2, 3, 4):
-        for a in (2, 3, 4):
-            for s in range(0, n - 1):
-                ok = ok and verify_colon_identity(n, a, s)["passed"]
-            ok = ok and verify_colon_identity(n, a, None)["passed"]
+    ok = _default_run("colon-lemma")
     _report(7, "colon identities", ok, started)
 
 
 def test_criterion_08_family_slp():
     started = time.time()
     ok = True
-    details = []
-    for n in (1, 2, 3):
-        for member in family_members(n, 4):
+    n_max, a_max = cli.thm53_bounds()
+    for n in range(1, n_max + 1):
+        for member in family_members(n, a_max):
             A = build_quotient(member.ideal)
             found = find_lefschetz_element(A)
             good = found is not None
             if good:
                 _, report = found
                 good = report.holds and not report.witnesses
-            details.append((member.label, good))
             ok = ok and good
     assert quotient_dimension(family_member(3, 4, 3).ideal) == 120
     _report(8, "family slp", ok, started)
@@ -204,18 +171,16 @@ def test_criterion_09_diagram_replication():
 
 def test_criterion_10_tree_conditions():
     started = time.time()
-    monomial = verify_tree_conditions("monomial", 3, 3)
-    closure = verify_tree_conditions("colon-closure", 2, 3)
-    ok = monomial["passed"] and closure["passed"]
+    ok = _default_run("tree") and _default_run("tree", family="colon-closure")
     _report(10, "binary tree conditions", ok, started)
 
 
 def test_criterion_11_filtration_identity():
     started = time.time()
     ok = True
-    for n, a in POWER_GRID:
+    for n, a in cli.power_grid():
         ok = ok and filtration_check(power_family_ideal(n, a))["passed"]
-    for n, a, b in MIXED_GRID:
+    for n, a, b in cli.mixed_grid():
         ok = ok and filtration_check(mixed_family_ideal(n, a, b))["passed"]
     anchor = filtration_check(power_family_ideal(2, 2))
     ok = ok and anchor["summands"][:6] == [6, 6, 4, 4, 2, 2] and anchor["total"] == 24

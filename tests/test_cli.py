@@ -1,11 +1,20 @@
-"""Command line behaviour: parsing, output formats, determinism, exit codes."""
+"""Command line behaviour: parsing, output formats, determinism, exit codes,
+grid overrides, and the scripts built on the command line."""
 
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import citree
 from citree import cli
 from citree.cli import RunConfig, main, parse_ideal_file, run
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def write_ideal(tmp_path, name, nvars, has_z, gens):
@@ -190,3 +199,93 @@ def test_config_recorded_in_envelope():
     assert code == 0
     assert envelope["config"]["command"] == "newton"
     assert envelope["version"]
+
+
+def _reports(capsys, argv):
+    assert main(argv + ["--json"]) == 0
+    return json.loads(capsys.readouterr().out)["reports"]
+
+
+def test_override_keeps_the_other_default_bounds(capsys):
+    reports = _reports(capsys, ["thm31", "--a", "2"])
+    assert [(r["params"]["n"], r["params"]["a"]) for r in reports] == [(1, 2), (2, 2), (3, 2)]
+    reports = _reports(capsys, ["thm41", "--n", "2"])
+    assert [(r["params"]["a"], r["params"]["b"]) for r in reports] == [
+        (2, 0), (2, 1), (3, 0), (3, 1)]
+    reports = _reports(capsys, ["colon-lemma", "--n", "3", "--top"])
+    assert [(r["params"]["a"], r["params"]["s"]) for r in reports] == [
+        (2, None), (3, None), (4, None)]
+    reports = _reports(capsys, ["swap", "--kind", "g", "--n", "2"])
+    assert {r["params"]["kind"] for r in reports} == {"g"} and len(reports) == 4
+
+
+def test_given_zero_is_used():
+    assert cli.newton_grid(n=2, kmax=0) == [(2, 0)]
+    assert cli.mixed_grid(n=2, b=0) == [(2, 2, 0), (2, 3, 0)]
+    assert cli.tree_bounds("colon-closure", n_max=0, bound=0) == ("colon-closure", 0, 0)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["thm31", "--n", "0", "--a", "2"], "--n"),
+    (["thm31", "--a", "0"], "--a"),
+    (["thm31", "--n", "-1"], "--n"),
+    (["newton", "--n", "2", "--kmax", "0"], "--kmax"),
+    (["thm53", "--n-max", "0"], "--n-max"),
+    (["tree", "--n-max", "0"], "--n-max"),
+    (["slp", "--ideal", "unread.json", "--max-tries", "0"], "--max-tries"),
+])
+def test_bounds_below_one_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_full_verification_runs_every_grid_subcommand():
+    script = _load_script("run_full_verification")
+    needs_an_ideal_file = {"slp", "csm", "hilbert"}
+    assert {run[0] for run in script.RUNS} == set(cli._HANDLERS) - needs_an_ideal_file
+
+
+@pytest.mark.parametrize("outcome, code", [("pass", 0), ("fail", 1), ("raise", 3)])
+def test_full_verification_exit_codes(monkeypatch, capsys, outcome, code):
+    script = _load_script("run_full_verification")
+
+    def stub(cfg):
+        return [{"passed": True}]
+
+    def newton(cfg):
+        if outcome == "raise":
+            raise AssertionError("chain failed\nto terminate")
+        return [{"passed": outcome == "pass"}]
+
+    for name in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, name, stub)
+    monkeypatch.setitem(cli._HANDLERS, "newton", newton)
+    assert script.main([]) == code
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == len(script.RUNS) + 1
+    if outcome == "raise":
+        assert captured.err.startswith("internal error: AssertionError")
+        assert captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+
+
+@pytest.mark.parametrize("member", ["5,8", "5,0,3", "x,1,1"])
+def test_derive_diagram_rejects_bad_member(member):
+    env = dict(os.environ, PYTHONPATH=str(Path(citree.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "derive_diagram.py"), "--member", member],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "argument --member:" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from citree import cli
 from citree.polyring import Polynomial, RingSpec, parse_polynomial
 from citree.symfun import (
     boundary_polynomial,
@@ -89,14 +90,14 @@ def test_newton_examples():
 
 
 def test_newton_grid():
-    for n in range(1, 6):
-        for k in range(1, 2 * n + 1):
+    for n, kmax in cli.newton_grid():
+        for k in range(1, kmax + 1):
             ok, residual = newton_check(n, k)
             assert ok, f"n={n} k={k}: residual {residual}"
 
 
 def test_vanishing_sum_grid():
-    for n in range(1, 6):
+    for n, _ in cli.newton_grid():
         for m in range(n, 2 * n + 1):
             assert vanishing_sum_residual(n, m).is_zero()
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from citree import ideals
+from citree import cli, ideals
 from citree.csm import central_simple_modules, sym_e
 from citree.ideals import (
     Ideal,
@@ -194,12 +194,12 @@ def test_colon_closure_family_contains_base_members():
 
 
 def test_verify_tree_conditions_monomial():
-    report = verify_tree_conditions("monomial", 3, 3)
+    report = verify_tree_conditions(*cli.tree_bounds("monomial"))
     assert report["passed"], report
 
 
 def test_verify_tree_conditions_colon_closure():
-    report = verify_tree_conditions("colon-closure", 2, 3)
+    report = verify_tree_conditions(*cli.tree_bounds("colon-closure"))
     assert report["passed"], report
 
 
