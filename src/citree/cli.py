@@ -208,8 +208,8 @@ def _cmd_csm(cfg: RunConfig):
         "modules": [{"index": m.index, "graded_dims": list(m.graded_dims),
                      "shift": m.shift} for m in modules],
     }
-    filt = csm.filtration_check(I)
-    term = csm.verify_terminal_csm(I)
+    filt = csm.filtration_check(I, chain)
+    term = csm.verify_terminal_csm(I, chain)
     report["filtration"] = filt
     report["terminal"] = term
     report["passed"] = filt["passed"] and term["passed"]
@@ -309,16 +309,23 @@ def _prime(text: str) -> int:
     return p
 
 
-def _positive(text: str) -> int:
-    """argparse type for the bounds --n, --a, --kmax, --n-max, --a-max,
-    --bound and --max-tries: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is below 1")
-    return value
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    return parse
+
+
+# argparse types: _positive for the bounds --n, --a, --kmax, --n-max,
+# --a-max, --bound and --max-tries; _nonnegative for --b, --s and --depth.
+_positive = _at_least(1)
+_nonnegative = _at_least(0)
 
 
 def _build_parser():
@@ -344,7 +351,7 @@ def _build_parser():
     p = sub.add_parser("identity", help="triangular derivative identities")
     p.add_argument("--kind", choices=["f", "g"])
     p.add_argument("--n", type=_positive)
-    p.add_argument("--b", type=int)
+    p.add_argument("--b", type=_nonnegative)
     common(p)
 
     p = sub.add_parser("thm31", help="module decomposition of the pure power-sum family")
@@ -355,7 +362,7 @@ def _build_parser():
     p = sub.add_parser("thm41", help="module decomposition of the mixed family")
     p.add_argument("--n", type=_positive)
     p.add_argument("--a", type=_positive)
-    p.add_argument("--b", type=int)
+    p.add_argument("--b", type=_nonnegative)
     common(p)
 
     for name, text in (("swap", "generator replacement identities"),
@@ -364,13 +371,13 @@ def _build_parser():
         p.add_argument("--kind", choices=["f", "g"])
         p.add_argument("--n", type=_positive)
         p.add_argument("--a", type=_positive)
-        p.add_argument("--b", type=int)
+        p.add_argument("--b", type=_nonnegative)
         common(p)
 
     p = sub.add_parser("colon-lemma", help="colon of chain blocks by elementary symmetric polynomials")
     p.add_argument("--n", type=_positive)
     p.add_argument("--a", type=_positive)
-    p.add_argument("--s", type=int)
+    p.add_argument("--s", type=_nonnegative)
     p.add_argument("--top", action="store_true", help="only the top (e_n) case")
     common(p)
 
@@ -393,7 +400,7 @@ def _build_parser():
     p.add_argument("--n-max", type=_positive)
     p.add_argument("--bound", type=_positive)
     p.add_argument("--ideal", help="export the tree under this root instead")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_nonnegative, default=3)
     p.add_argument("--dot", action="store_true")
     common(p)
 

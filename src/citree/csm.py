@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .ideals import (
     Ideal,
+    add_last_variable,
     certify_colon,
     certify_regular_sequence,
     colon_by_variable_power,
@@ -239,19 +240,7 @@ def nilpotency_index(A, y: Polynomial) -> int:
             raise AssertionError("nilpotency index exceeded the dimension bound")
 
 
-def add_last_variable(I: Ideal) -> Ideal:
-    """I + (v) for the cheapest variable, built from v-reduced generators."""
-    ring = I.ring
-    slot = ring.total_vars - 1
-    gens = [last_variable(ring)]
-    for g in I.groebner_basis():
-        acc = {m: c for m, c in g.terms if m[slot] == 0}
-        if acc:
-            gens.append(Polynomial(ring, acc))
-    return Ideal(ring, gens)
-
-
-def csm_chain(I: Ideal, verify_inclusions: bool = True) -> CsmChain:
+def csm_chain(I: Ideal) -> CsmChain:
     """Compute and deduplicate (I : v^i) + (v) until the unit ideal."""
     dim = quotient_dimension(I)
     if dim is None:
@@ -271,14 +260,13 @@ def csm_chain(I: Ideal, verify_inclusions: bool = True) -> CsmChain:
             raise AssertionError("chain failed to terminate")
         cur = colon_by_variable_power(cur, cur.ring.total_vars - 1, 1)
         i += 1
-    if verify_inclusions:
-        dims = [quotient_dimension(e[0]) for e in entries]
-        for t in range(len(entries) - 1):
-            small, big = entries[t][0], entries[t + 1][0]
-            if not big.contains_ideal(small):
-                raise AssertionError("chain is not increasing")
-            if not dims[t] > dims[t + 1]:
-                raise AssertionError("consecutive chain blocks are not strict")
+    dims = [quotient_dimension(e[0]) for e in entries]
+    for t in range(len(entries) - 1):
+        small, big = entries[t][0], entries[t + 1][0]
+        if not big.contains_ideal(small):
+            raise AssertionError("chain is not increasing")
+        if not dims[t] > dims[t + 1]:
+            raise AssertionError("consecutive chain blocks are not strict")
     return CsmChain(p=i, entries=[tuple(e) for e in entries])
 
 
@@ -594,13 +582,15 @@ def verify_chain_blocks(kind: str, n: int, a: int, b: int | None = None) -> dict
 # --- terminal module (least exponent where the chain moves) --------------------
 
 
-def verify_terminal_csm(I: Ideal) -> dict:
+def verify_terminal_csm(I: Ideal, chain: CsmChain | None = None) -> dict:
     """Recompute q = min{i : (I : v^i) + (v) != I + (v)} directly and check
-    it against the deduplicated chain; when (I : v^q) is everything there
-    is exactly one module, the full quotient by the variable."""
+    it against the deduplicated chain (computed when not given); when
+    (I : v^q) is everything there is exactly one module, the full quotient
+    by the variable."""
     report = {"verifier": "terminal-csm", "ideal": str(I)}
     checks = []
-    chain = csm_chain(I)
+    if chain is None:
+        chain = csm_chain(I)
     base = chain.entries[0][0]
     q = None
     ring = I.ring
@@ -627,9 +617,12 @@ def verify_terminal_csm(I: Ideal) -> dict:
     return _finish(report, checks)
 
 
-def filtration_check(I: Ideal) -> dict:
-    """Sum of dim R/((I : v^i) + (v)) over i equals dim R/I."""
-    summands = csm_chain(I).filtration_summands()
+def filtration_check(I: Ideal, chain: CsmChain | None = None) -> dict:
+    """Sum of dim R/((I : v^i) + (v)) over i equals dim R/I; the chain is
+    computed when not given."""
+    if chain is None:
+        chain = csm_chain(I)
+    summands = chain.filtration_summands()
     total = sum(summands)
     dim = quotient_dimension(I)
     return {

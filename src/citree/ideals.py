@@ -4,18 +4,25 @@ Ideals carry homogeneous generators and a lazily computed reduced Groebner
 basis under the ring's grevlex order; the reduced basis is canonical
 (primitive integer coefficients, positive leading coefficient, sorted), so
 two ideals are equal exactly when their reduced bases coincide.
+Buchberger's algorithm prunes S-pairs by the Gebauer-Moeller criteria only.
+
+Both children of the ring's cheapest variable v are rewrites of the
+reduced basis, with no Buchberger run: (I : v) divides v out of the
+elements whose leading monomial it divides, and I + (v) keeps v and drops
+the v-terms of the other elements, because in grevlex with v cheapest
+in(I + (v)) = in(I) + (v) (Bayer-Stillman).
 
 A colon ideal (I : f) that the caller can predict is certified rather
 than built: certify_colon proves (I : f) = J from f*J inside I and the
 Hilbert function of R/(I : f), which the exact sequence
 0 -> R/(I : f)(-deg f) -> R/I -> R/(I + (f)) -> 0 gives without the colon.
 Without a prediction, or when certification fails, the colon is derived:
-by rewriting the reduced basis for division by the ring's cheapest
-variable, which works for any I, and otherwise by lifting kernels of
-multiplication on standard monomials, which needs R/I to be Artinian (the
-only setting the paper uses).  The test suite checks both derivations
-against a brute-force linear-algebra oracle and the certifier against the
-kernel-lifting colon.
+by the basis rewrite when f is v, which works for any I, and otherwise by
+lifting kernels of multiplication on standard monomials, which needs R/I
+to be Artinian (the only setting the paper uses).  The test suite checks
+both derivations against a brute-force linear-algebra oracle, the
+certifier against the kernel-lifting colon, and the reduced basis against
+sympy.
 """
 
 from __future__ import annotations
@@ -216,24 +223,6 @@ def _pure_power_caps(lm_exps_list, width):
     return caps
 
 
-def _has_standard_monomial(lms, width, d):
-    """Whether some degree-d monomial avoids all the leading monomials."""
-    cand = [l for l in lms if sum(l) <= d]
-
-    def rec(pos, remaining, alive):
-        if not alive:
-            return True
-        if pos == width - 1:
-            return all(l[pos] > remaining for l in alive)
-        for e in range(remaining, -1, -1):
-            na = [l for l in alive if l[pos] <= e]
-            if rec(pos + 1, remaining - e, na):
-                return True
-        return False
-
-    return rec(0, d, cand)
-
-
 def standard_monomials_of_degree(lms, width, d):
     """Degree-d monomials outside the monomial ideal, descending grevlex."""
     cand = [l for l in lms if sum(l) <= d]
@@ -312,32 +301,10 @@ def _buchberger(cores, max_steps=500000):
         if r:
             _add_element(st, r)
 
-    # For homogeneous Artinian ideals, any S-pair whose lcm degree admits no
-    # standard monomial reduces to zero, so such pairs are dropped.
-    empty_from = None
-    std_cache = {}
     steps = 0
     while st.heap:
         _, _, i, j = heapq.heappop(st.heap)
-        l = st.pairs.pop((i, j), None)
-        if l is None:
-            continue
-        d = sum(l)
-        if empty_from is not None and d >= empty_from:
-            continue
-        key = (len(st.G), d)
-        known = std_cache.get(key)
-        if known is None:
-            lms = [g.lm_exps for g in st.G]
-            width = len(l)
-            caps = _pure_power_caps(lms, width)
-            if caps is not None and all(c is not None for c in caps):
-                known = _has_standard_monomial(lms, width, d)
-            else:
-                known = True
-            std_cache[key] = known
-        if not known:
-            empty_from = d
+        if st.pairs.pop((i, j), None) is None:
             continue
         s = _spoly(st.G[i], st.G[j])
         r = _reduce_to_primitive(s, st.G)
@@ -506,6 +473,13 @@ def _last_variable(ring: RingSpec) -> int:
     return ring.total_vars - 1
 
 
+def _from_basis(ring: RingSpec, elems) -> Ideal:
+    """The ideal whose reduced Groebner basis is elems, set without Buchberger."""
+    out = Ideal(ring, [_core_to_poly(g.terms, ring) for g in elems])
+    object.__setattr__(out, "_elems", elems)
+    return out
+
+
 def _colon_by_last_variable(I: Ideal) -> Ideal:
     """(I : v) for the cheapest variable v, by rewriting the reduced basis.
 
@@ -524,10 +498,31 @@ def _colon_by_last_variable(I: Ideal) -> Ideal:
             elems.append(_BasisElem(shifted))
         else:
             elems.append(g)
-    reduced = _interreduce(elems)
-    out = Ideal(I.ring, [_core_to_poly(g.terms, I.ring) for g in reduced])
-    object.__setattr__(out, "_elems", reduced)
-    return out
+    return _from_basis(I.ring, _interreduce(elems))
+
+
+def add_last_variable(I: Ideal, smaller: RingSpec | None = None) -> Ideal:
+    """I + (v) for the cheapest variable v, by rewriting the reduced basis;
+    given the ring without v as smaller, its contraction to that ring.
+
+    For a homogeneous ideal in grevlex with v cheapest, in(I + (v)) =
+    in(I) + (v) (Bayer-Stillman), so v together with each g whose leading
+    monomial v does not divide, its v-terms dropped and made primitive, is
+    the reduced Groebner basis of I + (v).  Apart from v no element
+    involves v, and dropping component 1 of a grevlex key (v's exponent)
+    gives the key in the smaller ring, so the contraction is those
+    elements read there.
+    """
+    slot = _last_variable(I.ring)
+    rest = [_BasisElem(_normalize([(k, c) for k, c in g.terms if not k[1]]))
+            for g in I._gb_elems() if not g.lm_exps[slot]]
+    if smaller is not None:
+        return _from_basis(smaller, [_BasisElem([(k[:1] + k[2:], c) for k, c in g.terms])
+                                     for g in rest])
+    if I.is_unit():
+        return I
+    v = tuple(1 if i == slot else 0 for i in range(I.ring.total_vars))
+    return _from_basis(I.ring, [_BasisElem([(grevlex_key(v), 1)])] + rest)
 
 
 def _colon_artinian(I: Ideal, f: Polynomial) -> Ideal:

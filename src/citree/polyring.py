@@ -187,18 +187,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return self.terms[0][0]
 
-    def leading_coefficient(self) -> Fraction:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
-
-    def terms_dict(self) -> dict:
-        return dict(self.terms)
-
-    def uses_variable(self, var: int | str) -> bool:
-        i = self.ring.var_index(var) if isinstance(var, str) else var
-        return any(m[i] for m, _ in self.terms)
-
     # -- arithmetic ----------------------------------------------------------
     def _check_ring(self, other: "Polynomial"):
         if self.ring != other.ring:

@@ -23,6 +23,7 @@ from .csm import (
 )
 from .ideals import (
     Ideal,
+    add_last_variable,
     certify_regular_sequence,
     colon_by_variable_power,
     hf_of,
@@ -115,18 +116,8 @@ def _smaller_ring(ring: RingSpec) -> RingSpec:
 
 
 def contract_modulo_last(I: Ideal) -> Ideal:
-    """Contraction of I + (v) to the ring without the cheapest variable v.
-
-    When v is already a generator of I, I's own basis is used: a new Ideal
-    for I + (v) would miss the Groebner cache, which is keyed on generators.
-    """
-    small = _smaller_ring(I.ring)
-    slot = I.ring.total_vars - 1
-    v = Polynomial.variable(I.ring, slot)
-    if v not in I.generators:
-        I = ideal_sum(I, Ideal(I.ring, [v]))
-    return Ideal(small, [g.contract(small) for g in I.groebner_basis()
-                         if g.leading_monomial()[slot] == 0])
+    """Contraction of I + (v) to the ring without the cheapest variable v."""
+    return add_last_variable(I, _smaller_ring(I.ring))
 
 
 def children(I: Ideal):
@@ -148,7 +139,7 @@ def exact_sequence_check(I: Ideal) -> dict:
     R/(I : v) shifted by one, with quotient R/(I + (v))."""
     slot = I.ring.total_vars - 1
     left = colon_by_variable_power(I, slot, 1)
-    right = ideal_sum(I, Ideal(I.ring, [Polynomial.variable(I.ring, slot)]))
+    right = add_last_variable(I)
     hf = hf_of(I)
     hf_left = hf_of(left)
     hf_right = hf_of(right)

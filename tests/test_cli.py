@@ -84,6 +84,28 @@ def test_csm_command(tmp_path, capsys):
     assert rep["filtration"]["total"] == 24
 
 
+def test_csm_command_builds_one_chain(tmp_path, capsys, monkeypatch):
+    from citree import csm
+
+    path = write_ideal(tmp_path, "pf.json", 2, True,
+                       ["x1^2+x2^2+z^2", "x1^3+x2^3+z^3", "x1^4+x2^4+z^4"])
+    calls = []
+    real = csm.csm_chain
+
+    def counted(I):
+        calls.append(I)
+        return real(I)
+
+    monkeypatch.setattr(csm, "csm_chain", counted)
+    assert main(["csm", "--ideal", path, "--json"]) == 0
+    assert len(calls) == 1
+    rep = json.loads(capsys.readouterr().out)["reports"][0]
+    # the reports built on the shared chain equal those that build their own
+    I = parse_ideal_file(path)
+    assert rep["filtration"] == csm.filtration_check(I)
+    assert rep["terminal"] == csm.verify_terminal_csm(I)
+
+
 def test_hilbert_command(tmp_path, capsys):
     path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
     assert main(["hilbert", "--ideal", path]) == 0
@@ -239,6 +261,32 @@ def test_bounds_below_one_exit_2(capsys, argv, flag):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["identity", "--kind", "g", "--n", "3", "--b", "-2"], "--b"),
+    (["thm41", "--b", "-1"], "--b"),
+    (["swap", "--kind", "g", "--b", "-1"], "--b"),
+    (["chain", "--b", "-1"], "--b"),
+    (["colon-lemma", "--s", "-1"], "--s"),
+    (["tree", "--ideal", "unread.json", "--depth", "-1"], "--depth"),
+    (["thm41", "--b", "x"], "--b"),
+])
+def test_bounds_below_zero_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_zero_b_s_depth_accepted(tmp_path, capsys):
+    assert main(["thm41", "--n", "1", "--a", "2", "--b", "0"]) == 0
+    assert main(["colon-lemma", "--n", "2", "--a", "2", "--s", "0"]) == 0
+    path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
+    capsys.readouterr()
+    assert main(["tree", "--ideal", path, "--depth", "0", "--json"]) == 0
+    graph = json.loads(capsys.readouterr().out)["reports"][0]["graph"]
+    assert len(graph["nodes"]) == 1 and graph["edges"] == []
 
 
 def _load_script(name):

@@ -4,7 +4,6 @@ import pytest
 
 from citree import csm
 from citree.csm import (
-    add_last_variable,
     central_simple_modules,
     csm_chain,
     cyclic_presentation,
@@ -372,11 +371,3 @@ def test_filtration_grid():
     for n, a, b in [(2, 2, 0), (2, 2, 1), (3, 2, 1)]:
         report = filtration_check(mixed_family_ideal(n, a, b))
         assert report["passed"], report
-
-
-def test_add_last_variable_matches_sum():
-    from citree.ideals import ideal_sum
-
-    I = power_family_ideal(2, 2)
-    z = Polynomial.variable(I.ring, "z")
-    assert ideal_equal(add_last_variable(I), ideal_sum(I, Ideal(I.ring, [z])))

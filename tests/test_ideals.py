@@ -5,17 +5,19 @@ by degree it spans the ideal with monomial multiples of the generators and
 row-reduces over the rationals.
 """
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from citree import linalg, quotient
+from citree import ideals, linalg, quotient
 from citree.ideals import (
     Ideal,
     NotArtinian,
     _colon_artinian,
     _colon_by_last_variable,
+    add_last_variable,
     artinian_monomial_basis,
     certify_colon,
     certify_regular_sequence,
@@ -291,19 +293,6 @@ def test_hilbert_against_oracle():
     assert oracle_hilbert(e_gens, RingSpec(3), 4) == [1, 2, 2, 1, 0]
 
 
-def test_buchberger_criterion_on_output():
-    # all S-polynomials of the reduced basis reduce to zero
-    from citree.ideals import _reduce_to_primitive, _spoly
-
-    gens = [P("x1^2 + x2*z", R2Z), P("x1*x2 - z^2", R2Z), P("x2^3", R2Z)]
-    I = Ideal(R2Z, gens)
-    elems = I._gb_elems()
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            s = _spoly(elems[i], elems[j])
-            assert not _reduce_to_primitive(s, elems)
-
-
 # --- property tests ------------------------------------------------------------------
 
 small_coeff = st.integers(min_value=-3, max_value=3)
@@ -389,6 +378,100 @@ def test_colon_artinian_against_oracle(Ik, f):
     if f.is_zero():
         return
     assert_colon_matches_oracle(_colon_artinian(I, f), list(I.generators), f, 3 * k - 2)
+
+
+CRITERION_EXAMPLE = [P("x1^2 + x2*z", R2Z), P("x1*x2 - z^2", R2Z), P("x2^3", R2Z)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(artinian_ideals())
+@example((Ideal(R2Z, CRITERION_EXAMPLE), 0))
+def test_buchberger_criterion_on_output(Ik):
+    # Buchberger prunes pairs only by the Gebauer-Moeller criteria: every
+    # S-polynomial of the reduced basis reduces to zero, the generators
+    # reduce to zero, and every basis element lies in I by the oracle
+    from citree.ideals import _reduce_to_primitive, _spoly
+
+    I, _ = Ik
+    elems = I._gb_elems()
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            assert not _reduce_to_primitive(_spoly(elems[i], elems[j]), elems)
+    assert all(normal_form(g, I).is_zero() for g in I.generators)
+    assert all(oracle_member(g, list(I.generators)) for g in I.groebner_basis())
+
+
+def sum_by_buchberger(I):
+    """I + (v), v the cheapest variable, through ideal_sum and Buchberger."""
+    v = Polynomial.variable(I.ring, I.ring.total_vars - 1)
+    return ideal_sum(I, Ideal(I.ring, [v]))
+
+
+def assert_rewrite_matches_sum(I):
+    ring = I.ring
+    by_sum = sum_by_buchberger(I).groebner_basis()
+    assert add_last_variable(I).groebner_basis() == by_sum
+    if ring.total_vars >= 2:
+        small = RingSpec(ring.nvars, False) if ring.has_z else RingSpec(ring.nvars - 1)
+        slot = ring.total_vars - 1
+        contracted = Ideal(small, [g.contract(small) for g in by_sum
+                                   if g.leading_monomial()[slot] == 0])
+        assert add_last_variable(I, small).groebner_basis() == contracted.groebner_basis()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_ideals(), artinian_ideals().map(lambda Ik: Ik[0])))
+def test_add_last_variable_matches_sum(I):
+    # the rewritten basis is Buchberger's basis of I + (v), element by element
+    assert_rewrite_matches_sum(I)
+
+
+@pytest.mark.parametrize("ring, gens", [
+    (R2, ["x1^2 + x1*x2", "x2^3 - x1^2*x2"]),  # v = x2
+    (R2Z, ["x1 + z", "1"]),  # the unit ideal
+    (R2Z, ["x1^2 - x2*z", "z", "x2^2 + 2*x1*z"]),  # v already in I
+    (R1Z, ["2*x1^2 + 6*x1*z", "z^3"]),  # dropping v-terms leaves content 2
+    (RingSpec(1), ["x1^2"]),  # a single variable
+])
+def test_add_last_variable_examples(ring, gens):
+    assert_rewrite_matches_sum(Ideal.from_strings(ring, gens))
+
+
+def test_rewrites_run_no_buchberger(monkeypatch):
+    from citree.tree import children, contract_modulo_last, exact_sequence_check
+
+    monkeypatch.setattr(ideals, "_GB_CACHE", {})
+    I = Ideal(R2Z, [symmetric_generator("p_tilde", 2, a) for a in (2, 3, 4)])
+    I.groebner_basis()
+    calls = []
+    monkeypatch.setattr(ideals, "_buchberger", lambda *a, **k: calls.append(a))
+    add_last_variable(I).groebner_basis()
+    contract_modulo_last(I).groebner_basis()
+    children(I)[1].groebner_basis()
+    exact_sequence_check(I)
+    assert calls == []
+
+
+def monic_basis(I):
+    """The reduced basis made monic, each element a sorted list of
+    (exponents, coefficient) pairs."""
+    return sorted((sorted((m, c / g.terms[0][1]) for m, c in g.terms)
+                   for g in I.groebner_basis()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(small_ideals(), artinian_ideals().map(lambda Ik: Ik[0])))
+def test_groebner_basis_against_sympy(I):
+    # an independent implementation of the reduced grevlex basis
+    sympy = pytest.importorskip("sympy")
+    x1, x2, z = sympy.symbols("x1 x2 z")
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator) * x1**m[0] * x2**m[1] * z**m[2]
+                 for m, c in g.terms) for g in I.generators]
+    polys = sympy.groebner(exprs, x1, x2, z, order="grevlex", domain="QQ").polys if exprs else []
+    theirs = sorted(sorted((m, Fraction(int(c.numerator), int(c.denominator)))
+                           for m, c in poly.as_dict().items())
+                    for poly in polys)
+    assert monic_basis(I) == theirs
 
 
 def test_regular_sequence_permutation_invariant():
