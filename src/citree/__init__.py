@@ -31,7 +31,6 @@ from .quotient import (
     build_quotient,
     hilbert_function,
     mult_map_matrix,
-    rank_exact,
 )
 from .lefschetz import (
     GradedModuleView,

@@ -32,7 +32,6 @@ class RunConfig:
     fail_fast: bool = False
     check_top_degree: bool = False
     seed: int = 0
-    modular_prefilter_prime: int | None = None
 
     def to_json(self):
         return {
@@ -42,20 +41,30 @@ class RunConfig:
             "fail_fast": self.fail_fast,
             "check_top_degree": self.check_top_degree,
             "seed": self.seed,
-            "modular_prefilter_prime": self.modular_prefilter_prime,
         }
 
 
 def parse_ideal_file(path: str) -> Ideal:
-    """JSON schema: {"nvars": int, "has_z": bool, "generators": [str, ...]}."""
+    """JSON schema: {"nvars": int >= 1, "has_z": bool (optional, default
+    false), "generators": [str, ...]}; a ValueError names the bad field."""
     with open(path) as handle:
         data = json.load(handle)
-    try:
-        ring = RingSpec(int(data["nvars"]), bool(data.get("has_z", False)))
-        gens = [parse_polynomial(text, ring) for text in data["generators"]]
-    except KeyError as exc:
-        raise ValueError(f"ideal file {path} is missing the {exc} field") from None
-    return Ideal(ring, gens)
+    if not isinstance(data, dict):
+        raise ValueError(f"ideal file {path} must hold a JSON object")
+    for key in ("nvars", "generators"):
+        if key not in data:
+            raise ValueError(f"ideal file {path} is missing the '{key}' field")
+    nvars, has_z, gens = data["nvars"], data.get("has_z", False), data["generators"]
+    if type(nvars) is not int or nvars < 1:
+        raise ValueError(f"ideal file {path}: 'nvars' must be an integer >= 1, "
+                         f"not {json.dumps(nvars)}")
+    if type(has_z) is not bool:
+        raise ValueError(f"ideal file {path}: 'has_z' must be true or false, "
+                         f"not {json.dumps(has_z)}")
+    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+        raise ValueError(f"ideal file {path}: 'generators' must be a list of strings")
+    ring = RingSpec(nvars, has_z)
+    return Ideal(ring, [parse_polynomial(text, ring) for text in gens])
 
 
 # --- verification grids ------------------------------------------------------
@@ -175,15 +184,13 @@ def _cmd_slp(cfg: RunConfig):
     A = build_quotient(I)
     if cfg.params.get("y"):
         y = parse_polynomial(cfg.params["y"], I.ring)
-        rep = slp_check_algebra(A, y, cfg.check_top_degree,
-                                cfg.modular_prefilter_prime)
+        rep = slp_check_algebra(A, y, cfg.check_top_degree)
         rep.seed = cfg.seed
         out = rep.to_json()
     else:
         found = find_lefschetz_element(A, max_tries=cfg.params.get("max_tries", 24),
                                        seed=cfg.seed,
-                                       check_top_degree=cfg.check_top_degree,
-                                       prefilter_prime=cfg.modular_prefilter_prime)
+                                       check_top_degree=cfg.check_top_degree)
         if found is None:
             out = {"subject": str(I), "holds": False,
                    "witnesses": [], "hilbert": list(A.hilbert_function()),
@@ -273,42 +280,6 @@ _HANDLERS = {
 # --- argument parsing -----------------------------------------------------------
 
 
-def _is_prime(p: int) -> bool:
-    """Miller-Rabin with the first twelve primes as bases: exact below 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if p < 2:
-        return False
-    if p in bases:
-        return True
-    if any(p % b == 0 for b in bases):
-        return False
-    d, r = p - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for b in bases:
-        x = pow(b, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime(text: str) -> int:
-    """argparse type for --prime: a prime p with 2 <= p < 2^63."""
-    try:
-        p = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not (2 <= p < 2 ** 63 and _is_prime(p)):
-        raise argparse.ArgumentTypeError(f"{p} is not a prime p with 2 <= p < 2^63")
-    return p
-
-
 def _at_least(low: int):
     def parse(text: str) -> int:
         try:
@@ -387,8 +358,6 @@ def _build_parser():
     p.add_argument("--max-tries", type=_positive, default=24)
     p.add_argument("--check-top-degree", action="store_true",
                    help="also test the top power map d = socle degree")
-    p.add_argument("--prime", type=_prime, default=None,
-                   help="modular prefilter prime for rank computations")
     common(p)
 
     p = sub.add_parser("csm", help="central simple module decomposition of an ideal file")
@@ -439,7 +408,6 @@ def _config_from_args(args) -> RunConfig:
         fail_fast=args.fail_fast,
         check_top_degree=getattr(args, "check_top_degree", False),
         seed=args.seed,
-        modular_prefilter_prime=getattr(args, "prime", None),
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .polyring import Polynomial
-from .quotient import QuotientAlgebra, mult_map_matrix, rank_exact
+from .quotient import QuotientAlgebra, mult_map_matrix
 
 
 @dataclass
@@ -67,7 +67,6 @@ def slp_check_algebra(
     A: QuotientAlgebra,
     y: Polynomial,
     check_top_degree: bool = False,
-    prefilter_prime: int | None = None,
 ) -> LefschetzReport:
     """Exact full-rank check of every power map x y^d: A_i -> A_(i+d)
     for 1 <= d <= c-1 (and d = c when asked), 0 <= i <= c-d."""
@@ -81,7 +80,7 @@ def slp_check_algebra(
         for d in range(1, dmax + 1):
             for i in range(0, c - d + 1):
                 expected = min(hf[i], hf[i + d])
-                r = rank_exact(_power_matrix(mats, i, d), prefilter_prime)
+                r = linalg.rank(_power_matrix(mats, i, d).entries)
                 if r < expected:
                     witnesses.append((d, i, r, expected))
     witnesses.sort()
@@ -135,11 +134,7 @@ def module_view(ambient: QuotientAlgebra, generator: Polynomial) -> GradedModule
     return GradedModuleView(ambient, generator, (degrees[0], degrees[-1]), bases)
 
 
-def slp_check_module(
-    V: GradedModuleView,
-    y: Polynomial,
-    prefilter_prime: int | None = None,
-) -> LefschetzReport:
+def slp_check_module(V: GradedModuleView, y: Polynomial) -> LefschetzReport:
     """Full-rank check of x y^d: V_i -> V_(i+d) for 1 <= d <= b-a,
     a <= i <= b-d, ranks taken exactly."""
     A = V.ambient
@@ -157,7 +152,7 @@ def slp_check_module(
                     continue
                 power = _power_matrix(mats, i, d)
                 image = [power.apply(v) for v in vi]
-                r = linalg.rank(image, prefilter_prime=prefilter_prime)
+                r = linalg.rank(image)
                 if r < expected:
                     witnesses.append((d, i, r, expected))
     witnesses.sort()
@@ -206,12 +201,11 @@ def find_lefschetz_element(
     max_tries: int = 24,
     seed: int = 0,
     check_top_degree: bool = False,
-    prefilter_prime: int | None = None,
 ):
     """First linear form in the deterministic candidate list for which the
     algebra check holds; None after max_tries failures."""
     for tries, y in enumerate(lefschetz_candidates(A.ring, seed, max_tries), start=1):
-        report = slp_check_algebra(A, y, check_top_degree, prefilter_prime)
+        report = slp_check_algebra(A, y, check_top_degree)
         if report.holds:
             report.seed = seed
             report.tries = tries
@@ -219,15 +213,10 @@ def find_lefschetz_element(
     return None
 
 
-def module_slp_search(
-    V: GradedModuleView,
-    max_tries: int = 24,
-    seed: int = 0,
-    prefilter_prime: int | None = None,
-):
+def module_slp_search(V: GradedModuleView, max_tries: int = 24, seed: int = 0):
     """find_lefschetz_element for a graded module view."""
     for tries, y in enumerate(lefschetz_candidates(V.ambient.ring, seed, max_tries), start=1):
-        report = slp_check_module(V, y, prefilter_prime)
+        report = slp_check_module(V, y)
         if report.holds:
             report.seed = seed
             report.tries = tries

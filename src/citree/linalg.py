@@ -1,11 +1,10 @@
 """Exact linear algebra over the rationals: rank, kernel, row reduction.
 
 Both paths work on integer rows; rational input is cleared row by row
-first.  The rank is fraction-free (Bareiss); an optional modular pass can
-certify full rank quickly, but any claimed deficiency is always re-verified
-exactly.  Row reduction (rref, and kernel_basis on top of it) is integer
-Gauss-Jordan that divides out each row's content and forms Fractions only
-when the pivot rows are divided by their pivots at the end.
+first.  The rank is fraction-free (Bareiss).  Row reduction (rref, and
+kernel_basis on top of it) is integer Gauss-Jordan that divides out each
+row's content and forms Fractions only when the pivot rows are divided by
+their pivots at the end.
 """
 
 from __future__ import annotations
@@ -62,57 +61,8 @@ def bareiss_rank(rows) -> int:
     return rank
 
 
-def rank_mod_p(rows, p: int):
-    """Rank of the matrix reduced mod p, or None if a denominator vanishes.
-
-    rank mod p never exceeds the rational rank, so a full modular rank
-    certifies full rank exactly.
-    """
-    m = []
-    for row in rows:
-        mr = []
-        for c in row:
-            c = Fraction(c)
-            if c.denominator % p == 0:
-                return None
-            mr.append(c.numerator * pow(c.denominator, -1, p) % p)
-        m.append(mr)
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], -1, p)
-        for r in range(row + 1, nrows):
-            if m[r][col]:
-                factor = m[r][col] * inv % p
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def rank(rows, prefilter_prime: int | None = None) -> int:
-    """Exact rank over the rationals, optionally prefiltered mod a prime."""
-    rows = list(rows)
-    if not rows or not len(rows[0]):
-        return 0
-    if prefilter_prime:
-        full = min(len(rows), len(rows[0]))
-        modular = rank_mod_p(rows, prefilter_prime)
-        if modular == full:
-            return full
+def rank(rows) -> int:
+    """Exact rank over the rationals."""
     return bareiss_rank(_int_rows(rows))
 
 

@@ -2,8 +2,8 @@
 
 A built quotient carries the standard-monomial basis of every graded piece,
 its Hilbert function, and exact multiplication matrices between pieces.
-Ranks are computed exactly (fraction-free Bareiss); an optional modular
-pass can certify full rank faster but never certifies a deficiency.
+Ranks of these matrices are taken exactly by linalg.rank (fraction-free
+Bareiss).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .ideals import (
     Ideal,
     NotArtinian,
@@ -29,11 +28,6 @@ class RationalMatrix:
     rows: int
     cols: int
     entries: tuple
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = tuple(tuple(Fraction(c) for c in row) for row in rows)
-        return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def zero(cls, rows, cols):
@@ -60,14 +54,6 @@ class RationalMatrix:
             sum((self.entries[r][k] * vector[k] for k in range(self.cols)), Fraction(0))
             for r in range(self.rows)
         )
-
-    def to_json(self):
-        return [[str(c) for c in row] for row in self.entries]
-
-
-def rank_exact(M: RationalMatrix, prefilter_prime: int | None = None) -> int:
-    """Exact rank over the rationals."""
-    return linalg.rank(M.entries, prefilter_prime=prefilter_prime)
 
 
 class QuotientAlgebra:

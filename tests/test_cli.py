@@ -137,25 +137,7 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert "column 6" in err
 
 
-@pytest.mark.parametrize("prime", ["0", "1", "4", "-7"])
-def test_prime_must_be_prime(tmp_path, capsys, prime):
-    path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
-    with pytest.raises(SystemExit) as exc:
-        main(["slp", "--ideal", path, "--y", "x1+x2", "--prime", prime])
-    assert exc.value.code == 2
-    assert "--prime" in capsys.readouterr().err
-
-
-def test_slp_with_large_prime(tmp_path, capsys):
-    path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
-    prime = 2 ** 61 - 1
-    assert main(["slp", "--ideal", path, "--y", "x1+x2", "--prime", str(prime), "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["reports"][0]["holds"]
-    assert data["config"]["modular_prefilter_prime"] == prime
-
-
-@pytest.mark.parametrize("flag", [["--prime", "7"], ["--check-top-degree"]])
+@pytest.mark.parametrize("flag", [["--max-tries", "3"], ["--check-top-degree"]])
 def test_lefschetz_flags_only_on_slp(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["thm31", "--n", "1", "--a", "2"] + flag)
@@ -166,8 +148,8 @@ def test_lefschetz_flags_only_on_slp(capsys, flag):
 def test_lefschetz_flags_default_in_config(capsys):
     assert main(["thm31", "--n", "1", "--a", "2", "--json"]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
-    assert config["modular_prefilter_prime"] is None
     assert config["check_top_degree"] is False
+    assert "modular_prefilter_prime" not in config
 
 
 @pytest.mark.parametrize("error", [AssertionError("chain failed\nto terminate"),
@@ -194,6 +176,24 @@ def test_missing_field_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"nvars": 2}))
     assert main(["hilbert", "--ideal", str(path)]) == 2
+
+
+@pytest.mark.parametrize("content, named", [
+    ([1, 2], "JSON object"),
+    ({"nvars": None, "generators": ["x1"]}, "'nvars'"),
+    ({"nvars": 2.5, "generators": ["x1"]}, "'nvars'"),
+    ({"nvars": True, "generators": ["x1"]}, "'nvars'"),
+    ({"nvars": 0, "generators": ["x1"]}, "'nvars'"),
+    ({"nvars": 2, "has_z": "no", "generators": ["x1"]}, "'has_z'"),
+    ({"nvars": 2, "generators": 5}, "'generators'"),
+    ({"nvars": 2, "generators": [5]}, "'generators'"),
+])
+def test_malformed_ideal_file_exit_2(tmp_path, capsys, content, named):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(content))
+    assert main(["hilbert", "--ideal", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_parse_ideal_file_round_trip(tmp_path):

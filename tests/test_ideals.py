@@ -6,6 +6,7 @@ row-reduces over the rationals.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -459,19 +460,38 @@ def monic_basis(I):
                    for g in I.groebner_basis()))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.one_of(small_ideals(), artinian_ideals().map(lambda Ik: Ik[0])))
-def test_groebner_basis_against_sympy(I):
-    # an independent implementation of the reduced grevlex basis
+def sympy_basis(I):
+    """The reduced grevlex basis of an R2Z ideal by sympy, an independent
+    implementation, as Polys in x1, x2, z."""
     sympy = pytest.importorskip("sympy")
     x1, x2, z = sympy.symbols("x1 x2 z")
     exprs = [sum(sympy.Rational(c.numerator, c.denominator) * x1**m[0] * x2**m[1] * z**m[2]
                  for m, c in g.terms) for g in I.generators]
-    polys = sympy.groebner(exprs, x1, x2, z, order="grevlex", domain="QQ").polys if exprs else []
+    return sympy.groebner(exprs, x1, x2, z, order="grevlex", domain="QQ").polys if exprs else []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(small_ideals(), artinian_ideals().map(lambda Ik: Ik[0])))
+def test_groebner_basis_against_sympy(I):
     theirs = sorted(sorted((m, Fraction(int(c.numerator), int(c.denominator)))
                            for m, c in poly.as_dict().items())
-                    for poly in polys)
+                    for poly in sympy_basis(I))
     assert monic_basis(I) == theirs
+
+
+@settings(max_examples=30, deadline=None)
+@given(artinian_ideals())
+def test_hilbert_function_against_sympy(Ik):
+    # count, degree by degree, the monomials outside sympy's initial ideal;
+    # x1^k, x2^k, z^k lie in I, so degree 3(k-1) + 1 is past the socle
+    I, k = Ik
+    lms = [poly.monoms(order="grevlex")[0] for poly in sympy_basis(I)]
+    counts = [sum(1 for m in product(range(d + 1), repeat=3) if sum(m) == d
+                  and not any(all(a >= b for a, b in zip(m, lm)) for lm in lms))
+              for d in range(3 * (k - 1) + 2)]
+    while counts and not counts[-1]:
+        counts.pop()
+    assert ideals.hf_of(I) == tuple(counts)
 
 
 def test_regular_sequence_permutation_invariant():

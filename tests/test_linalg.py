@@ -1,8 +1,9 @@
-"""Integer row reduction against a plain Fraction Gauss-Jordan oracle."""
+"""Integer row reduction and rank against a plain Fraction Gauss-Jordan
+oracle."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from citree import linalg
 
@@ -59,6 +60,9 @@ def _times(rows, v):
 
 @settings(max_examples=300, deadline=None)
 @given(matrices())
+@example(([[1, 2, 3], [4, 5, 6], [7, 8, 10]], 3))
+@example(([[1, 2], [2, 4]], 2))
+@example(([[Fraction(1, 2), 1], [1, 2]], 2))
 def test_rref_matches_fraction_oracle(case):
     rows, ncols = case
     reduced, pivots = linalg.rref(rows)
@@ -66,7 +70,7 @@ def test_rref_matches_fraction_oracle(case):
     assert pivots == expected_pivots
     assert reduced == expected_rows
     assert all(type(c) is Fraction for r in reduced for c in r)
-    assert len(pivots) == linalg.rank(rows)
+    assert linalg.rank(rows) == len(expected_pivots)
 
 
 @settings(max_examples=200, deadline=None)
