@@ -10,7 +10,6 @@ from .ideals import (
     NotArtinian,
     certify_regular_sequence,
     colon_by_variable_power,
-    groebner_basis,
     ideal_colon,
     ideal_equal,
     ideal_sum,
@@ -29,7 +28,6 @@ from .quotient import (
     QuotientAlgebra,
     RationalMatrix,
     build_quotient,
-    hilbert_function,
     mult_map_matrix,
 )
 from .lefschetz import (
@@ -60,7 +58,6 @@ from .tree import (
     children,
     csm_diagram,
     exact_sequence_check,
-    export_tree,
     family_member,
     family_members,
     member_csm_arrows,

@@ -46,7 +46,8 @@ class RunConfig:
 
 def parse_ideal_file(path: str) -> Ideal:
     """JSON schema: {"nvars": int >= 1, "has_z": bool (optional, default
-    false), "generators": [str, ...]}; a ValueError names the bad field."""
+    false), "generators": [str, ...]}; a ValueError names the bad field,
+    or says R/I is zero when the generators give the unit ideal."""
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -64,7 +65,11 @@ def parse_ideal_file(path: str) -> Ideal:
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise ValueError(f"ideal file {path}: 'generators' must be a list of strings")
     ring = RingSpec(nvars, has_z)
-    return Ideal(ring, [parse_polynomial(text, ring) for text in gens])
+    ideal = Ideal(ring, [parse_polynomial(text, ring) for text in gens])
+    if ideal.is_unit():
+        raise ValueError(f"ideal file {path}: the generators give the unit ideal, "
+                         "so R/I is zero")
+    return ideal
 
 
 # --- verification grids ------------------------------------------------------

@@ -5,7 +5,9 @@ the distinguished linear form), the chain (I : v^i) + (v) is computed
 exactly, deduplicated into blocks, and the successive quotients are checked
 against their predicted cyclic presentations: numerator = denominator +
 (e_{j-1}) and annihilator (denominator : e_{j-1}) with a shifted Hilbert
-function match.  Predicted annihilators and colon identities are certified
+function match.  Every predicted chain block, annihilator and side of a
+colon identity is a family member A_n(a, m) extended by v (member_block).
+Predicted annihilators and colon identities are certified
 (ideals.certify_colon); a colon is derived only when a prediction fails.
 
 Every verifier returns a structured report; a failing sub-check is recorded
@@ -30,7 +32,7 @@ from .ideals import (
     quotient_dimension,
 )
 from .polyring import Polynomial, RingSpec
-from .symfun import boundary_polynomial, symmetric_generator
+from .symfun import boundary_polynomial, member_generators, symmetric_generator
 
 
 # --- symmetric generators relative to the distinguished variable ------------
@@ -45,12 +47,6 @@ def sym_e(ring: RingSpec, i: int) -> Polynomial:
     """Signed elementary symmetric e_i in the leading variables, inside ring."""
     m = xpart(ring)
     return symmetric_generator("e_signed", m, i).extend(ring)
-
-
-def sym_p(ring: RingSpec, i: int) -> Polynomial:
-    """Power sum p_i in the leading variables, inside ring."""
-    m = xpart(ring)
-    return symmetric_generator("p", m, i).extend(ring)
 
 
 def last_variable(ring: RingSpec) -> Polynomial:
@@ -87,68 +83,42 @@ def mixed_family_ideal(n: int, a: int, b: int) -> Ideal:
     return Ideal(ring, gens)
 
 
-def power_chain_ideal(ring: RingSpec, a: int, k: int) -> Ideal:
-    """The k-th expected chain block for the pure power-sum family:
-    (p_a..p_(a+n-k-1), e_(n+1-k)..e_n, v); the unit ideal at k = n+1."""
-    n = xpart(ring)
-    if k == n + 1:
-        return Ideal(ring, [Polynomial.one(ring)])
-    gens = [sym_p(ring, a + t) for t in range(n - k)]
-    gens += [sym_e(ring, j) for j in range(n + 1 - k, n + 1)]
-    gens.append(last_variable(ring))
-    return Ideal(ring, gens)
-
-
-def mixed_chain_ideal(ring: RingSpec, a: int, b: int, k: int) -> Ideal:
-    """The k-th expected chain block for the mixed family; k = 0 skips
-    e_(b+1), k = 1..b+1 follows the uniform pattern, k = b+2 is the unit."""
-    n = xpart(ring)
-    if k == b + 2:
-        return Ideal(ring, [Polynomial.one(ring)])
-    if k == 0:
-        gens = [sym_p(ring, a + t) for t in range(b + 1)]
-        gens += [sym_e(ring, j) for j in range(b + 2, n + 1)]
-    else:
-        gens = [sym_p(ring, a + t) for t in range(b + 1 - k)]
-        gens += [sym_e(ring, j) for j in range(b + 2 - k, n + 1)]
-    gens.append(last_variable(ring))
-    return Ideal(ring, gens)
+def member_block(ring: RingSpec, a: int, m: int) -> Ideal:
+    """A_n(a, m)R + (v): the family member in the leading variables of
+    ring, extended to ring, plus the cheapest variable v."""
+    gens = [g.extend(ring) for g in member_generators(xpart(ring), a, m)]
+    return Ideal(ring, gens + [last_variable(ring)])
 
 
 def power_chain_blocks(ring: RingSpec, a: int):
     """Expected deduplicated chain (ideal, lo, hi) of the power family:
-    blocks of length a starting at ka, or one block 0..n when a = 1."""
+    A_n(a, n-k) + (v) on the exponents ka..(k+1)a-1 for k = 0..n, then the
+    unit ideal; when a = 1, A_n(1, 0) + (v) on 0..n, then the unit ideal."""
     n = xpart(ring)
+    unit = Ideal(ring, [Polynomial.one(ring)])
     if a == 1:
-        return [(power_chain_ideal(ring, a, n), 0, n),
-                (power_chain_ideal(ring, a, n + 1), n + 1, n + 1)]
-    blocks = [(power_chain_ideal(ring, a, k), k * a, (k + 1) * a - 1) for k in range(n + 1)]
-    blocks.append((power_chain_ideal(ring, a, n + 1), (n + 1) * a, (n + 1) * a))
-    return blocks
+        return [(member_block(ring, 1, 0), 0, n), (unit, n + 1, n + 1)]
+    blocks = [(member_block(ring, a, n - k), k * a, (k + 1) * a - 1) for k in range(n + 1)]
+    return blocks + [(unit, (n + 1) * a, (n + 1) * a)]
 
 
 def mixed_chain_blocks(ring: RingSpec, a: int, b: int):
     """Expected deduplicated chain (ideal, lo, hi) of the mixed family:
-    a leading block of length n-b, then boundaries c_k = n-b+(k-1)a."""
+    A_n(a, b+1) + (v) on 0..n-b-1, then A_n(a, b+1-k) + (v) from
+    c_k = n-b+(k-1)a to c_(k+1)-1 for k = 1..b+1, then the unit ideal.
+
+    With a >= 2 and 0 <= b <= n-1 no block is empty, and adjacent blocks
+    differ: their quotient dimensions are in the ratio (a+m-1)/m."""
     n = xpart(ring)
 
     def c_of(k):
         return n - b + (k - 1) * a
 
-    blocks = [(mixed_chain_ideal(ring, a, b, 0), 0, n - b - 1)]
-    for k in range(1, b + 2):
-        blocks.append((mixed_chain_ideal(ring, a, b, k), c_of(k), c_of(k + 1) - 1))
-    blocks.append((mixed_chain_ideal(ring, a, b, b + 2), c_of(b + 2), c_of(b + 2)))
-    blocks = [e for e in blocks if e[1] <= e[2]]
-    # merge adjacent blocks whose predicted ideals coincide (deduplication
-    # in the computed chain joins them)
-    merged = []
-    for ideal, lo, hi in blocks:
-        if merged and ideal_equal(merged[-1][0], ideal) and merged[-1][2] + 1 == lo:
-            merged[-1][2] = hi
-        else:
-            merged.append([ideal, lo, hi])
-    return [tuple(e) for e in merged]
+    blocks = [(member_block(ring, a, b + 1), 0, n - b - 1)]
+    blocks += [(member_block(ring, a, b + 1 - k), c_of(k), c_of(k + 1) - 1)
+               for k in range(1, b + 2)]
+    blocks.append((Ideal(ring, [Polynomial.one(ring)]), c_of(b + 2), c_of(b + 2)))
+    return blocks
 
 
 def first_block_colon_holds(I: Ideal, a: int, b: int) -> bool:
@@ -157,18 +127,8 @@ def first_block_colon_holds(I: Ideal, a: int, b: int) -> bool:
     n = xpart(ring)
     swap_target = Ideal(ring, [symmetric_generator("p_tilde", n, a + t) for t in range(b + 1)]
                         + [sym_e(ring, j) for j in range(b + 1, n + 1)])
-    colon = colon_by_variable_power(I, ring.total_vars - 1, n - b)
+    colon = colon_by_variable_power(I, n - b)
     return ideal_equal(colon, swap_target)
-
-
-def module_annihilator_ideal(ring: RingSpec, a: int, j: int, with_v=True) -> Ideal:
-    """(p_(a-1), ..., p_(a+j-3), e_j, ..., e_n) (+ the cheapest variable)."""
-    n = xpart(ring)
-    gens = [sym_p(ring, a - 1 + t) for t in range(j - 1)]
-    gens += [sym_e(ring, i) for i in range(j, n + 1)]
-    if with_v:
-        gens.append(last_variable(ring))
-    return Ideal(ring, gens)
 
 
 # --- the chain ----------------------------------------------------------------
@@ -258,7 +218,7 @@ def csm_chain(I: Ideal) -> CsmChain:
             break
         if i > dim + 1:
             raise AssertionError("chain failed to terminate")
-        cur = colon_by_variable_power(cur, cur.ring.total_vars - 1, 1)
+        cur = colon_by_variable_power(cur, 1)
         i += 1
     dims = [quotient_dimension(e[0]) for e in entries]
     for t in range(len(entries) - 1):
@@ -351,7 +311,7 @@ def _finish(report, checks):
 
 def _verify_family_common(report, checks, I, expected_blocks, expected_count, a):
     """Chain blocks, CSM count, cyclic presentations and annihilators for a
-    family whose j-th module is R/(p_(a-1)..p_(a+j-3), e_j..e_n)."""
+    family whose j-th module is R/(A_n(a-1, j-1)R + (v))."""
     ring = I.ring
     n = xpart(ring)
     dim = quotient_dimension(I)
@@ -379,7 +339,7 @@ def _verify_family_common(report, checks, I, expected_blocks, expected_count, a)
     for mod in modules:
         j = mod.index
         g = sym_e(ring, j - 1)
-        expected_ann = module_annihilator_ideal(ring, a, j)
+        expected_ann = member_block(ring, a - 1, j - 1)
         checked, sub = cyclic_presentation(mod.numerator, mod.denominator, g, expected_ann)
         ann_ok = ideal_equal(checked.annihilator, expected_ann)
         sub["annihilator_matches"] = ann_ok
@@ -401,13 +361,8 @@ def _verify_family_common(report, checks, I, expected_blocks, expected_count, a)
         if not bigger.contains_ideal(smaller):
             chain_ok = False
     _check(checks, "annihilator_chain", chain_ok)
-    ci_ok = True
-    for t, J in enumerate(annihilators):
-        j = t + 1
-        gens = [symmetric_generator("p", n, a - 1 + s) for s in range(j - 1)]
-        gens += [symmetric_generator("e_signed", n, i) for i in range(j, n + 1)]
-        if not certify_regular_sequence(gens):
-            ci_ok = False
+    ci_ok = all(certify_regular_sequence(member_generators(n, a - 1, j))
+                for j in range(len(annihilators)))
     _check(checks, "annihilators_regular", ci_ok)
     return chain, modules
 
@@ -501,34 +456,24 @@ def verify_generator_swap(kind: str, n: int, a: int, b: int | None = None) -> di
 
 
 def verify_colon_identity(n: int, a: int, s: int | None = None) -> dict:
-    """Colon of a chain block by the next elementary symmetric polynomial.
+    """Colon of a chain block by the next elementary symmetric polynomial:
 
-    With s given (0 <= s <= n-2):
-      (p_a..p_(a+s), e_(s+2)..e_n, v) : e_(s+1)
-        = (p_(a-1)..p_(a+s-1), e_(s+2)..e_n, v).
-    Without s, the top case:
-      (p_a..p_(a+n-1), v) : e_n = (p_(a-1)..p_(a+n-2), v).
+      (A_n(a, s+1)R + (v)) : e_(s+1) = A_n(a-1, s+1)R + (v)
+
+    for 0 <= s <= n-2, and without s for the top case s = n-1, where the
+    divisor is e_n and neither side has an elementary symmetric generator.
     """
     if a < 2:
         raise ValueError("need a >= 2, the identities shift indices down by one")
+    if s is not None and not 0 <= s <= n - 2:
+        raise ValueError(f"s={s} out of range 0..{n - 2}")
+    top = n - 1 if s is None else s
     ring = RingSpec(n, has_z=True)
-    v = last_variable(ring)
     report = {"verifier": "colon-identity", "params": {"n": n, "a": a, "s": s}}
     checks = []
-    if s is None:
-        J = Ideal(ring, [sym_p(ring, a + t) for t in range(n)] + [v])
-        expected = Ideal(ring, [sym_p(ring, a - 1 + t) for t in range(n)] + [v])
-        divisor = sym_e(ring, n)
-        top = n - 1
-    else:
-        if not 0 <= s <= n - 2:
-            raise ValueError(f"s={s} out of range 0..{n - 2}")
-        J = Ideal(ring, [sym_p(ring, a + t) for t in range(s + 1)]
-                  + [sym_e(ring, i) for i in range(s + 2, n + 1)] + [v])
-        expected = Ideal(ring, [sym_p(ring, a - 1 + t) for t in range(s + 1)]
-                         + [sym_e(ring, i) for i in range(s + 2, n + 1)] + [v])
-        divisor = sym_e(ring, s + 1)
-        top = s
+    J = member_block(ring, a, top + 1)
+    expected = member_block(ring, a - 1, top + 1)
+    divisor = sym_e(ring, top + 1)
     colon = expected if certify_colon(J, divisor, expected) else ideal_colon(J, divisor)
     _check(checks, "colon_equality", ideal_equal(colon, expected),
            colon=colon.canonical_str(), expected=expected.canonical_str())
@@ -593,10 +538,9 @@ def verify_terminal_csm(I: Ideal, chain: CsmChain | None = None) -> dict:
         chain = csm_chain(I)
     base = chain.entries[0][0]
     q = None
-    ring = I.ring
     cur = I
     for i in range(1, chain.p + 1):
-        cur = colon_by_variable_power(cur, ring.total_vars - 1, 1)
+        cur = colon_by_variable_power(cur, 1)
         if not ideal_equal(add_last_variable(cur), base):
             q = i
             break
@@ -609,7 +553,7 @@ def verify_terminal_csm(I: Ideal, chain: CsmChain | None = None) -> dict:
         _check(checks, "terminal_module",
                ideal_equal(last.numerator, chain.ideal_at(q))
                and ideal_equal(last.denominator, base))
-        full = colon_by_variable_power(I, ring.total_vars - 1, q)
+        full = colon_by_variable_power(I, q)
         if full.is_unit():
             _check(checks, "single_module", len(modules) == 1)
             dims_match = last.graded_dims == hf_of(base)

@@ -413,9 +413,6 @@ class Ideal:
         elems = self._gb_elems()
         return bool(elems) and all(e == 0 for e in elems[0].lm_exps)
 
-    def is_zero_ideal(self) -> bool:
-        return not self._gb_elems()
-
     def contains(self, p: Polynomial) -> bool:
         return normal_form(p, self).is_zero()
 
@@ -441,10 +438,6 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({self.ring}, {self})"
-
-
-def groebner_basis(I: Ideal):
-    return I.groebner_basis()
 
 
 def normal_form(p: Polynomial, I: Ideal) -> Polynomial:
@@ -620,16 +613,12 @@ def certify_colon(I: Ideal, f: Polynomial, J: Ideal) -> bool:
     return all(I.contains(f * h) for h in J.generators)
 
 
-def colon_by_variable_power(I: Ideal, var: int | str, i: int) -> Ideal:
-    """(I : v^i), iterated; (I : v^0) = I."""
-    v = I.ring.var_index(var) if isinstance(var, str) else var
-    if not 0 <= v < I.ring.total_vars:
-        raise ValueError(f"variable index {v} out of range for {I.ring}")
+def colon_by_variable_power(I: Ideal, i: int) -> Ideal:
+    """(I : v^i) for the cheapest variable v, by i basis rewrites;
+    (I : v^0) = I."""
     out = I
-    last = v == _last_variable(I.ring)
-    vpoly = Polynomial.variable(I.ring, v)
     for _ in range(i):
-        out = _colon_by_last_variable(out) if last else ideal_colon(out, vpoly)
+        out = _colon_by_last_variable(out)
     return out
 
 

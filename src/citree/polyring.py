@@ -163,13 +163,6 @@ class Polynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def coefficient(self, exps) -> Fraction:
-        exps = tuple(exps)
-        for m, c in self.terms:
-            if m == exps:
-                return c
-        return Fraction(0)
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:

@@ -29,10 +29,6 @@ class RationalMatrix:
     cols: int
     entries: tuple
 
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, tuple((Fraction(0),) * cols for _ in range(rows)))
-
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
@@ -108,24 +104,14 @@ def build_quotient(I: Ideal) -> QuotientAlgebra:
     return QuotientAlgebra(I, basis)
 
 
-def hilbert_function(A: QuotientAlgebra):
-    return A.hilbert_function()
-
-
-def mult_map_matrix(A: QuotientAlgebra, f: Polynomial, i: int, d: int | None = None) -> RationalMatrix:
+def mult_map_matrix(A: QuotientAlgebra, f: Polynomial, i: int) -> RationalMatrix:
     """Matrix of multiplication by homogeneous f from degree i to i + deg f.
 
     Rows are indexed by the target basis, columns by the source basis.
     """
-    if f.is_zero():
-        if d is None:
-            d = 1
-        return RationalMatrix.zero(len(A.graded_piece(i + d)), len(A.graded_piece(i)))
     if not f.is_homogeneous():
         raise ValueError("multiplier must be homogeneous")
     fd = f.degree()
-    if d is not None and d != fd:
-        raise ValueError(f"declared degree {d} differs from deg f = {fd}")
     if fd < 1:
         raise ValueError("multiplier must have positive degree")
     if not 0 <= i <= A.socle_degree - fd:

@@ -18,8 +18,6 @@ from itertools import combinations
 
 from .polyring import Polynomial, RingSpec
 
-GENERATOR_KINDS = ("e_signed", "p", "p_tilde", "e_tilde")
-
 _memo: dict = {}
 
 
@@ -85,6 +83,16 @@ def symmetric_generator(kind: str, n: int, i: int) -> Polynomial:
         raise ValueError(f"unknown generator kind {kind!r}")
     _memo[key] = poly
     return poly
+
+
+def member_generators(n: int, a: int, m: int):
+    """Generators of the family member A_n(a, m) = (p_a..p_(a+m-1),
+    e_(m+1)..e_n) in K[x1..xn], for 0 <= m <= n: the m power sums of
+    consecutive degrees from a, then the elementary symmetric polynomials."""
+    if not 0 <= m <= n or (m and a < 1):
+        raise ValueError(f"invalid member A_{n}({a}, {m})")
+    return ([symmetric_generator("p", n, a + t) for t in range(m)]
+            + [symmetric_generator("e_signed", n, i) for i in range(m + 1, n + 1)])
 
 
 def boundary_polynomial(kind: str, n: int, b: int | None, k: int) -> Polynomial:

@@ -36,7 +36,7 @@ from .ideals import (
 from .lefschetz import find_lefschetz_element, module_slp_search, module_view
 from .polyring import Polynomial, RingSpec
 from .quotient import build_quotient
-from .symfun import symmetric_generator
+from .symfun import member_generators
 
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
@@ -65,23 +65,24 @@ class TreeNode:
     colon_exponent: int = 0
 
 
+def _generators(n: int, a: int, m: int):
+    """Generators of the tree member labelled (n, a, m): those of A_n(a, m),
+    except that the coinvariant member A_n(1, n) is built from those of
+    A_n(1, 0) = (e_1..e_n), the same ideal by Newton's identities."""
+    return member_generators(n, a, 0 if a == 1 else m)
+
+
 def family_member(n: int, a: int, m: int) -> FamilyMember:
     """A_n(a, m): m power sums of consecutive degrees starting at a,
     padded with e_(m+1)..e_n; a >= 2 except for the coinvariant member
     A_n(1, n) = (e_1..e_n)."""
     if n < 1 or not 1 <= m <= n:
         raise ValueError(f"invalid member level n={n}, m={m}")
-    ring = RingSpec(n, has_z=False)
-    if a == 1:
-        if m != n:
-            raise ValueError("a = 1 requires m = n")
-        gens = [symmetric_generator("e_signed", n, i) for i in range(1, n + 1)]
-    elif a >= 2:
-        gens = [symmetric_generator("p", n, a + t) for t in range(m)]
-        gens += [symmetric_generator("e_signed", n, i) for i in range(m + 1, n + 1)]
-    else:
+    if a == 1 and m != n:
+        raise ValueError("a = 1 requires m = n")
+    if a < 1:
         raise ValueError(f"invalid a={a}")
-    ideal = Ideal(ring, gens)
+    ideal = Ideal(RingSpec(n, has_z=False), _generators(n, a, m))
     if not certify_regular_sequence(ideal):
         raise AssertionError(f"family member ({n},{a},{m}) failed certification")
     return FamilyMember(n, a, m, member_label(n, a, m), ideal)
@@ -89,10 +90,8 @@ def family_member(n: int, a: int, m: int) -> FamilyMember:
 
 def _member_dimension(n: int, a: int, m: int) -> int:
     """dim A_n(a, m) as family_member certifies it: the product of the
-    generator degrees."""
-    if a == 1:
-        return prod(range(1, n + 1))
-    return prod(range(a, a + m)) * prod(range(m + 1, n + 1))
+    degrees of its generators."""
+    return prod(g.degree() for g in _generators(n, a, m))
 
 
 def family_members(n: int, a_max: int):
@@ -123,11 +122,10 @@ def contract_modulo_last(I: Ideal) -> Ideal:
 def children(I: Ideal):
     """(left, right): (I : v) when v is not already in I, and the
     contraction of I + (v) when the ring has at least two variables."""
-    slot = I.ring.total_vars - 1
-    v = Polynomial.variable(I.ring, slot)
+    v = Polynomial.variable(I.ring, I.ring.total_vars - 1)
     left = None
     if not normal_form(v, I).is_zero():
-        left = colon_by_variable_power(I, slot, 1)
+        left = colon_by_variable_power(I, 1)
     right = None
     if I.ring.total_vars >= 2:
         right = contract_modulo_last(I)
@@ -137,8 +135,7 @@ def children(I: Ideal):
 def exact_sequence_check(I: Ideal) -> dict:
     """Hilbert additivity of the child split: the v-multiplication embeds
     R/(I : v) shifted by one, with quotient R/(I + (v))."""
-    slot = I.ring.total_vars - 1
-    left = colon_by_variable_power(I, slot, 1)
+    left = colon_by_variable_power(I, 1)
     right = add_last_variable(I)
     hf = hf_of(I)
     hf_left = hf_of(left)
@@ -238,26 +235,22 @@ def monomial_ci_family(n: int, exp_max: int):
 
 
 def colon_closure_family(n: int, a_max: int):
-    """The colon closures of the power-sum members: (p_a..p_(a+n-1)) : xn^i
-    for 0 <= i <= an-1, and (p_a..p_(a+b-1), e_(b+1)..e_n) : xn^i for
+    """The colon closures of the power-sum members: A_n(a, n) : xn^i for
+    0 <= i <= an-1, and A_n(a, b) : xn^i for 0 < b < n and
     0 <= i <= (a-1)b + n - 1."""
     ring = RingSpec(n, has_z=False)
-    slot = n - 1
     out = []
     for a in range(1, a_max + 1):
-        base = Ideal(ring, [symmetric_generator("p", n, a + t) for t in range(n)])
-        cur = base
+        cur = Ideal(ring, member_generators(n, a, n))
         for i in range(a * n):
             out.append({"ideal": cur, "kind": "pure", "a": a, "b": None, "i": i})
-            cur = colon_by_variable_power(cur, slot, 1)
+            cur = colon_by_variable_power(cur, 1)
     for a in range(2, a_max + 1):
         for b in range(1, n):
-            gens = [symmetric_generator("p", n, a + t) for t in range(b)]
-            gens += [symmetric_generator("e_signed", n, i) for i in range(b + 1, n + 1)]
-            cur = Ideal(ring, gens)
+            cur = Ideal(ring, member_generators(n, a, b))
             for i in range((a - 1) * b + n):
                 out.append({"ideal": cur, "kind": "mixed", "a": a, "b": b, "i": i})
-                cur = colon_by_variable_power(cur, slot, 1)
+                cur = colon_by_variable_power(cur, 1)
     return out
 
 
@@ -518,19 +511,3 @@ def export_json(graph: dict) -> str:
 
     return json.dumps({"nodes": graph["nodes"], "edges": graph["edges"]},
                       sort_keys=True, indent=2) + "\n"
-
-
-def export_tree(subject, format: str = "dot") -> str:
-    """Serialize a diagram: a graph dict, a TreeNode, or family members
-    (whose module arrows are derived first)."""
-    if isinstance(subject, TreeNode):
-        graph = tree_graph(subject)
-    elif isinstance(subject, dict):
-        graph = subject
-    else:
-        graph = csm_diagram(list(subject))
-    if format == "dot":
-        return export_dot(graph)
-    if format == "json":
-        return export_json(graph)
-    raise ValueError(f"unknown export format {format!r}")

@@ -6,14 +6,16 @@ check below is exact (rational arithmetic, zero tolerance); the printed
 timings are informational targets, not assertions.
 """
 
+import hashlib
+import json
 import time
 
 from citree import cli
 from citree.csm import (
     filtration_check,
-    mixed_chain_ideal,
+    member_block,
+    mixed_chain_blocks,
     mixed_family_ideal,
-    power_chain_ideal,
     power_family_ideal,
 )
 from citree.ideals import quotient_dimension
@@ -28,9 +30,28 @@ def _report(num, name, ok, started):
     assert ok, f"criterion {num} ({name}) failed"
 
 
+# sha256 of json.dumps(reports, sort_keys=True) for each default run below:
+# a refactor that changes any report byte fails the run's criterion.
+REPORT_DIGESTS = {
+    ("newton",): "2befb02ac944d521bc98b38581c762459594879a28f46c49ed0c05de39e87fa4",
+    ("identity",): "6b3c2120f57275f9698afa428e6ea09055d80e9d60d0da8baa1d8cde6d62e842",
+    ("thm31",): "c26b075aebd806c2cf238df850650ca07c16ae7d0eaffee4d431f1362139c0d1",
+    ("thm41",): "2036b70b792e7dd5f648e4dc71af421698f4bb53c974b015ca4fad2de56b4d9e",
+    ("swap",): "f0249b7259cd77b1541d974dd7de489034d827082214b25fa2cf35577a63e324",
+    ("colon-lemma",): "538f79a7c457dc290a66ffcb7b4fba6dae45789491443b9620fa5d1c7c3b8c8c",
+    ("tree",): "ba851f7a854614ad021263cbb926831dba38d23092be7e98511a82a6ce33752e",
+    ("tree", ("family", "colon-closure")):
+        "93622f87a923d9e2c2cad9bf9d9ddec69cf873062a07d293314a48101960c7f4",
+}
+
+
 def _default_run(command, **params):
-    """Whether the subcommand's default grid is non-empty and passes."""
+    """Whether the subcommand's default grid is non-empty, passes and
+    reports the pinned bytes."""
     code, envelope, _ = cli.run(cli.RunConfig(command=command, params=params))
+    digest = hashlib.sha256(json.dumps(envelope["reports"], sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[(command, *sorted(params.items()))], \
+        f"{command} {params}: report bytes differ from the pinned digest"
     return code == 0 and envelope["passed"] and bool(envelope["reports"])
 
 
@@ -48,18 +69,17 @@ def test_criterion_02_derivative_identities():
 
 def _suite_ideals():
     """Every complete intersection the verification grids build: the family
-    ideals and their predicted chain blocks (unit blocks skipped)."""
+    ideals, the blocks A_n(a, m)R + (v) of the power family for m = 0..n and
+    the predicted chain blocks of the mixed family (unit blocks skipped)."""
     out = []
     for n, a in cli.power_grid():
         I = power_family_ideal(n, a)
         out.append(I)
-        for k in range(n + 1):
-            out.append(power_chain_ideal(I.ring, a, k))
+        out += [member_block(I.ring, a, m) for m in range(n + 1)]
     for n, a, b in cli.mixed_grid():
         I = mixed_family_ideal(n, a, b)
         out.append(I)
-        for k in range(b + 2):
-            out.append(mixed_chain_ideal(I.ring, a, b, k))
+        out += [E for E, _, _ in mixed_chain_blocks(I.ring, a, b)[:-1]]
     n_max, a_max = cli.thm53_bounds()
     for n in range(1, n_max + 1):
         for member in family_members(n, a_max):

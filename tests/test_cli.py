@@ -196,6 +196,14 @@ def test_malformed_ideal_file_exit_2(tmp_path, capsys, content, named):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("command", ["slp", "csm", "hilbert", "tree"])
+def test_unit_ideal_file_exit_2(tmp_path, capsys, command):
+    path = write_ideal(tmp_path, "unit.json", 2, False, ["x1^2", "x2^2", "1"])
+    assert main([command, "--ideal", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "R/I is zero" in err
+
+
 def test_parse_ideal_file_round_trip(tmp_path):
     # canonical printing is a fixed point after one normalization pass
     path = write_ideal(tmp_path, "i.json", 2, True, ["3/2*x1^2*z - x2^3"])

@@ -2,19 +2,19 @@
 
 import pytest
 
-from citree import csm
+from citree import cli, csm
 from citree.csm import (
     central_simple_modules,
     csm_chain,
     cyclic_presentation,
     filtration_check,
+    member_block,
+    mixed_chain_blocks,
     mixed_family_ideal,
-    module_annihilator_ideal,
     nilpotency_index,
-    power_chain_ideal,
+    power_chain_blocks,
     power_family_ideal,
     sym_e,
-    sym_p,
     verify_chain_blocks,
     verify_colon_identity,
     verify_generator_swap,
@@ -22,7 +22,7 @@ from citree.csm import (
     verify_power_family,
     verify_terminal_csm,
 )
-from citree.ideals import Ideal, ideal_colon, ideal_equal
+from citree.ideals import Ideal, ideal_colon, ideal_equal, quotient_dimension
 from citree.polyring import Polynomial, RingSpec
 from citree.quotient import build_quotient
 from citree.symfun import symmetric_generator
@@ -31,7 +31,7 @@ R2Z = RingSpec(2, True)
 
 
 def _power_p(ring, i):
-    return sym_p(ring, i)
+    return symmetric_generator("p", ring.total_vars - 1, i).extend(ring)
 
 
 # --- nilpotency -----------------------------------------------------------------
@@ -74,6 +74,26 @@ def test_chain_power_family_2_2():
     for (J, lo, hi), (E, elo, ehi) in zip(chain.entries, expected):
         assert (lo, hi) == (elo, ehi)
         assert ideal_equal(J, E)
+    # the predicted blocks are these ideals, generators in the same order
+    predicted = power_chain_blocks(ring, 2)
+    assert [(E.generators, lo, hi) for E, lo, hi in predicted] == [
+        (E.generators, lo, hi) for E, lo, hi in expected]
+
+
+@pytest.mark.parametrize("family", ["power", "mixed"])
+def test_predicted_blocks_drop_strictly(family):
+    # no predicted block is empty and adjacent blocks differ, so the
+    # computed chain needs no merging of predicted blocks to match
+    if family == "power":
+        cases = [power_chain_blocks(RingSpec(n, True), a) for n, a in cli.power_grid()]
+    else:
+        cases = [mixed_chain_blocks(RingSpec(n, True), a, b) for n, a, b in cli.mixed_grid()]
+    for blocks in cases:
+        assert blocks[0][1] == 0 and all(lo <= hi for _, lo, hi in blocks)
+        assert all(hi + 1 == lo for (_, _, hi), (_, lo, _) in zip(blocks, blocks[1:]))
+        dims = [quotient_dimension(E) for E, _, _ in blocks]
+        assert all(x > y for x, y in zip(dims, dims[1:])), dims
+        assert dims[-1] == 0
 
 
 def test_chain_power_family_a1():
@@ -260,7 +280,7 @@ def test_cyclic_presentation_falls_back_on_wrong_prediction(monkeypatch):
     mod = central_simple_modules(I)[1]
     j = mod.index
     g = sym_e(I.ring, j - 1)
-    wrong = module_annihilator_ideal(I.ring, 4, j)  # a + 1 for a = 3
+    wrong = member_block(I.ring, 3, j - 1)  # A_n(a, j-1) in place of A_n(a-1, j-1), a = 3
     checked, report = cyclic_presentation(mod.numerator, mod.denominator, g, wrong)
     assert calls == [g]
     derived = ideal_colon(mod.denominator, g)

@@ -122,7 +122,6 @@ def test_gb_coprime_leading_terms():
 def test_gb_zero_ideal():
     I = Ideal(R2, [])
     assert I.groebner_basis() == ()
-    assert I.is_zero_ideal()
 
 
 def test_normal_form_substitution():
@@ -200,27 +199,24 @@ def test_colon_power_sum_block():
 
 def test_colon_by_variable_power_examples():
     I = Ideal.from_strings(R1Z, ["x1 + z", "x1^2 + z^2"])
-    assert ideal_equal(colon_by_variable_power(I, "z", 1), Ideal.from_strings(R1Z, ["x1", "z"]))
-    assert colon_by_variable_power(I, "z", 0) == I
+    assert ideal_equal(colon_by_variable_power(I, 1), Ideal.from_strings(R1Z, ["x1", "z"]))
+    assert colon_by_variable_power(I, 0) == I
     gens = [symmetric_generator("p_tilde", 2, i) for i in (2, 3, 4)]
     J = Ideal(R2Z, gens)
-    assert colon_by_variable_power(J, "z", 6).is_unit()
+    assert colon_by_variable_power(J, 6).is_unit()
 
 
 def test_colon_by_non_last_variable():
     I = Ideal.from_strings(R2, ["x1^2", "x1*x2", "x2^3"])
-    assert ideal_equal(colon_by_variable_power(I, "x1", 1),
-                       Ideal.from_strings(R2, ["x1", "x2"]))
+    assert ideal_equal(ideal_colon(I, P("x1", R2)), Ideal.from_strings(R2, ["x1", "x2"]))
 
 
 def test_colon_rejects_non_artinian():
     I = Ideal.from_strings(R2, ["x1^2", "x1*x2"])
     with pytest.raises(NotArtinian):
         ideal_colon(I, P("x1", R2))
-    with pytest.raises(NotArtinian):
-        colon_by_variable_power(I, "x1", 1)
     # the cheapest variable needs no Artinian quotient
-    assert ideal_equal(colon_by_variable_power(I, "x2", 2), Ideal.from_strings(R2, ["x1"]))
+    assert ideal_equal(colon_by_variable_power(I, 2), Ideal.from_strings(R2, ["x1"]))
     assert quotient.NotArtinian is NotArtinian
 
 
@@ -354,7 +350,7 @@ def test_colon_chain_monotone(I):
     prev = ideal_sum(I, Ideal.from_strings(R2Z, ["z"]))
     cur = I
     for _ in range(3):
-        cur = colon_by_variable_power(cur, "z", 1)
+        cur = colon_by_variable_power(cur, 1)
         step = ideal_sum(cur, Ideal.from_strings(R2Z, ["z"]))
         assert step.contains_ideal(prev)
         prev = step

@@ -10,6 +10,7 @@ from citree.symfun import (
     derivative_identity_check,
     derivative_vector,
     falling_factorial,
+    member_generators,
     newton_check,
     symmetric_generator,
     vanishing_sum_residual,
@@ -78,6 +79,17 @@ def test_tilde_product_substituted_at_z_vanishes():
         for i in range(n + 2):
             acc = acc + symmetric_generator("e_tilde", n, i) * z ** (n + 1 - i)
         assert acc.is_zero()
+
+
+def test_member_generators():
+    p = [symmetric_generator("p", 3, i) for i in range(7)]
+    e = [symmetric_generator("e_signed", 3, i) for i in range(4)]
+    assert member_generators(3, 2, 1) == [p[2], e[2], e[3]]
+    assert member_generators(3, 4, 3) == [p[4], p[5], p[6]]
+    assert member_generators(3, 5, 0) == [e[1], e[2], e[3]]
+    for bad in [(3, 2, 4), (3, 2, -1), (3, 0, 1)]:
+        with pytest.raises(ValueError):
+            member_generators(*bad)
 
 
 def test_newton_examples():

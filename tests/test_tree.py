@@ -19,6 +19,7 @@ from citree.polyring import Polynomial, RingSpec
 from citree.symfun import symmetric_generator
 from citree.tree import (
     _certified_arrow_target,
+    _member_dimension,
     binary_tree,
     certify_complete_intersection,
     children,
@@ -65,6 +66,15 @@ def test_member_validation():
         family_member(2, 0, 2)
     with pytest.raises(ValueError):
         family_member(2, 2, 3)
+
+
+def test_member_dimension_is_the_certified_dimension():
+    # the arrow-target filter must agree with the dimension family_member
+    # certifies, for every member thm53 builds
+    n_max, a_max = cli.thm53_bounds()
+    for n in range(1, n_max + 1):
+        for member in family_members(n, a_max):
+            assert _member_dimension(n, member.a, member.m) == quotient_dimension(member.ideal)
 
 
 def test_member_label_subscripts():
@@ -119,9 +129,9 @@ def test_left_child_saturation_to_unit():
     I = Ideal.from_strings(R2, ["x1^2", "x2^2"])
     from citree.ideals import colon_by_variable_power
 
-    step = colon_by_variable_power(I, 1, 1)
+    step = colon_by_variable_power(I, 1)
     assert normal_form(Polynomial.variable(R2, 1), step).is_zero()
-    assert colon_by_variable_power(I, 1, 2).is_unit()
+    assert colon_by_variable_power(I, 2).is_unit()
 
 
 # --- exact sequence ---------------------------------------------------------------
@@ -165,7 +175,7 @@ def test_minimal_generators_of_colon():
     from citree.ideals import colon_by_variable_power
 
     gens = [symmetric_generator("p", 2, 2), symmetric_generator("p", 2, 3)]
-    I = colon_by_variable_power(Ideal(R2, gens), 1, 1)
+    I = colon_by_variable_power(Ideal(R2, gens), 1)
     assert certify_complete_intersection(I)
 
 
@@ -207,8 +217,8 @@ def test_left_child_of_colon_member_stays_in_family():
     from citree.ideals import colon_by_variable_power
 
     base = Ideal(R2, [symmetric_generator("p", 2, 2), symmetric_generator("p", 2, 3)])
-    first = colon_by_variable_power(base, 1, 1)
-    second = colon_by_variable_power(base, 1, 2)
+    first = colon_by_variable_power(base, 1)
+    second = colon_by_variable_power(base, 2)
     left, _ = children(first)
     assert ideal_equal(left, second)
     pool = colon_closure_family(2, 2)
