@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import __version__, csm, symfun, tree
 from .ideals import Ideal
-from .lefschetz import find_lefschetz_element, slp_check_algebra
+from .lefschetz import LefschetzReport, find_lefschetz_element, slp_check_algebra
 from .polyring import ParseError, RingSpec, parse_polynomial
 from .quotient import build_quotient
 
@@ -191,18 +191,15 @@ def _cmd_slp(cfg: RunConfig):
         y = parse_polynomial(cfg.params["y"], I.ring)
         rep = slp_check_algebra(A, y, cfg.check_top_degree)
         rep.seed = cfg.seed
-        out = rep.to_json()
     else:
-        found = find_lefschetz_element(A, max_tries=cfg.params.get("max_tries", 24),
-                                       seed=cfg.seed,
+        max_tries = cfg.params.get("max_tries", 24)
+        found = find_lefschetz_element(A, max_tries=max_tries, seed=cfg.seed,
                                        check_top_degree=cfg.check_top_degree)
-        if found is None:
-            out = {"subject": str(I), "holds": False,
-                   "witnesses": [], "hilbert": list(A.hilbert_function()),
-                   "seed": cfg.seed, "tries": cfg.params.get("max_tries", 24),
-                   "linear_form": None, "top_degree_checked": cfg.check_top_degree}
-        else:
-            out = found[1].to_json()
+        rep = found[1] if found else LefschetzReport(
+            subject=str(I), linear_form=None, holds=False, witnesses=[],
+            hilbert=A.hilbert_function(), seed=cfg.seed, tries=max_tries,
+            top_degree_checked=cfg.check_top_degree)
+    out = rep.to_json()
     out["verifier"] = "slp"
     out["passed"] = bool(out["holds"])
     return [out]
@@ -476,6 +473,8 @@ def run(cfg: RunConfig):
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "dot", False) and not (args.ideal if args.command == "tree" else args.diagram):
+        parser.error("--dot draws a graph, so it needs tree --ideal or thm53 --diagram")
     cfg = _config_from_args(args)
     try:
         code, _, text = run(cfg)

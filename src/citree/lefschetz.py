@@ -1,9 +1,12 @@
 """Strong Lefschetz checks for Artinian algebras and graded modules.
 
 The algebra check follows the classical range d = 1..c-1 (c the socle
-degree); the top pairing d = c is available behind a flag.  Power maps are
-built by repeated multiplication with the degree-1 matrices, so every rank
-is exact.
+degree); the top pairing d = c is available behind a flag.  A cyclic
+module g * (R/den) is, through r -> g*r, the algebra R/(den : g) moved up
+by deg g (Harima-Watanabe), so a module check is the algebra check of that
+quotient with the top pairing included, and both run one rank loop.  Power
+maps are built by repeated multiplication with the degree-1 matrices, so
+every rank is exact.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
+from .ideals import ideal_colon
 from .polyring import Polynomial
-from .quotient import QuotientAlgebra, mult_map_matrix
+from .quotient import QuotientAlgebra, build_quotient, mult_map_matrix
 
 
 @dataclass
@@ -63,13 +67,11 @@ def _power_matrix(mats, i, d):
     return out
 
 
-def slp_check_algebra(
-    A: QuotientAlgebra,
-    y: Polynomial,
-    check_top_degree: bool = False,
-) -> LefschetzReport:
-    """Exact full-rank check of every power map x y^d: A_i -> A_(i+d)
-    for 1 <= d <= c-1 (and d = c when asked), 0 <= i <= c-d."""
+# The public checks and searches call _check, _module_check and _search,
+# never one another, so the work of each public call is its own.
+def _check(A: QuotientAlgebra, y: Polynomial, check_top_degree: bool, shift: int = 0):
+    """The rank loop behind both public checks; each witness's i is moved
+    up by shift."""
     _require_linear(A, y)
     c = A.socle_degree
     hf = A.hilbert_function()
@@ -82,8 +84,7 @@ def slp_check_algebra(
                 expected = min(hf[i], hf[i + d])
                 r = linalg.rank(_power_matrix(mats, i, d).entries)
                 if r < expected:
-                    witnesses.append((d, i, r, expected))
-    witnesses.sort()
+                    witnesses.append((d, i + shift, r, expected))
     return LefschetzReport(
         subject=str(A.ideal),
         linear_form=str(y),
@@ -94,76 +95,59 @@ def slp_check_algebra(
     )
 
 
+def slp_check_algebra(
+    A: QuotientAlgebra,
+    y: Polynomial,
+    check_top_degree: bool = False,
+) -> LefschetzReport:
+    """Exact full-rank check of every power map x y^d: A_i -> A_(i+d)
+    for 1 <= d <= c-1 (and d = c when asked), 0 <= i <= c-d."""
+    return _check(A, y, check_top_degree)
+
+
 @dataclass
 class GradedModuleView:
-    """A cyclic graded submodule g * (R/den) viewed inside its ambient
-    quotient algebra, with a per-degree coordinate basis."""
+    """A cyclic graded submodule g * (R/den) of its ambient quotient R/den,
+    held as the algebra R/(den : g) moved up by deg g: r -> g*r maps one
+    onto the other degree by degree."""
 
     ambient: QuotientAlgebra
     generator: Polynomial
-    degree_range: tuple
-    bases: dict  # degree -> list of coordinate tuples in the ambient piece
+    algebra: QuotientAlgebra  # R/(den : g)
+    shift: int  # deg g
+
+    @property
+    def degree_range(self):
+        return self.shift, self.shift + self.algebra.socle_degree
 
     def dims(self):
-        a, b = self.degree_range
-        return tuple(len(self.bases.get(d, ())) for d in range(a, b + 1))
+        return self.algebra.hilbert_function()
 
 
 def module_view(ambient: QuotientAlgebra, generator: Polynomial) -> GradedModuleView:
-    """Build the graded pieces of the submodule generated by one element."""
+    """The submodule generated by one element, through its annihilator."""
     if generator.ring != ambient.ring:
         raise ValueError("generator must live in the ambient ring")
     if not generator.is_homogeneous() or generator.is_zero():
         raise ValueError("generator must be homogeneous and nonzero")
-    gdeg = generator.degree()
-    bases = {}
-    ring = ambient.ring
-    for d in range(gdeg, ambient.socle_degree + 1):
-        vectors = []
-        for m in ambient.graded_piece(d - gdeg):
-            vec = ambient.coordinates(generator * Polynomial.monomial(ring, m), d)
-            if any(vec):
-                vectors.append(vec)
-        if vectors:
-            reduced, _ = linalg.rref(vectors)
-            if reduced:
-                bases[d] = [tuple(r) for r in reduced]
-    if not bases:
+    annihilator = ideal_colon(ambient.ideal, generator)
+    if annihilator.is_unit():
         raise ValueError(f"module generated by {generator} is zero")
-    degrees = sorted(bases)
-    return GradedModuleView(ambient, generator, (degrees[0], degrees[-1]), bases)
+    return GradedModuleView(ambient, generator, build_quotient(annihilator),
+                            generator.degree())
+
+
+def _module_check(V: GradedModuleView, y: Polynomial) -> LefschetzReport:
+    report = _check(V.algebra, y, True, V.shift)
+    report.subject = f"{V.generator} * {V.ambient.ring}/{V.ambient.ideal}"
+    return report
 
 
 def slp_check_module(V: GradedModuleView, y: Polynomial) -> LefschetzReport:
     """Full-rank check of x y^d: V_i -> V_(i+d) for 1 <= d <= b-a,
-    a <= i <= b-d, ranks taken exactly."""
-    A = V.ambient
-    _require_linear(A, y)
-    a, b = V.degree_range
-    witnesses = []
-    if b > a:
-        mats = _degree_one_matrices(A, y)
-        for d in range(1, b - a + 1):
-            for i in range(a, b - d + 1):
-                vi = V.bases.get(i, [])
-                vt = V.bases.get(i + d, [])
-                expected = min(len(vi), len(vt))
-                if expected == 0:
-                    continue
-                power = _power_matrix(mats, i, d)
-                image = [power.apply(v) for v in vi]
-                r = linalg.rank(image)
-                if r < expected:
-                    witnesses.append((d, i, r, expected))
-    witnesses.sort()
-    hf = tuple(len(V.bases.get(d, ())) for d in range(a, b + 1))
-    return LefschetzReport(
-        subject=f"{V.generator} * {A.ring}/{A.ideal}",
-        linear_form=str(y),
-        holds=not witnesses,
-        witnesses=witnesses,
-        hilbert=hf,
-    )
+    a <= i <= b-d: the algebra check of R/(den : g) with the top pairing,
+    witnesses in the degrees of V."""
+    return _module_check(V, y)
 
 
 def lefschetz_candidates(ring, seed: int, max_tries: int):
@@ -196,6 +180,18 @@ def lefschetz_candidates(ring, seed: int, max_tries: int):
     return out[:max_tries]
 
 
+def _search(ring, check, max_tries: int, seed: int):
+    """First candidate y (lefschetz_candidates) whose report check(y)
+    holds, with its seed and tries recorded; None after max_tries."""
+    for tries, y in enumerate(lefschetz_candidates(ring, seed, max_tries), start=1):
+        report = check(y)
+        if report.holds:
+            report.seed = seed
+            report.tries = tries
+            return y, report
+    return None
+
+
 def find_lefschetz_element(
     A: QuotientAlgebra,
     max_tries: int = 24,
@@ -204,21 +200,9 @@ def find_lefschetz_element(
 ):
     """First linear form in the deterministic candidate list for which the
     algebra check holds; None after max_tries failures."""
-    for tries, y in enumerate(lefschetz_candidates(A.ring, seed, max_tries), start=1):
-        report = slp_check_algebra(A, y, check_top_degree)
-        if report.holds:
-            report.seed = seed
-            report.tries = tries
-            return y, report
-    return None
+    return _search(A.ring, lambda y: _check(A, y, check_top_degree), max_tries, seed)
 
 
 def module_slp_search(V: GradedModuleView, max_tries: int = 24, seed: int = 0):
     """find_lefschetz_element for a graded module view."""
-    for tries, y in enumerate(lefschetz_candidates(V.ambient.ring, seed, max_tries), start=1):
-        report = slp_check_module(V, y)
-        if report.holds:
-            report.seed = seed
-            report.tries = tries
-            return y, report
-    return None
+    return _search(V.ambient.ring, lambda y: _module_check(V, y), max_tries, seed)

@@ -43,19 +43,11 @@ class RationalMatrix:
             out.append(tuple(row))
         return RationalMatrix(self.rows, other.cols, tuple(out))
 
-    def apply(self, vector):
-        if len(vector) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(
-            sum((self.entries[r][k] * vector[k] for k in range(self.cols)), Fraction(0))
-            for r in range(self.rows)
-        )
-
 
 class QuotientAlgebra:
     """R/I with per-degree standard monomial bases, for Artinian I."""
 
-    __slots__ = ("ideal", "basis_by_degree", "socle_degree", "_index", "_mult_cache")
+    __slots__ = ("ideal", "basis_by_degree", "socle_degree", "_index")
 
     def __init__(self, ideal: Ideal, basis_by_degree):
         self.ideal = ideal
@@ -65,7 +57,6 @@ class QuotientAlgebra:
         for d, monos in enumerate(basis_by_degree):
             for pos, m in enumerate(monos):
                 self._index[m] = (d, pos)
-        self._mult_cache = {}
 
     @property
     def ring(self):
@@ -81,19 +72,6 @@ class QuotientAlgebra:
         if 0 <= d <= self.socle_degree:
             return self.basis_by_degree[d]
         return []
-
-    def coordinates(self, p: Polynomial, degree: int):
-        """Coordinate vector of the degree-d part of p mod the ideal."""
-        rem = normal_form(p, self.ideal)
-        vec = [Fraction(0)] * len(self.graded_piece(degree))
-        for m, c in rem.terms:
-            if sum(m) != degree:
-                continue
-            pos = self._index.get(m)
-            if pos is None or pos[0] != degree:
-                raise AssertionError("normal form left the standard basis")
-            vec[pos[1]] = c
-        return tuple(vec)
 
 
 def build_quotient(I: Ideal) -> QuotientAlgebra:
@@ -118,17 +96,19 @@ def mult_map_matrix(A: QuotientAlgebra, f: Polynomial, i: int) -> RationalMatrix
         raise ValueError(
             f"degree {i} out of range 0..{A.socle_degree - fd} for a degree-{fd} map"
         )
-    key = (f, i)
-    hit = A._mult_cache.get(key)
-    if hit is not None:
-        return hit
     source = A.graded_piece(i)
-    target_len = len(A.graded_piece(i + fd))
+    target = i + fd
+    rows = len(A.graded_piece(target))
     cols = []
-    ring = A.ring
     for m in source:
-        cols.append(A.coordinates(f * Polynomial.monomial(ring, m), i + fd))
-    entries = tuple(tuple(col[r] for col in cols) for r in range(target_len))
-    out = RationalMatrix(target_len, len(source), entries)
-    A._mult_cache[key] = out
-    return out
+        col = [Fraction(0)] * rows
+        for mono, c in normal_form(f * Polynomial.monomial(A.ring, m), A.ideal).terms:
+            if sum(mono) != target:
+                continue
+            pos = A._index.get(mono)
+            if pos is None or pos[0] != target:
+                raise AssertionError("normal form left the standard basis")
+            col[pos[1]] = c
+        cols.append(col)
+    entries = tuple(tuple(col[r] for col in cols) for r in range(rows))
+    return RationalMatrix(rows, len(source), entries)

@@ -124,6 +124,25 @@ def test_tree_export_dot(tmp_path, capsys):
     assert out.startswith("digraph")
 
 
+@pytest.mark.parametrize("argv", [
+    ["tree", "--n-max", "1", "--dot"],
+    ["tree", "--n-max", "1", "--dot", "--json"],
+    ["thm53", "--n-max", "1", "--a-max", "2", "--dot"],
+    ["thm53", "--n-max", "1", "--a-max", "2", "--dot", "--json"],
+])
+def test_dot_without_graph_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--dot" in captured.err
+
+
+def test_thm53_diagram_dot(capsys):
+    assert main(["thm53", "--n-max", "1", "--a-max", "2", "--diagram", "--dot"]) == 0
+    assert capsys.readouterr().out.startswith("digraph")
+
+
 def test_thm53_small(capsys):
     assert main(["thm53", "--n-max", "2", "--a-max", "2", "--skip-modules"]) == 0
     out = capsys.readouterr().out
@@ -135,6 +154,51 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(["slp", "--ideal", path, "--y", "x1"]) == 2
     err = capsys.readouterr().err
     assert "column 6" in err
+
+
+# `slp --max-tries 1 --json` on a search that fails: the report has the
+# LefschetzReport fields with no linear form and tries = --max-tries
+FAILED_SEARCH_JSON = """{
+  "config": {
+    "check_top_degree": false,
+    "command": "slp",
+    "fail_fast": false,
+    "output": "json",
+    "params": {
+      "ideal": %s,
+      "max_tries": 1
+    },
+    "seed": 0
+  },
+  "passed": false,
+  "reports": [
+    {
+      "hilbert": [
+        1,
+        2,
+        2,
+        1
+      ],
+      "holds": false,
+      "linear_form": null,
+      "passed": false,
+      "seed": 0,
+      "subject": "(x1^2 + 2*x1*x2 + x2^2, x2^3)",
+      "top_degree_checked": false,
+      "tries": 1,
+      "verifier": "slp",
+      "witnesses": []
+    }
+  ],
+  "version": "0.1.0"
+}
+"""
+
+
+def test_failed_search_json_bytes(tmp_path, capsys):
+    path = write_ideal(tmp_path, "fail.json", 2, False, ["(x1 + x2)^2", "x2^3"])
+    assert main(["slp", "--ideal", path, "--max-tries", "1", "--json"]) == 1
+    assert capsys.readouterr().out == FAILED_SEARCH_JSON % json.dumps(path)
 
 
 @pytest.mark.parametrize("flag", [["--max-tries", "3"], ["--check-top-degree"]])

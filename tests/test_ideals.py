@@ -23,6 +23,7 @@ from citree.ideals import (
     certify_colon,
     certify_regular_sequence,
     colon_by_variable_power,
+    colon_hilbert_function,
     ideal_colon,
     ideal_equal,
     ideal_sum,
@@ -456,14 +457,21 @@ def monic_basis(I):
                    for g in I.groebner_basis()))
 
 
+def sympy_expr(p):
+    """An R2Z polynomial as a sympy expression in x1, x2, z."""
+    sympy = pytest.importorskip("sympy")
+    x1, x2, z = sympy.symbols("x1 x2 z")
+    return sum((sympy.Rational(c.numerator, c.denominator) * x1**m[0] * x2**m[1] * z**m[2]
+                for m, c in p.terms), sympy.Integer(0))
+
+
 def sympy_basis(I):
     """The reduced grevlex basis of an R2Z ideal by sympy, an independent
     implementation, as Polys in x1, x2, z."""
     sympy = pytest.importorskip("sympy")
-    x1, x2, z = sympy.symbols("x1 x2 z")
-    exprs = [sum(sympy.Rational(c.numerator, c.denominator) * x1**m[0] * x2**m[1] * z**m[2]
-                 for m, c in g.terms) for g in I.generators]
-    return sympy.groebner(exprs, x1, x2, z, order="grevlex", domain="QQ").polys if exprs else []
+    exprs = [sympy_expr(g) for g in I.generators]
+    return (sympy.groebner(exprs, *sympy.symbols("x1 x2 z"), order="grevlex", domain="QQ").polys
+            if exprs else [])
 
 
 @settings(max_examples=30, deadline=None)
@@ -488,6 +496,26 @@ def test_hilbert_function_against_sympy(Ik):
     while counts and not counts[-1]:
         counts.pop()
     assert ideals.hf_of(I) == tuple(counts)
+
+
+@settings(max_examples=20, deadline=None)
+@given(artinian_ideals(), st.integers(min_value=1, max_value=2).flatmap(
+    lambda d: homogeneous_polys(R2Z, d)))
+@example((Ideal.from_strings(R2Z, ["x1^2", "x2^3", "z^2"]), 3), P("z", R2Z))
+def test_ideal_colon_against_sympy(Ik, f):
+    # f*(I : f) reduces to 0 modulo sympy's basis of I, and R/(I : f) has
+    # the Hilbert function of the exact sequence, so the colon is all of (I : f)
+    I, _ = Ik
+    if f.is_zero():
+        return
+    sympy = pytest.importorskip("sympy")
+    C = ideal_colon(I, f)
+    basis = sympy_basis(I)
+    for h in C.generators:
+        _, rem = sympy.reduced(sympy_expr(f * h), basis, *sympy.symbols("x1 x2 z"),
+                               order="grevlex")
+        assert rem == 0
+    assert ideals.hf_of(C) == colon_hilbert_function(I, f)
 
 
 def test_regular_sequence_permutation_invariant():

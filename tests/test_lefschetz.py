@@ -5,9 +5,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from citree import linalg
-from citree.ideals import Ideal
+from citree.ideals import Ideal, normal_form, standard_monomials_of_degree
 from citree.lefschetz import (
     find_lefschetz_element,
     lefschetz_candidates,
@@ -21,6 +22,7 @@ from citree.symfun import symmetric_generator
 
 R1 = RingSpec(1)
 R2 = RingSpec(2)
+R2Z = RingSpec(2, True)
 R3 = RingSpec(3)
 
 
@@ -181,6 +183,99 @@ def test_module_first_csm_of_linear_family():
     assert V.dims() == (1, 1)
     rep = slp_check_module(V, parse_polynomial("x1", ring))
     assert rep.holds
+
+
+# --- oracle: module pieces spanned inside the ambient algebra ------------------------
+
+
+def ambient_coordinates(A, p, degree):
+    """Coordinates of the degree-d part of p mod the ideal on A's basis."""
+    piece = list(A.graded_piece(degree))
+    vec = [Fraction(0)] * len(piece)
+    for m, c in normal_form(p, A.ideal).terms:
+        if sum(m) == degree:
+            vec[piece.index(m)] = c
+    return vec
+
+
+def module_rank_oracle(A, g, y):
+    """Degree range, dimensions and failing (d, i, rank, expected) of
+    g * A over d = 1..b-a, by row-reducing the coordinates of g*m in each
+    degree of A and multiplying the basis vectors by y^d one by one."""
+    ring, gdeg = A.ring, g.degree()
+    bases = {}
+    for d in range(gdeg, A.socle_degree + 1):
+        vectors = [ambient_coordinates(A, g * Polynomial.monomial(ring, m), d)
+                   for m in A.graded_piece(d - gdeg)]
+        reduced, _ = linalg.rref(vectors)
+        if reduced:
+            bases[d] = reduced
+    if not bases:
+        return None
+    a, b = min(bases), max(bases)
+    witnesses = []
+    for d in range(1, b - a + 1):
+        for i in range(a, b - d + 1):
+            source, target = bases.get(i, []), bases.get(i + d, [])
+            expected = min(len(source), len(target))
+            if expected == 0:
+                continue
+            image = []
+            for v in source:
+                p = Polynomial(ring, dict(zip(A.graded_piece(i), v)))
+                image.append(ambient_coordinates(A, p * y ** d, i + d))
+            r = linalg.rank(image)
+            if r < expected:
+                witnesses.append((d, i, r, expected))
+    return (a, b), tuple(len(bases.get(d, ())) for d in range(a, b + 1)), witnesses
+
+
+def forms_of_degree(ring, degree):
+    monos = standard_monomials_of_degree([], ring.total_vars, degree)
+    return st.lists(st.integers(min_value=-1, max_value=1), min_size=len(monos),
+                    max_size=len(monos)).map(lambda cs: Polynomial(ring, dict(zip(monos, cs))))
+
+
+@st.composite
+def artinian_r2z_ideals(draw):
+    """One or two forms of degree 1..3 in x1, x2, z, with x1^k, x2^k, z^k."""
+    gens = [draw(st.integers(min_value=1, max_value=3).flatmap(lambda d: forms_of_degree(R2Z, d)))
+            for _ in range(draw(st.integers(min_value=1, max_value=2)))]
+    k = draw(st.integers(min_value=2, max_value=3))
+    return Ideal(R2Z, gens + [Polynomial.variable(R2Z, v) ** k for v in range(3)])
+
+
+linear_forms = forms_of_degree(R2Z, 1).filter(lambda y: not y.is_zero())
+
+
+@settings(max_examples=40, deadline=None)
+@given(artinian_r2z_ideals(),
+       st.integers(min_value=0, max_value=2).flatmap(lambda d: forms_of_degree(R2Z, d)),
+       st.lists(linear_forms, min_size=3, max_size=3))
+@example(Ideal.from_strings(R2Z, ["x1^2", "x2^2", "z^2"]), Polynomial.one(R2Z),
+         [parse_polynomial(t, R2Z) for t in ("x1", "x1 + x2", "x1 + x2 + z")])
+@example(Ideal.from_strings(R2Z, ["x1^3", "x2^3", "z^2"]), parse_polynomial("x1 - x2", R2Z),
+         [parse_polynomial(t, R2Z) for t in ("x2", "x1 + x2", "x1 - x2 + z")])
+def test_module_check_matches_ambient_span_oracle(I, g, ys):
+    if g.is_zero():
+        return
+    A = build_quotient(I)
+    expected = module_rank_oracle(A, g, ys[0])
+    if expected is None:
+        with pytest.raises(ValueError):
+            module_view(A, g)
+        return
+    V = module_view(A, g)
+    degree_range, dims, _ = expected
+    assert V.degree_range == degree_range
+    assert V.dims() == dims
+    for y in ys:
+        _, _, witnesses = module_rank_oracle(A, g, y)
+        report = slp_check_module(V, y)
+        assert report.witnesses == witnesses
+        assert report.holds == (not witnesses)
+        assert report.hilbert == dims
+        assert report.top_degree_checked
 
 
 def test_module_empty_rejected():
