@@ -244,7 +244,7 @@ def _cmd_thm53(cfg: RunConfig):
     out = [report]
     if cfg.params.get("diagram"):
         roots = tree.family_members(n_max, a_max)
-        graph = tree.csm_diagram(roots, seed=cfg.seed)
+        graph = tree.csm_diagram(roots)
         out.append({"verifier": "csm-diagram", "graph": graph,
                     "passed": graph["passed"]})
     return out

@@ -7,8 +7,8 @@ against their predicted cyclic presentations: numerator = denominator +
 (e_{j-1}) and annihilator (denominator : e_{j-1}) with a shifted Hilbert
 function match.  Every predicted chain block, annihilator and side of a
 colon identity is a family member A_n(a, m) extended by v (member_block).
-Predicted annihilators and colon identities are certified
-(ideals.certify_colon); a colon is derived only when a prediction fails.
+Annihilators (certify_annihilator) and colon identities (certify_colon)
+are certified; a colon is derived only when a prediction fails.
 
 Every verifier returns a structured report; a failing sub-check is recorded
 rather than raised, so a whole grid can run to completion.
@@ -67,6 +67,17 @@ def shifted_hf_matches(dims, hf, shift: int) -> bool:
     shifted = (0,) * shift + tuple(hf)
     padded = max(len(dims), len(shifted))
     return tuple(dims) + (0,) * (padded - len(dims)) == shifted + (0,) * (padded - len(shifted))
+
+
+def certify_annihilator(den: Ideal, g: Polynomial, dims, hf, generators) -> bool:
+    """Whether (den : g) = J, given num = den + (g) with num/den of graded
+    dimensions dims, and J of Hilbert function hf generated by generators.
+
+    Multiplication by g maps R/(den : g)(-deg g) onto num/den; g*J inside
+    den gives J inside (den : g), and equal Hilbert functions force equality.
+    """
+    return (shifted_hf_matches(dims, hf, g.degree())
+            and all(den.contains(g * h) for h in generators))
 
 
 def power_family_ideal(n: int, a: int) -> Ideal:
@@ -258,17 +269,18 @@ def cyclic_presentation(num: Ideal, den: Ideal, g: Polynomial, annihilator: Idea
     graded dimensions with its shifted Hilbert function; returns (module,
     report).
 
-    A predicted annihilator is taken when certify_colon proves it equal to
-    (den : g); without one, or when the proof fails, the colon is derived
-    by kernel lifting, so the report always names the true annihilator.
+    A predicted annihilator is taken when the presentation holds and
+    certify_annihilator proves it; otherwise the colon is derived by kernel
+    lifting, so the report always names the true annihilator.
     """
     ring = num.ring
     presentation_ok = ideal_equal(num, ideal_sum(den, Ideal(ring, [g])))
-    if annihilator is not None and certify_colon(den, g, annihilator):
+    dims = hf_difference(hf_of(den), hf_of(num))
+    if presentation_ok and annihilator is not None and certify_annihilator(
+            den, g, dims, hf_of(annihilator), annihilator.generators):
         ann = annihilator
     else:
         ann = ideal_colon(den, g)
-    dims = hf_difference(hf_of(den), hf_of(num))
     dims_ok = shifted_hf_matches(dims, hf_of(ann), g.degree())
     nonzero = [d for d, v in enumerate(dims) if v]
     module = CentralSimpleModule(

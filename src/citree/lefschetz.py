@@ -3,10 +3,11 @@
 The algebra check follows the classical range d = 1..c-1 (c the socle
 degree); the top pairing d = c is available behind a flag.  A cyclic
 module g * (R/den) is, through r -> g*r, the algebra R/(den : g) moved up
-by deg g (Harima-Watanabe), so a module check is the algebra check of that
-quotient with the top pairing included, and both run one rank loop.  Power
-maps are built by repeated multiplication with the degree-1 matrices, so
-every rank is exact.
+by deg g (Harima-Watanabe).  The caller supplies the annihilator (den : g),
+certified, so this module computes no colon: a module check is the algebra
+check of that quotient with the top pairing included, and both run one rank
+loop.  Power maps are built by repeated multiplication with the degree-1
+matrices, so every rank is exact.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .ideals import ideal_colon
+from .ideals import Ideal
 from .polyring import Polynomial
 from .quotient import QuotientAlgebra, build_quotient, mult_map_matrix
 
@@ -124,13 +125,14 @@ class GradedModuleView:
         return self.algebra.hilbert_function()
 
 
-def module_view(ambient: QuotientAlgebra, generator: Polynomial) -> GradedModuleView:
-    """The submodule generated by one element, through its annihilator."""
-    if generator.ring != ambient.ring:
-        raise ValueError("generator must live in the ambient ring")
+def module_view(ambient: QuotientAlgebra, generator: Polynomial,
+                annihilator: Ideal) -> GradedModuleView:
+    """The submodule generated by one element, through its annihilator
+    (ambient.ideal : generator), which the caller has certified."""
+    if generator.ring != ambient.ring or annihilator.ring != ambient.ring:
+        raise ValueError("generator and annihilator must live in the ambient ring")
     if not generator.is_homogeneous() or generator.is_zero():
         raise ValueError("generator must be homogeneous and nonzero")
-    annihilator = ideal_colon(ambient.ideal, generator)
     if annihilator.is_unit():
         raise ValueError(f"module generated by {generator} is zero")
     return GradedModuleView(ambient, generator, build_quotient(annihilator),

@@ -4,8 +4,9 @@ Members of the power-sum family A_n(a, m) live in K[x1..xn]; the left child
 of an ideal is (I : xn) and the right child is the contraction of I + (xn)
 to one variable fewer.  This module enumerates the families, verifies the
 tree closure conditions on bounded enumerations, checks Hilbert-function
-additivity of the child split, certifies central-simple-module arrows
-against the family one level down, and exports diagrams as DOT or JSON.
+additivity of the child split, sends each central simple module to the
+member one level down that the paper predicts for its annihilator, with an
+exact certificate, and exports diagrams as DOT or JSON.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from math import prod
 from . import linalg
 from .csm import (
     central_simple_modules,
+    certify_annihilator,
     csm_chain,
-    shifted_hf_matches,
+    last_variable,
     sym_e,
 )
 from .ideals import (
@@ -206,12 +208,7 @@ def certify_complete_intersection(I: Ideal) -> bool:
     if dim is None:
         return False
     degs = minimal_generator_degrees(I)
-    if len(degs) != I.ring.total_vars:
-        return False
-    prod = 1
-    for d in degs:
-        prod *= d
-    return prod == dim
+    return len(degs) == I.ring.total_vars and prod(degs) == dim
 
 
 # --- bounded family enumerations -------------------------------------------------
@@ -318,70 +315,56 @@ def resolve_member_label(ideal: Ideal, n: int, a_bound: int):
     return None
 
 
-def _certified_arrow_target(mod, g: Polynomial, a_bound: int):
-    """The first member J' one level down whose extension J'R + (v), v the
-    cheapest variable, is certified to be (den : g); None when none is.
-
-    The caller has checked num = den + (g), so the module's graded
-    dimensions are HF(R/(den : g)) moved up by deg g (the exact sequence of
-    multiplication by g).  R/(J'R + (v)) is R'/J', whose Hilbert function
-    the certified member already has, and g*(J'R + (v)) inside den gives
-    J'R + (v) inside (den : g); equal Hilbert functions then force equality
-    without a Groebner basis of J'R + (v).  Every chain ideal contains v
-    (csm_chain adds it), so v lies in den and in (den : g); contracting
-    (den : g) therefore gives J' back, and no other route can find a
-    target this one misses: the candidates, their order and the test are
-    those of resolve_member_label on the contracted colon.
-    """
-    den = mod.denominator
-    ring = den.ring
-    e = g.degree()
-    for cand in _members_of_dimension(ring.total_vars - 1, a_bound, sum(mod.graded_dims)):
-        if not shifted_hf_matches(mod.graded_dims, hf_of(cand.ideal), e):
-            continue
-        lifted = [h.extend(ring) for h in cand.ideal.generators]
-        lifted.append(Polynomial.variable(ring, ring.total_vars - 1))
-        if all(den.contains(g * h) for h in lifted):
-            return cand
-    return None
+def _predicted_arrow_target(member: FamilyMember, j: int):
+    """A_(n-1)(a-1, j-1), the member one level down that the paper names as
+    the annihilator of module j of A_n(a, m), labelled as the coinvariant
+    member A_(n-1)(1, n-1) when a-1 <= 1 or j = 1 (the same ideal by
+    Newton's identities); None when j - 1 exceeds n - 1."""
+    n = member.n
+    if j > n:
+        return None
+    if member.a <= 2 or j == 1:
+        return family_member(n - 1, 1, n - 1)
+    return family_member(n - 1, member.a - 1, j - 1)
 
 
 def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: int = 0):
     """Certified arrows from one member to the members one level down.
 
-    Every central simple module of (A, xn) is presented cyclically by the
-    matching elementary symmetric polynomial; its annihilator, contracted
-    below xn, is the level-(n-1) member certified by
-    _certified_arrow_target, and the arrow has no target when none is."""
+    Module j of (A, xn) is presented cyclically by e_(j-1); its arrow goes
+    to the predicted member J' when certify_annihilator proves J'R + (xn)
+    the annihilator from J''s certified Hilbert function and its generators
+    lifted to R, and has no target otherwise.  check_modules searches each
+    certified module for a Lefschetz element through that annihilator."""
     n = member.n
     if n < 2:
         return [], {"passed": True, "modules": []}
     I = member.ideal
-    chain = csm_chain(I)
-    modules = central_simple_modules(I, chain)
-    a_bound = max(member.a, 2)
+    ring = I.ring
     arrows = []
     details = []
     passed = True
-    for mod in modules:
+    for mod in central_simple_modules(I, csm_chain(I)):
         j = mod.index
-        g = sym_e(I.ring, j - 1)
-        presented = ideal_equal(mod.numerator, ideal_sum(mod.denominator, Ideal(I.ring, [g])))
-        target = _certified_arrow_target(mod, g, a_bound) if presented else None
-        entry = {"j": j, "presentation": presented}
+        g = sym_e(ring, j - 1)
+        presented = ideal_equal(mod.numerator, ideal_sum(mod.denominator, Ideal(ring, [g])))
+        target = _predicted_arrow_target(member, j) if presented else None
+        if target is not None:
+            lifted = [h.extend(ring) for h in target.ideal.generators] + [last_variable(ring)]
+            if not certify_annihilator(mod.denominator, g, mod.graded_dims,
+                                       hf_of(target.ideal), lifted):
+                target = None
+        details.append({"j": j, "presentation": presented,
+                        "target": None if target is None else target.label})
         if target is None:
             passed = False
-            entry["target"] = None
-        else:
-            entry["target"] = target.label
-            arrows.append((j, target))
+            continue
+        arrows.append((j, target))
         if check_modules:
-            amb = build_quotient(mod.denominator)
-            view = module_view(amb, g)
+            view = module_view(build_quotient(mod.denominator), g, Ideal(ring, lifted))
             found = module_slp_search(view, seed=seed)
-            entry["module_slp"] = found is not None
+            details[-1]["module_slp"] = found is not None
             passed = passed and found is not None
-        details.append(entry)
     return arrows, {"passed": passed, "modules": details}
 
 
@@ -418,7 +401,7 @@ def verify_family_slp(n_max: int, a_max: int, check_modules: bool = True, seed: 
     return report
 
 
-def csm_diagram(roots, check_modules: bool = False, seed: int = 0) -> dict:
+def csm_diagram(roots) -> dict:
     """Arrow diagram spanned by iterating central-simple-module arrows from
     the given members down to one variable."""
     nodes = {}
@@ -438,7 +421,7 @@ def csm_diagram(roots, check_modules: bool = False, seed: int = 0) -> dict:
         }
         if member.n < 2:
             continue
-        arrows, rep = member_csm_arrows(member, check_modules=check_modules, seed=seed)
+        arrows, rep = member_csm_arrows(member)
         all_ok = all_ok and rep["passed"]
         for j, target in arrows:
             edges.append({"from": member.label, "to": target.label, "kind": "csm", "index": j})

@@ -42,6 +42,8 @@ REPORT_DIGESTS = {
     ("tree",): "ba851f7a854614ad021263cbb926831dba38d23092be7e98511a82a6ce33752e",
     ("tree", ("family", "colon-closure")):
         "93622f87a923d9e2c2cad9bf9d9ddec69cf873062a07d293314a48101960c7f4",
+    ("thm53", ("a_max", 3), ("diagram", True), ("n_max", 3)):
+        "7eee2918eb9098d38505f12a66a56554597989d6ec5d3eabe50e3237b3696778",
 }
 
 
@@ -186,6 +188,7 @@ def test_criterion_09_diagram_replication():
     ok = ok and derived[member_label(3, 6, 2)] == derived[member_label(3, 6, 3)]
     for m in (1, 2, 3):
         ok = ok and set(derived[member_label(4, 2, m)]) == {member_label(3, 1, 3)}
+    ok = _default_run("thm53", n_max=3, a_max=3, diagram=True) and ok
     _report(9, "diagram replication", ok, started)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from citree import linalg
-from citree.ideals import Ideal, normal_form, standard_monomials_of_degree
+from citree.ideals import Ideal, ideal_colon, normal_form, standard_monomials_of_degree
 from citree.lefschetz import (
     find_lefschetz_element,
     lefschetz_candidates,
@@ -156,7 +156,7 @@ def test_module_of_whole_algebra_range_difference():
     # as a module over itself the range reaches d = c, unlike the algebra
     I = Ideal.from_strings(R2, ["x1^2", "x2^2"])
     A = build_quotient(I)
-    V = module_view(A, Polynomial.one(R2))
+    V = module_view(A, Polynomial.one(R2), ideal_colon(I, Polynomial.one(R2)))
     assert V.degree_range == (0, 2)
     y = parse_polynomial("x1", R2)
     assert slp_check_algebra(A, y).holds
@@ -166,7 +166,8 @@ def test_module_of_whole_algebra_range_difference():
 
 def test_module_one_dimensional_vacuous():
     A = build_quotient(Ideal.from_strings(R2, ["x1", "x2^2"]))
-    V = module_view(A, parse_polynomial("x2", R2))
+    g = parse_polynomial("x2", R2)
+    V = module_view(A, g, ideal_colon(A.ideal, g))
     assert V.degree_range == (1, 1)
     assert slp_check_module(V, parse_polynomial("x2", R2)).holds
 
@@ -179,7 +180,7 @@ def test_module_first_csm_of_linear_family():
     e2 = symmetric_generator("e_signed", 2, 2).extend(ring)
     z = Polynomial.variable(ring, "z")
     A = build_quotient(Ideal(ring, [e1, e2, z]))
-    V = module_view(A, Polynomial.one(ring))
+    V = module_view(A, Polynomial.one(ring), ideal_colon(A.ideal, Polynomial.one(ring)))
     assert V.dims() == (1, 1)
     rep = slp_check_module(V, parse_polynomial("x1", ring))
     assert rep.holds
@@ -263,9 +264,9 @@ def test_module_check_matches_ambient_span_oracle(I, g, ys):
     expected = module_rank_oracle(A, g, ys[0])
     if expected is None:
         with pytest.raises(ValueError):
-            module_view(A, g)
+            module_view(A, g, ideal_colon(A.ideal, g))
         return
-    V = module_view(A, g)
+    V = module_view(A, g, ideal_colon(A.ideal, g))
     degree_range, dims, _ = expected
     assert V.degree_range == degree_range
     assert V.dims() == dims
@@ -280,8 +281,19 @@ def test_module_check_matches_ambient_span_oracle(I, g, ys):
 
 def test_module_empty_rejected():
     A = build_quotient(Ideal.from_strings(R2, ["x1", "x2"]))
+    g = parse_polynomial("x1", R2)
     with pytest.raises(ValueError):
-        module_view(A, parse_polynomial("x1", R2))
+        module_view(A, g, ideal_colon(A.ideal, g))
+
+
+def test_module_view_rejects_bad_input():
+    A = build_quotient(Ideal.from_strings(R2, ["x1^2", "x2^2"]))
+    with pytest.raises(ValueError):  # generator in another ring
+        module_view(A, parse_polynomial("x1", R3), A.ideal)
+    with pytest.raises(ValueError):  # annihilator in another ring
+        module_view(A, parse_polynomial("x1", R2), Ideal.from_strings(R3, ["x1", "x2", "x3"]))
+    with pytest.raises(ValueError):  # not homogeneous
+        module_view(A, parse_polynomial("x1 + x2^2", R2), A.ideal)
 
 
 # --- search -----------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Family constructors, children, tree conditions, arrows, export."""
 
-import dataclasses
 import json
 
 import pytest
 
-from citree import cli, ideals
-from citree.csm import central_simple_modules, sym_e
+from citree import cli, ideals, tree
+from citree.csm import central_simple_modules, certify_annihilator, last_variable, sym_e
 from citree.ideals import (
     Ideal,
+    hf_of,
     ideal_colon,
     ideal_equal,
     ideal_sum,
@@ -18,8 +18,8 @@ from citree.ideals import (
 from citree.polyring import Polynomial, RingSpec
 from citree.symfun import symmetric_generator
 from citree.tree import (
-    _certified_arrow_target,
     _member_dimension,
+    _predicted_arrow_target,
     binary_tree,
     certify_complete_intersection,
     children,
@@ -269,15 +269,55 @@ def test_certified_arrows_match_derived_colons():
         assert [(j, t.label) for j, t in arrows] == expected
 
 
+def _module_2_of_a3_4_3():
+    """Module j = 2 of A_3(4, 3), its generator e_1 and the generators of
+    J'R + (v) for a level-two member J'."""
+    member = family_member(3, 4, 3)
+    ring = member.ideal.ring
+    mod = central_simple_modules(member.ideal)[1]
+
+    def lifted(below):
+        return [h.extend(ring) for h in below.ideal.generators] + [last_variable(ring)]
+
+    return mod, sym_e(ring, mod.index - 1), lifted
+
+
+def test_annihilator_certificate_needs_containment():
+    # A_2(2, 2) has the Hilbert function of the true annihilator A_2(3, 1),
+    # so only g*J inside den rejects it
+    mod, g, lifted = _module_2_of_a3_4_3()
+    right, wrong = family_member(2, 3, 1), family_member(2, 2, 2)
+    assert hf_of(right.ideal) == hf_of(wrong.ideal) == (1, 2, 2, 1)
+    assert certify_annihilator(mod.denominator, g, mod.graded_dims,
+                               hf_of(right.ideal), lifted(right))
+    assert not certify_annihilator(mod.denominator, g, mod.graded_dims,
+                                   hf_of(wrong.ideal), lifted(wrong))
+
+
 def test_arrow_target_needs_the_module_hilbert_function():
     # moving the module's graded dimensions up one degree keeps its total
     # dimension, so only the Hilbert-function comparison rejects the target
-    member = family_member(3, 4, 3)
-    mod = central_simple_modules(member.ideal)[1]
-    g = sym_e(member.ideal.ring, mod.index - 1)
-    assert _certified_arrow_target(mod, g, 4).label == member_label(2, 3, 1)
-    moved = dataclasses.replace(mod, graded_dims=(0,) + mod.graded_dims)
-    assert _certified_arrow_target(moved, g, 4) is None
+    mod, g, lifted = _module_2_of_a3_4_3()
+    right = family_member(2, 3, 1)
+    moved = (0,) + mod.graded_dims
+    assert not certify_annihilator(mod.denominator, g, moved, hf_of(right.ideal), lifted(right))
+
+
+def test_no_predicted_target_beyond_the_level():
+    # A_2(5, 3) does not exist, so a fourth module of A_3(6, 3) has no target
+    assert _predicted_arrow_target(family_member(3, 6, 3), 4) is None
+
+
+def test_wrong_prediction_has_no_target(monkeypatch):
+    predicted = tree._predicted_arrow_target
+    monkeypatch.setattr(tree, "_predicted_arrow_target", lambda member, j:
+                        family_member(2, 2, 2) if j == 2 else predicted(member, j))
+    for check_modules in (False, True):
+        arrows, rep = member_csm_arrows(family_member(3, 4, 3), check_modules=check_modules)
+        assert not rep["passed"]
+        assert [m["target"] for m in rep["modules"]] == [
+            member_label(2, 1, 2), None, member_label(2, 3, 2)]
+        assert [j for j, _ in arrows] == [1, 3]
 
 
 def test_resolve_label():
