@@ -47,7 +47,7 @@ def main() -> int:
     else:
         sys.stdout.write(text)
     if not graph["passed"]:
-        print("warning: some arrows could not be resolved", file=sys.stderr)
+        print("warning: some arrows were not certified", file=sys.stderr)
         return 1
     return 0
 

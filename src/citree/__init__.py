@@ -10,7 +10,6 @@ from .ideals import (
     NotArtinian,
     certify_regular_sequence,
     colon_by_variable_power,
-    ideal_colon,
     ideal_equal,
     ideal_sum,
     initial_ideal,

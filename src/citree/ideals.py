@@ -12,17 +12,20 @@ elements whose leading monomial it divides, and I + (v) keeps v and drops
 the v-terms of the other elements, because in grevlex with v cheapest
 in(I + (v)) = in(I) + (v) (Bayer-Stillman).
 
-A colon ideal (I : f) that the caller can predict is certified rather
-than built: certify_colon proves (I : f) = J from f*J inside I and the
-Hilbert function of R/(I : f), which the exact sequence
-0 -> R/(I : f)(-deg f) -> R/I -> R/(I + (f)) -> 0 gives without the colon.
-Without a prediction, or when certification fails, the colon is derived:
-by the basis rewrite when f is v, which works for any I, and otherwise by
-lifting kernels of multiplication on standard monomials, which needs R/I
-to be Artinian (the only setting the paper uses).  The test suite checks
-both derivations against a brute-force linear-algebra oracle, the
-certifier against the kernel-lifting colon, and the reduced basis against
-sympy.
+Every colon a verifier needs is predicted, and one certificate settles
+each prediction J of (I : f).  The exact sequence
+0 -> R/(I : f)(-deg f) -> R/I -> R/(I + (f)) -> 0 gives the Hilbert
+function of R/(I : f) without the colon (hf_difference, read against a
+shift by shifted_hf_matches); certify_annihilator proves (I : f) = J from
+it and f*J inside I, or names the condition that fails, and certify_colon
+is the same certificate from I, f and J alone.  A colon is derived only on
+request: by the basis rewrite when f is v, which works for any I, and
+otherwise by ideal_colon lifting kernels of multiplication on standard
+monomials, which needs R/I to be Artinian (the only setting the paper
+uses).  No verifier calls ideal_colon; it is public API and the test
+suite's reference for the certificate.  The test suite checks both
+derivations against a brute-force linear-algebra oracle, the certificate
+against the kernel-lifting colon, and the reduced basis against sympy.
 """
 
 from __future__ import annotations
@@ -581,36 +584,52 @@ def hf_of(I: Ideal):
     return tuple(len(b) for b in basis)
 
 
-def colon_hilbert_function(I: Ideal, f: Polynomial):
-    """HF of R/(I : f) without computing the colon; R/I must be Artinian.
+def hf_difference(den_hf, num_hf):
+    """Graded dimensions of num/den from HF(R/den) and HF(R/num)."""
+    width = max(len(den_hf), len(num_hf))
+    return tuple(
+        (den_hf[d] if d < len(den_hf) else 0) - (num_hf[d] if d < len(num_hf) else 0)
+        for d in range(width)
+    )
 
-    Multiplication by f (degree e) gives the exact sequence
-    0 -> R/(I : f)(-e) -> R/I -> R/(I + (f)) -> 0, so
-    HF(R/(I : f))_d = HF(R/I)_(d+e) - HF(R/(I + (f)))_(d+e).
+
+def shifted_hf_matches(dims, hf, shift: int) -> bool:
+    """Whether dims equals hf moved up by shift degrees, zero-padded."""
+    shifted = (0,) * shift + tuple(hf)
+    padded = max(len(dims), len(shifted))
+    return tuple(dims) + (0,) * (padded - len(dims)) == shifted + (0,) * (padded - len(shifted))
+
+
+def certify_annihilator(den: Ideal, g: Polynomial, dims, hf, generators) -> str | None:
+    """Prove (den : g) = J, given that (den + (g))/den has graded dimensions
+    dims and that J, of Hilbert function hf, is generated by generators.
+
+    The exact sequence 0 -> R/(den : g)(-deg g) -> R/den -> R/(den + (g)) -> 0
+    gives the Hilbert function of R/(den : g) as dims moved down by deg g;
+    g*J inside den gives J inside (den : g), and equal Hilbert functions
+    then force equality.  Returns None when both conditions hold, otherwise
+    the first that fails: "hilbert_function" or "containment".
     """
-    hf = hf_of(I)
-    hf_sum = hf_of(ideal_sum(I, Ideal(I.ring, [f])))
-    e = f.degree()
-    out = [hf[d] - (hf_sum[d] if d < len(hf_sum) else 0) for d in range(e, len(hf))]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    if not shifted_hf_matches(dims, hf, g.degree()):
+        return "hilbert_function"
+    if not all(den.contains(g * h) for h in generators):
+        return "containment"
+    return None
 
 
-def certify_colon(I: Ideal, f: Polynomial, J: Ideal) -> bool:
-    """Whether (I : f) = J, proved without computing the colon.
+def certify_colon(I: Ideal, f: Polynomial, J: Ideal) -> str | None:
+    """Prove (I : f) = J without computing the colon (certify_annihilator).
 
-    f*J inside I gives J inside (I : f); equal Hilbert functions of R/J and
-    R/(I : f) (colon_hilbert_function) then force equality.  For Artinian
-    R/I a False proves J != (I : f); for any other I it proves nothing.
+    Returns None when proved, otherwise the condition that fails: "artinian"
+    when R/I or R/J is not Artinian, which proves nothing, else
+    "hilbert_function" or "containment", each of which proves J != (I : f).
     """
     if f.ring != I.ring or J.ring != I.ring:
         raise RingMismatch(f"{f.ring}, {J.ring} vs {I.ring}")
     if artinian_monomial_basis(I) is None or artinian_monomial_basis(J) is None:
-        return False
-    if hf_of(J) != colon_hilbert_function(I, f):
-        return False
-    return all(I.contains(f * h) for h in J.generators)
+        return "artinian"
+    dims = hf_difference(hf_of(I), hf_of(ideal_sum(I, Ideal(I.ring, [f]))))
+    return certify_annihilator(I, f, dims, hf_of(J), J.generators)
 
 
 def colon_by_variable_power(I: Ideal, i: int) -> Ideal:

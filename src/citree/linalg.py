@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals: rank, kernel, row reduction.
 
 Both paths work on integer rows; rational input is cleared row by row
-first.  The rank is fraction-free (Bareiss).  Row reduction (rref, and
-kernel_basis on top of it) is integer Gauss-Jordan that divides out each
-row's content and forms Fractions only when the pivot rows are divided by
-their pivots at the end.
+first.  The rank is fraction-free (Bareiss), and it is the only
+elimination a verifier runs.  Row reduction (rref, and kernel_basis on top
+of it) is integer Gauss-Jordan that divides out each row's content and
+forms Fractions only when the pivot rows are divided by their pivots at
+the end; it serves ideals.ideal_colon, which no verifier calls.
 """
 
 from __future__ import annotations

@@ -246,28 +246,6 @@ class Polynomial:
                 acc[m[:i] + (e - 1,) + m[i + 1:]] = c * e
         return Polynomial(self.ring, acc)
 
-    def substitute(self, var: int | str, value: "Polynomial") -> "Polynomial":
-        """Replace one variable by a polynomial, expanding to canonical form."""
-        if self.ring.embeds_in(value.ring):
-            ring = value.ring
-        elif value.ring.embeds_in(self.ring):
-            ring = self.ring
-        else:
-            raise RingMismatch(f"{value.ring} does not embed in {self.ring}")
-        i = self.ring.var_index(var) if isinstance(var, str) else var
-        p = self.extend(ring)
-        v = value.extend(ring)
-        i = ring.var_index(self.ring.var_names[i])
-        powers = {0: Polynomial.one(ring)}
-        out = Polynomial.zero(ring)
-        for m, c in p.terms:
-            e = m[i]
-            if e not in powers:
-                powers[e] = v ** e
-            rest = Polynomial.monomial(ring, m[:i] + (0,) + m[i + 1:], c)
-            out = out + rest * powers[e]
-        return out
-
     def extend(self, ring: RingSpec) -> "Polynomial":
         """Reinterpret in a larger ring via x_i -> x_i, z -> z."""
         if ring == self.ring:

@@ -16,23 +16,20 @@ from fractions import Fraction
 from math import prod
 
 from . import linalg
-from .csm import (
-    central_simple_modules,
-    certify_annihilator,
-    csm_chain,
-    last_variable,
-    sym_e,
-)
+from .csm import central_simple_modules, csm_chain, last_variable, sym_e
 from .ideals import (
     Ideal,
     add_last_variable,
+    certify_annihilator,
     certify_regular_sequence,
     colon_by_variable_power,
+    hf_difference,
     hf_of,
     ideal_equal,
     ideal_sum,
     normal_form,
     quotient_dimension,
+    shifted_hf_matches,
     standard_monomials_of_degree,
 )
 from .lefschetz import find_lefschetz_element, module_slp_search, module_view
@@ -137,19 +134,10 @@ def children(I: Ideal):
 def exact_sequence_check(I: Ideal) -> dict:
     """Hilbert additivity of the child split: the v-multiplication embeds
     R/(I : v) shifted by one, with quotient R/(I + (v))."""
-    left = colon_by_variable_power(I, 1)
-    right = add_last_variable(I)
     hf = hf_of(I)
-    hf_left = hf_of(left)
-    hf_right = hf_of(right)
-    width = max(len(hf), len(hf_left) + 1, len(hf_right))
-
-    def at(v, d):
-        return v[d] if 0 <= d < len(v) else 0
-
-    ok = all(
-        at(hf, d) == at(hf_left, d - 1) + at(hf_right, d) for d in range(width)
-    )
+    hf_left = hf_of(colon_by_variable_power(I, 1))
+    hf_right = hf_of(add_last_variable(I))
+    ok = shifted_hf_matches(hf_difference(hf, hf_right), hf_left, 1)
     return {
         "verifier": "exact-sequence",
         "ideal": str(I),
@@ -334,8 +322,9 @@ def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: i
     Module j of (A, xn) is presented cyclically by e_(j-1); its arrow goes
     to the predicted member J' when certify_annihilator proves J'R + (xn)
     the annihilator from J''s certified Hilbert function and its generators
-    lifted to R, and has no target otherwise.  check_modules searches each
-    certified module for a Lefschetz element through that annihilator."""
+    lifted to R; otherwise it has no target, and the module's entry names
+    the predicted member and the failed condition.  check_modules searches
+    each certified module for a Lefschetz element through that annihilator."""
     n = member.n
     if n < 2:
         return [], {"passed": True, "modules": []}
@@ -349,13 +338,17 @@ def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: i
         g = sym_e(ring, j - 1)
         presented = ideal_equal(mod.numerator, ideal_sum(mod.denominator, Ideal(ring, [g])))
         target = _predicted_arrow_target(member, j) if presented else None
+        entry = {"j": j, "presentation": presented, "target": None}
+        details.append(entry)
         if target is not None:
             lifted = [h.extend(ring) for h in target.ideal.generators] + [last_variable(ring)]
-            if not certify_annihilator(mod.denominator, g, mod.graded_dims,
-                                       hf_of(target.ideal), lifted):
+            failed = certify_annihilator(mod.denominator, g, mod.graded_dims,
+                                         hf_of(target.ideal), lifted)
+            if failed is None:
+                entry["target"] = target.label
+            else:
+                entry.update(predicted=target.label, failed_condition=failed)
                 target = None
-        details.append({"j": j, "presentation": presented,
-                        "target": None if target is None else target.label})
         if target is None:
             passed = False
             continue
@@ -363,7 +356,7 @@ def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: i
         if check_modules:
             view = module_view(build_quotient(mod.denominator), g, Ideal(ring, lifted))
             found = module_slp_search(view, seed=seed)
-            details[-1]["module_slp"] = found is not None
+            entry["module_slp"] = found is not None
             passed = passed and found is not None
     return arrows, {"passed": passed, "modules": details}
 

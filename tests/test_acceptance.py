@@ -12,9 +12,9 @@ import time
 
 from citree import cli
 from citree.csm import (
+    chain_blocks,
     filtration_check,
     member_block,
-    mixed_chain_blocks,
     mixed_family_ideal,
     power_family_ideal,
 )
@@ -38,6 +38,7 @@ REPORT_DIGESTS = {
     ("thm31",): "c26b075aebd806c2cf238df850650ca07c16ae7d0eaffee4d431f1362139c0d1",
     ("thm41",): "2036b70b792e7dd5f648e4dc71af421698f4bb53c974b015ca4fad2de56b4d9e",
     ("swap",): "f0249b7259cd77b1541d974dd7de489034d827082214b25fa2cf35577a63e324",
+    ("chain",): "13c05f805b458878d9f629332cc63c214f6498f4d3fb85a27b515cd28f835388",
     ("colon-lemma",): "538f79a7c457dc290a66ffcb7b4fba6dae45789491443b9620fa5d1c7c3b8c8c",
     ("tree",): "ba851f7a854614ad021263cbb926831dba38d23092be7e98511a82a6ce33752e",
     ("tree", ("family", "colon-closure")):
@@ -81,7 +82,7 @@ def _suite_ideals():
     for n, a, b in cli.mixed_grid():
         I = mixed_family_ideal(n, a, b)
         out.append(I)
-        out += [E for E, _, _ in mixed_chain_blocks(I.ring, a, b)[:-1]]
+        out += [E for E, _, _ in chain_blocks(I.ring, a, b)[:-1]]
     n_max, a_max = cli.thm53_bounds()
     for n in range(1, n_max + 1):
         for member in family_members(n, a_max):
@@ -113,6 +114,7 @@ def test_criterion_04_power_family_grid():
 def test_criterion_05_mixed_family_grid():
     started = time.time()
     ok = _default_run("thm41")
+    ok = _default_run("chain") and ok
     _report(5, "mixed family grid", ok, started)
 
 

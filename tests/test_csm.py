@@ -2,17 +2,16 @@
 
 import pytest
 
-from citree import cli, csm
+from citree import cli, csm, ideals
 from citree.csm import (
     central_simple_modules,
+    chain_blocks,
     csm_chain,
     cyclic_presentation,
     filtration_check,
     member_block,
-    mixed_chain_blocks,
     mixed_family_ideal,
     nilpotency_index,
-    power_chain_blocks,
     power_family_ideal,
     sym_e,
     verify_chain_blocks,
@@ -22,10 +21,11 @@ from citree.csm import (
     verify_power_family,
     verify_terminal_csm,
 )
-from citree.ideals import Ideal, ideal_colon, ideal_equal, quotient_dimension
+from citree.ideals import Ideal, ideal_equal, initial_ideal, quotient_dimension
 from citree.polyring import Polynomial, RingSpec
 from citree.quotient import build_quotient
 from citree.symfun import symmetric_generator
+from citree.tree import family_member, member_csm_arrows
 
 R2Z = RingSpec(2, True)
 
@@ -75,7 +75,7 @@ def test_chain_power_family_2_2():
         assert (lo, hi) == (elo, ehi)
         assert ideal_equal(J, E)
     # the predicted blocks are these ideals, generators in the same order
-    predicted = power_chain_blocks(ring, 2)
+    predicted = chain_blocks(ring, 2, 2)
     assert [(E.generators, lo, hi) for E, lo, hi in predicted] == [
         (E.generators, lo, hi) for E, lo, hi in expected]
 
@@ -85,9 +85,9 @@ def test_predicted_blocks_drop_strictly(family):
     # no predicted block is empty and adjacent blocks differ, so the
     # computed chain needs no merging of predicted blocks to match
     if family == "power":
-        cases = [power_chain_blocks(RingSpec(n, True), a) for n, a in cli.power_grid()]
+        cases = [chain_blocks(RingSpec(n, True), a, n) for n, a in cli.power_grid()]
     else:
-        cases = [mixed_chain_blocks(RingSpec(n, True), a, b) for n, a, b in cli.mixed_grid()]
+        cases = [chain_blocks(RingSpec(n, True), a, b) for n, a, b in cli.mixed_grid()]
     for blocks in cases:
         assert blocks[0][1] == 0 and all(lo <= hi for _, lo, hi in blocks)
         assert all(hi + 1 == lo for (_, _, hi), (_, lo, _) in zip(blocks, blocks[1:]))
@@ -140,9 +140,9 @@ def test_cyclic_presentation_power_block():
     z = Polynomial.variable(ring, "z")
     den = Ideal(ring, [_power_p(ring, 2), sym_e(ring, 2), z])        # middle block
     num = Ideal(ring, [sym_e(ring, 1), sym_e(ring, 2), z])           # next block
-    module, report = cyclic_presentation(num, den, sym_e(ring, 1))
-    assert report["presentation_ok"] and report["dims_ok"]
     expected_ann = Ideal(ring, [_power_p(ring, 1), sym_e(ring, 2), z])
+    module, report = cyclic_presentation(num, den, sym_e(ring, 1), expected_ann)
+    assert report["presentation_ok"] and report["dims_ok"]
     assert ideal_equal(module.annihilator, expected_ann)
 
 
@@ -151,7 +151,7 @@ def test_cyclic_presentation_trivial_generator():
     z = Polynomial.variable(ring, "z")
     den = Ideal(ring, [sym_e(ring, 1), sym_e(ring, 2), z])
     num = Ideal(ring, [Polynomial.one(ring)])
-    module, report = cyclic_presentation(num, den, Polynomial.one(ring))
+    module, report = cyclic_presentation(num, den, Polynomial.one(ring), den)
     assert report["passed"]
     assert ideal_equal(module.annihilator, den)
 
@@ -161,9 +161,9 @@ def test_cyclic_presentation_bottom_block():
     z = Polynomial.variable(ring, "z")
     den = Ideal(ring, [_power_p(ring, 2), _power_p(ring, 3), z])
     num = Ideal(ring, [_power_p(ring, 2), sym_e(ring, 2), z])
-    module, report = cyclic_presentation(num, den, sym_e(ring, 2))
-    assert report["passed"]
     expected_ann = Ideal(ring, [_power_p(ring, 1), _power_p(ring, 2), z])
+    module, report = cyclic_presentation(num, den, sym_e(ring, 2), expected_ann)
+    assert report["passed"]
     assert ideal_equal(module.annihilator, expected_ann)
 
 
@@ -172,9 +172,12 @@ def test_cyclic_presentation_failure_reported():
     z = Polynomial.variable(ring, "z")
     den = Ideal(ring, [_power_p(ring, 2), _power_p(ring, 3), z])
     num = Ideal(ring, [sym_e(ring, 1), sym_e(ring, 2), z])
-    _, report = cyclic_presentation(num, den, sym_e(ring, 2))
+    # (den : e_2) is (p_1, p_2, z), but num is not den + (e_2)
+    colon = Ideal(ring, [_power_p(ring, 1), _power_p(ring, 2), z])
+    _, report = cyclic_presentation(num, den, sym_e(ring, 2), colon)
     assert not report["presentation_ok"]
     assert not report["passed"]
+    assert report["failed_condition"] == "presentation"
 
 
 # --- family verifiers ----------------------------------------------------------------
@@ -257,45 +260,76 @@ def test_annihilator_contains_denominator():
     chain = csm_chain(I)
     for mod in central_simple_modules(I, chain):
         g = sym_e(I.ring, mod.index - 1)
-        checked, report = cyclic_presentation(mod.numerator, mod.denominator, g)
+        predicted = member_block(I.ring, 2, mod.index - 1)
+        checked, report = cyclic_presentation(mod.numerator, mod.denominator, g, predicted)
         assert report["passed"]
         assert checked.annihilator.contains_ideal(mod.denominator)
 
 
 def _counting_colon(monkeypatch):
-    """Record every kernel-lifting colon the csm module derives."""
+    """Record every colon derived by kernel lifting."""
     calls = []
+    lift = ideals._colon_artinian
 
     def counting(I, f):
         calls.append(f)
-        return ideal_colon(I, f)
+        return lift(I, f)
 
-    monkeypatch.setattr(csm, "ideal_colon", counting)
+    monkeypatch.setattr(ideals, "_colon_artinian", counting)
     return calls
 
 
-def test_cyclic_presentation_falls_back_on_wrong_prediction(monkeypatch):
+def _wrong_predictions(ring, a, m):
+    """Two wrong predictions of A_n(a-1, m)R + (v), each with the condition
+    that rejects it: A_n(a, m)R + (v) has the wrong Hilbert function, and
+    the initial ideal of the true one is not inside the colon."""
+    true = member_block(ring, a - 1, m)
+    return [(member_block(ring, a, m), "hilbert_function"),
+            (initial_ideal(true).ideal, "containment")]
+
+
+def test_cyclic_presentation_names_failed_condition(monkeypatch):
     calls = _counting_colon(monkeypatch)
     I = power_family_ideal(2, 3)
     mod = central_simple_modules(I)[1]
-    j = mod.index
-    g = sym_e(I.ring, j - 1)
-    wrong = member_block(I.ring, 3, j - 1)  # A_n(a, j-1) in place of A_n(a-1, j-1), a = 3
-    checked, report = cyclic_presentation(mod.numerator, mod.denominator, g, wrong)
-    assert calls == [g]
-    derived = ideal_colon(mod.denominator, g)
-    assert report["annihilator"] == derived.canonical_str()
-    assert ideal_equal(checked.annihilator, derived)
-    assert not ideal_equal(checked.annihilator, wrong)
-    assert report["passed"]  # the presentation itself is still right
+    g = sym_e(I.ring, mod.index - 1)
+    for wrong, condition in _wrong_predictions(I.ring, 3, mod.index - 1):
+        checked, report = cyclic_presentation(mod.numerator, mod.denominator, g, wrong)
+        assert report == {
+            "presentation_ok": True,
+            "dims_ok": condition == "containment",
+            "annihilator_matches": False,
+            "passed": False,
+            "predicted_annihilator": wrong.canonical_str(),
+            "failed_condition": condition,
+        }
+        assert checked.annihilator is None
+    assert calls == []
+
+
+def test_colon_identity_names_failed_condition(monkeypatch):
+    # (A_3(3, 1)R + (v)) : e_1 = A_3(2, 1)R + (v), predicted wrongly
+    ring = RingSpec(3, True)
+    build = csm.member_block
+    for wrong, condition in _wrong_predictions(ring, 3, 1):
+        monkeypatch.setattr(csm, "member_block",
+                            lambda r, a, m, wrong=wrong: wrong if a == 2 else build(r, a, m))
+        report = verify_colon_identity(3, 3, 0)
+        assert not report["passed"]
+        assert report["checks"][0] == {"name": "colon_equality", "passed": False,
+                                       "failed_condition": condition,
+                                       "expected": wrong.canonical_str()}
 
 
 def test_family_and_identity_verifiers_derive_no_colon(monkeypatch):
     calls = _counting_colon(monkeypatch)
     assert verify_power_family(2, 3)["passed"]
     assert verify_mixed_family(3, 2, 1)["passed"]
+    assert verify_chain_blocks("f", 2, 3)["passed"]
+    assert verify_chain_blocks("g", 3, 2, 1)["passed"]
     assert verify_colon_identity(3, 2, 0)["passed"]
     assert verify_colon_identity(3, 3, None)["passed"]
+    assert member_csm_arrows(family_member(3, 4, 3))[1]["passed"]
     assert calls == []
 
 

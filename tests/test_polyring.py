@@ -67,27 +67,6 @@ def test_partial_derivative_power():
     assert P("z^3").partial_derivative("z") == P("3*z^2")
 
 
-def test_substitute_identity_rename():
-    p = P("z^2 - x1*z - x2*z + x1*x2")
-    assert p.substitute("z", Polynomial.variable(R2Z, "z")) == p
-
-
-def test_substitute_z_zero():
-    ptilde2 = P("x1^2 + x2^2 + z^2")
-    assert ptilde2.substitute("z", Polynomial.zero(R2Z)) == P("x1^2 + x2^2")
-
-
-def test_substitute_cancels():
-    assert P("x1 + z").substitute("z", P("-x1")).is_zero()
-
-
-def test_substitute_cross_ring():
-    small = RingSpec(2)
-    p = parse_polynomial("x1 + x2", small)
-    rep = p.substitute("x2", P("z^2"))
-    assert rep == P("x1 + z^2")
-
-
 # --- canonical form, formatting, parsing -----------------------------------------
 
 

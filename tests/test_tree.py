@@ -289,9 +289,9 @@ def test_annihilator_certificate_needs_containment():
     right, wrong = family_member(2, 3, 1), family_member(2, 2, 2)
     assert hf_of(right.ideal) == hf_of(wrong.ideal) == (1, 2, 2, 1)
     assert certify_annihilator(mod.denominator, g, mod.graded_dims,
-                               hf_of(right.ideal), lifted(right))
-    assert not certify_annihilator(mod.denominator, g, mod.graded_dims,
-                                   hf_of(wrong.ideal), lifted(wrong))
+                               hf_of(right.ideal), lifted(right)) is None
+    assert certify_annihilator(mod.denominator, g, mod.graded_dims,
+                               hf_of(wrong.ideal), lifted(wrong)) == "containment"
 
 
 def test_arrow_target_needs_the_module_hilbert_function():
@@ -300,7 +300,8 @@ def test_arrow_target_needs_the_module_hilbert_function():
     mod, g, lifted = _module_2_of_a3_4_3()
     right = family_member(2, 3, 1)
     moved = (0,) + mod.graded_dims
-    assert not certify_annihilator(mod.denominator, g, moved, hf_of(right.ideal), lifted(right))
+    assert certify_annihilator(mod.denominator, g, moved, hf_of(right.ideal),
+                               lifted(right)) == "hilbert_function"
 
 
 def test_no_predicted_target_beyond_the_level():
