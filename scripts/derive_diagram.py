@@ -7,10 +7,11 @@ Example: start from the two depth-five members with three power sums,
     python3 scripts/derive_diagram.py --member 5,3,3 --member 5,8,3 \
         --format dot -o diagram.dot
 
-Every arrow is recomputed from scratch: the colon chain and the cyclic
-presentation of each module are computed, and the arrow's target is the
-member the paper's formula names, A_(n-1)(a-1, j-1), certified exactly as
-the module's annihilator.
+Every arrow is recomputed from scratch: the colon chain of each member is
+computed, and the arrow of module j goes to the member the paper's formula
+names, A_(n-1)(a-1, j-1), when the one module certificate
+(csm.cyclic_presentation) holds: module j is presented cyclically by
+e_(j-1), and its annihilator is that member, lifted by xn.
 """
 
 import argparse

@@ -43,7 +43,6 @@ from .csm import (
     central_simple_modules,
     csm_chain,
     cyclic_presentation,
-    nilpotency_index,
     verify_chain_blocks,
     verify_colon_identity,
     verify_generator_swap,

@@ -2,17 +2,17 @@
 
 For an Artinian quotient of K[x1..xm, v] (v the cheapest variable, playing
 the distinguished linear form), the chain (I : v^i) + (v) is computed
-exactly, deduplicated into blocks, and the successive quotients are checked
-against their predicted cyclic presentations: numerator = denominator +
-(e_{j-1}) and annihilator (denominator : e_{j-1}) with a shifted Hilbert
-function match.  Every predicted chain block, annihilator and side of a
-colon identity is a family member A_n(a, m) extended by v (member_block),
-and the power family is the mixed family at b = n, so one chain_blocks
-predicts both chains.  Each predicted colon, a module's annihilator or the
-right side of a colon identity, is settled by the exact-sequence
-certificate in ideals (certify_annihilator, certify_colon): no verifier
-derives a colon, and a failed certificate is reported with the prediction
-and the condition that failed.
+exactly, deduplicated into blocks, and each successive quotient gets the
+one module certificate, cyclic_presentation, which the tree's arrows use
+too: numerator = denominator + (e_{j-1}), and the predicted annihilator
+(denominator : e_{j-1}) settled by the exact-sequence certificate in ideals
+(certify_annihilator).  The power and mixed families are members
+A_(m+1)(a, b+1) with x_(m+1) read as v; every predicted chain block,
+annihilator and side of a colon identity is a member one level down lifted
+by v (member_block, a basis rewrite), and one chain_blocks predicts both
+chains.  No verifier derives a colon: a failed certificate (or
+certify_colon, for a colon identity) is reported with the prediction and
+the condition that failed.
 
 Every verifier returns a structured report; a failing sub-check is recorded
 rather than raised, so a whole grid can run to completion.
@@ -29,6 +29,7 @@ from .ideals import (
     certify_colon,
     certify_regular_sequence,
     colon_by_variable_power,
+    extend_with_last_variable,
     hf_difference,
     hf_of,
     ideal_equal,
@@ -55,16 +56,12 @@ def sym_e(ring: RingSpec, i: int) -> Polynomial:
     return symmetric_generator("e_signed", m, i).extend(ring)
 
 
-def last_variable(ring: RingSpec) -> Polynomial:
-    return Polynomial.variable(ring, ring.total_vars - 1)
-
-
 def mixed_family_ideal(n: int, a: int, b: int) -> Ideal:
-    """(p~_a..p~_(a+b), e~_(b+2)..e~_(n+1)) in K[x1..xn, z]."""
+    """(p~_a..p~_(a+b), e~_(b+2)..e~_(n+1)) in K[x1..xn, z], with e~_i the
+    signed e_i of x1..xn, z: the member A_(n+1)(a, b+1) with x_(n+1) read
+    as z."""
     ring = RingSpec(n, has_z=True)
-    gens = [symmetric_generator("p_tilde", n, a + t) for t in range(b + 1)]
-    gens += [symmetric_generator("e_tilde", n, j) for j in range(b + 2, n + 2)]
-    return Ideal(ring, gens)
+    return Ideal(ring, [Polynomial(ring, g.terms) for g in member_generators(n + 1, a, b + 1)])
 
 
 def power_family_ideal(n: int, a: int) -> Ideal:
@@ -74,9 +71,10 @@ def power_family_ideal(n: int, a: int) -> Ideal:
 
 def member_block(ring: RingSpec, a: int, m: int) -> Ideal:
     """A_n(a, m)R + (v): the family member in the leading variables of
-    ring, extended to ring, plus the cheapest variable v."""
-    gens = [g.extend(ring) for g in member_generators(xpart(ring), a, m)]
-    return Ideal(ring, gens + [last_variable(ring)])
+    ring, extended to ring, plus the cheapest variable v; its reduced basis
+    is the member's, rewritten (extend_with_last_variable)."""
+    n = xpart(ring)
+    return extend_with_last_variable(Ideal(RingSpec(n), member_generators(n, a, m)), ring)
 
 
 def chain_blocks(ring: RingSpec, a: int, b: int):
@@ -158,28 +156,13 @@ class CsmChain:
 @dataclass
 class CentralSimpleModule:
     """The j-th nonzero successive quotient numerator/denominator of the
-    chain, with graded dimensions and an optional cyclic presentation."""
+    chain, with its graded dimensions and the least degree they occupy."""
 
     index: int
     numerator: Ideal
     denominator: Ideal
     graded_dims: tuple
     shift: int
-    cyclic_generator: Polynomial | None = None
-    annihilator: Ideal | None = None
-
-
-def nilpotency_index(A, y: Polynomial) -> int:
-    """Least p with y^p = 0 in the quotient algebra."""
-    power = Polynomial.one(A.ring)
-    p = 0
-    while True:
-        if normal_form(power, A.ideal).is_zero():
-            return p
-        power = power * y
-        p += 1
-        if p > A.dimension() + 1:
-            raise AssertionError("nilpotency index exceeded the dimension bound")
 
 
 def csm_chain(I: Ideal) -> CsmChain:
@@ -235,29 +218,18 @@ def central_simple_modules(I: Ideal, chain: CsmChain | None = None):
     return out
 
 
-def cyclic_presentation(num: Ideal, den: Ideal, g: Polynomial, annihilator: Ideal):
-    """Check num = den + (g) and certify the predicted annihilator
-    (den : g) by certify_annihilator; returns (module, report).
+def cyclic_presentation(num: Ideal, den: Ideal, g: Polynomial, annihilator: Ideal) -> dict:
+    """The one module certificate: check num = den + (g) and certify the
+    predicted annihilator (den : g) by certify_annihilator.
 
     annihilator_matches is the certificate's verdict; no colon is derived.
     A failing report names the prediction and the first condition that
     fails: "presentation", "hilbert_function" or "containment".
     """
-    ring = num.ring
-    presentation_ok = ideal_equal(num, ideal_sum(den, Ideal(ring, [g])))
+    presentation_ok = ideal_equal(num, ideal_sum(den, Ideal(num.ring, [g])))
     dims = hf_difference(hf_of(den), hf_of(num))
     failed = certify_annihilator(den, g, dims, hf_of(annihilator), annihilator.generators)
     matches = presentation_ok and failed is None
-    nonzero = [d for d, v in enumerate(dims) if v]
-    module = CentralSimpleModule(
-        index=0,
-        numerator=num,
-        denominator=den,
-        graded_dims=dims,
-        shift=nonzero[0] if nonzero else 0,
-        cyclic_generator=g,
-        annihilator=annihilator if matches else None,
-    )
     report = {
         "presentation_ok": presentation_ok,
         "dims_ok": failed != "hilbert_function",
@@ -269,7 +241,7 @@ def cyclic_presentation(num: Ideal, den: Ideal, g: Polynomial, annihilator: Idea
     else:
         report["predicted_annihilator"] = annihilator.canonical_str()
         report["failed_condition"] = "presentation" if not presentation_ok else failed
-    return module, report
+    return report
 
 
 # --- report plumbing -----------------------------------------------------------
@@ -325,8 +297,8 @@ def _verify_family_common(report, checks, I, expected_blocks, a):
         j = mod.index
         g = sym_e(ring, j - 1)
         expected_ann = member_block(ring, a - 1, j - 1)
-        checked, sub = cyclic_presentation(mod.numerator, mod.denominator, g, expected_ann)
-        sub["shift_ok"] = checked.shift == j - 1
+        sub = cyclic_presentation(mod.numerator, mod.denominator, g, expected_ann)
+        sub["shift_ok"] = mod.shift == j - 1
         sub["index"] = j
         sub["passed"] = sub["passed"] and sub["shift_ok"]
         module_reports.append(sub)

@@ -10,7 +10,8 @@ Both children of the ring's cheapest variable v are rewrites of the
 reduced basis, with no Buchberger run: (I : v) divides v out of the
 elements whose leading monomial it divides, and I + (v) keeps v and drops
 the v-terms of the other elements, because in grevlex with v cheapest
-in(I + (v)) = in(I) + (v) (Bayer-Stillman).
+in(I + (v)) = in(I) + (v) (Bayer-Stillman).  The way back up,
+extend_with_last_variable, is a rewrite too: JR + (v) from J's basis.
 
 Every colon a verifier needs is predicted, and one certificate settles
 each prediction J of (I : f).  The exact sequence
@@ -519,6 +520,32 @@ def add_last_variable(I: Ideal, smaller: RingSpec | None = None) -> Ideal:
         return I
     v = tuple(1 if i == slot else 0 for i in range(I.ring.total_vars))
     return _from_basis(I.ring, [_BasisElem([(grevlex_key(v), 1)])] + rest)
+
+
+def extend_with_last_variable(J: Ideal, ring: RingSpec) -> Ideal:
+    """JR + (v) for J in the ring without v, the cheapest variable of ring,
+    by rewriting J's reduced basis (the inverse of add_last_variable).
+
+    A zero v-exponent inserted at component 1 of a grevlex key gives the
+    key in ring, and every S-pair with v has coprime leading monomials, so
+    J's reduced basis plus v is the reduced basis of JR + (v).  The
+    generators are J's, extended, then v; J's standard monomials carry
+    over with v-exponent 0 when J has computed them.
+    """
+    if ring.total_vars != J.ring.total_vars + 1 or not J.ring.embeds_in(ring):
+        raise RingMismatch(f"{J.ring} is not {ring} without its cheapest variable")
+    v = Polynomial.variable(ring, _last_variable(ring))
+    out = Ideal(ring, [g.extend(ring) for g in J.generators] + [v])
+    elems = [_BasisElem([(k[:1] + (0,) + k[1:], c) for k, c in g.terms])
+             for g in J._gb_elems()]
+    if not J.is_unit():
+        elems = sorted(elems + [_BasisElem(_poly_to_core(v))], key=lambda g: g.lm_key)
+    object.__setattr__(out, "_elems", elems)
+    basis = J._basis
+    if isinstance(basis, list):
+        basis = [[m + (0,) for m in monos] for monos in basis]
+    object.__setattr__(out, "_basis", basis)
+    return out
 
 
 def _colon_artinian(I: Ideal, f: Polynomial) -> Ideal:

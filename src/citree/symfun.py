@@ -30,10 +30,10 @@ def falling_factorial(m: int, k: int) -> int:
 
 
 def symmetric_generator(kind: str, n: int, i: int) -> Polynomial:
-    """The generator family members e_i, p_i, p~_i, e~_i.
+    """The generators e_i, p_i and p~_i = p_i + z^i.
 
-    e_signed and p live in K[x1..xn]; p_tilde and e_tilde in K[x1..xn, z],
-    treating z as an extra (n+1)-st variable on equal footing.
+    e_signed and p live in K[x1..xn]; p_tilde in K[x1..xn, z].  The e~_i
+    of the mixed families are e_signed of n+1 variables, x_(n+1) read as z.
     """
     key = (kind, n, i)
     if key in _memo:
@@ -68,17 +68,6 @@ def symmetric_generator(kind: str, n: int, i: int) -> Polynomial:
         p = symmetric_generator("p", n, i).extend(ring)
         zpow = Polynomial.variable(ring, "z") ** i
         poly = p + zpow
-    elif kind == "e_tilde":
-        ring = RingSpec(n, has_z=True)
-        if i > n + 1:
-            raise ValueError(f"e_tilde index {i} out of range for n={n}")
-        # signed elementary symmetric in the n+1 variables x1..xn, z
-        sign = (-1) ** i
-        acc = {}
-        for combo in combinations(range(n + 1), i):
-            exps = tuple(1 if j in combo else 0 for j in range(n + 1))
-            acc[exps] = sign
-        poly = Polynomial(ring, acc)
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
     _memo[key] = poly

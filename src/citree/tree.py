@@ -5,8 +5,9 @@ of an ideal is (I : xn) and the right child is the contraction of I + (xn)
 to one variable fewer.  This module enumerates the families, verifies the
 tree closure conditions on bounded enumerations, checks Hilbert-function
 additivity of the child split, sends each central simple module to the
-member one level down that the paper predicts for its annihilator, with an
-exact certificate, and exports diagrams as DOT or JSON.
+member J' one level down that the paper predicts for its annihilator,
+certified by csm.cyclic_presentation against J'R + (xn), and exports
+diagrams as DOT or JSON.
 """
 
 from __future__ import annotations
@@ -16,17 +17,16 @@ from fractions import Fraction
 from math import prod
 
 from . import linalg
-from .csm import central_simple_modules, csm_chain, last_variable, sym_e
+from .csm import central_simple_modules, csm_chain, cyclic_presentation, sym_e
 from .ideals import (
     Ideal,
     add_last_variable,
-    certify_annihilator,
     certify_regular_sequence,
     colon_by_variable_power,
+    extend_with_last_variable,
     hf_difference,
     hf_of,
     ideal_equal,
-    ideal_sum,
     normal_form,
     quotient_dimension,
     shifted_hf_matches,
@@ -319,12 +319,12 @@ def _predicted_arrow_target(member: FamilyMember, j: int):
 def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: int = 0):
     """Certified arrows from one member to the members one level down.
 
-    Module j of (A, xn) is presented cyclically by e_(j-1); its arrow goes
-    to the predicted member J' when certify_annihilator proves J'R + (xn)
-    the annihilator from J''s certified Hilbert function and its generators
-    lifted to R; otherwise it has no target, and the module's entry names
-    the predicted member and the failed condition.  check_modules searches
-    each certified module for a Lefschetz element through that annihilator."""
+    Module j of (A, xn) gets the one module certificate, cyclic_presentation
+    by e_(j-1) against J'R + (xn) for the predicted member J' (a rewrite of
+    J''s reduced basis); its arrow goes to J' when the certificate holds.
+    Otherwise it has no target, and its entry names the predicted member
+    and the failed condition.  check_modules searches each certified module
+    for a Lefschetz element through that annihilator."""
     n = member.n
     if n < 2:
         return [], {"passed": True, "modules": []}
@@ -335,26 +335,25 @@ def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: i
     passed = True
     for mod in central_simple_modules(I, csm_chain(I)):
         j = mod.index
-        g = sym_e(ring, j - 1)
-        presented = ideal_equal(mod.numerator, ideal_sum(mod.denominator, Ideal(ring, [g])))
-        target = _predicted_arrow_target(member, j) if presented else None
-        entry = {"j": j, "presentation": presented, "target": None}
-        details.append(entry)
-        if target is not None:
-            lifted = [h.extend(ring) for h in target.ideal.generators] + [last_variable(ring)]
-            failed = certify_annihilator(mod.denominator, g, mod.graded_dims,
-                                         hf_of(target.ideal), lifted)
-            if failed is None:
-                entry["target"] = target.label
-            else:
-                entry.update(predicted=target.label, failed_condition=failed)
-                target = None
+        target = _predicted_arrow_target(member, j)
         if target is None:
+            details.append({"j": j, "target": None, "predicted": None,
+                            "failed_condition": "no_member"})
             passed = False
             continue
+        g = sym_e(ring, j - 1)
+        lifted = extend_with_last_variable(target.ideal, ring)
+        sub = cyclic_presentation(mod.numerator, mod.denominator, g, lifted)
+        entry = {"j": j, "presentation": sub["presentation_ok"], "target": None}
+        details.append(entry)
+        if not sub["passed"]:
+            entry.update(predicted=target.label, failed_condition=sub["failed_condition"])
+            passed = False
+            continue
+        entry["target"] = target.label
         arrows.append((j, target))
         if check_modules:
-            view = module_view(build_quotient(mod.denominator), g, Ideal(ring, lifted))
+            view = module_view(build_quotient(mod.denominator), g, lifted)
             found = module_slp_search(view, seed=seed)
             entry["module_slp"] = found is not None
             passed = passed and found is not None

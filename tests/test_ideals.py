@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from citree import ideals, linalg, quotient
+from citree import cli, ideals, linalg, quotient
 from citree.ideals import (
     Ideal,
     NotArtinian,
@@ -23,6 +23,7 @@ from citree.ideals import (
     certify_colon,
     certify_regular_sequence,
     colon_by_variable_power,
+    extend_with_last_variable,
     hf_difference,
     hf_of,
     ideal_colon,
@@ -450,6 +451,33 @@ def test_rewrites_run_no_buchberger(monkeypatch):
     children(I)[1].groebner_basis()
     exact_sequence_check(I)
     assert calls == []
+
+
+def test_extend_with_last_variable_matches_buchberger(monkeypatch):
+    # JR + (v) by the basis rewrite, for every thm53 member J read in both
+    # rings one variable up, against Buchberger on the same generators
+    from citree.tree import family_members
+
+    monkeypatch.setattr(ideals, "_GB_CACHE", {})
+    n_max, a_max = cli.thm53_bounds()
+    cases = [(member.ideal, ring) for n in range(1, n_max + 1)
+             for member in family_members(n, a_max)
+             for ring in (RingSpec(n + 1), RingSpec(n, True))]
+    cases.append((Ideal(RingSpec(1), [Polynomial.one(RingSpec(1))]), R1Z))  # the unit ideal
+    for J, ring in cases:
+        J.groebner_basis()
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(ideals, "_buchberger", lambda *a, **k: calls.append(a))
+            lifted = extend_with_last_variable(J, ring)
+            basis = lifted.groebner_basis()
+            monos = artinian_monomial_basis(lifted)
+        assert calls == []
+        v = Polynomial.variable(ring, ring.total_vars - 1)
+        reference = Ideal(ring, [g.extend(ring) for g in J.generators] + [v])
+        assert lifted.generators == reference.generators
+        assert basis == reference.groebner_basis()
+        assert monos == artinian_monomial_basis(reference)
 
 
 def monic_basis(I):

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from citree import cli, ideals, tree
-from citree.csm import central_simple_modules, certify_annihilator, last_variable, sym_e
+from citree.csm import central_simple_modules, certify_annihilator, sym_e
 from citree.ideals import (
     Ideal,
+    extend_with_last_variable,
     hf_of,
     ideal_colon,
     ideal_equal,
@@ -277,7 +278,7 @@ def _module_2_of_a3_4_3():
     mod = central_simple_modules(member.ideal)[1]
 
     def lifted(below):
-        return [h.extend(ring) for h in below.ideal.generators] + [last_variable(ring)]
+        return extend_with_last_variable(below.ideal, ring).generators
 
     return mod, sym_e(ring, mod.index - 1), lifted
 
@@ -319,6 +320,19 @@ def test_wrong_prediction_has_no_target(monkeypatch):
         assert [m["target"] for m in rep["modules"]] == [
             member_label(2, 1, 2), None, member_label(2, 3, 2)]
         assert [j for j, _ in arrows] == [1, 3]
+
+
+def test_failed_presentation_names_the_prediction(monkeypatch):
+    # with e_j in place of e_(j-1) no module is presented cyclically, and
+    # each entry names the member it was predicted to land on
+    monkeypatch.setattr(tree, "sym_e", lambda ring, i: sym_e(ring, i + 1))
+    member = family_member(3, 4, 3)
+    arrows, rep = member_csm_arrows(member)
+    assert not rep["passed"] and arrows == []
+    for entry in rep["modules"]:
+        assert entry["target"] is None and not entry["presentation"]
+        assert entry["predicted"] == _predicted_arrow_target(member, entry["j"]).label
+        assert entry["failed_condition"] == "presentation"
 
 
 def test_resolve_label():
