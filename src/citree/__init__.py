@@ -4,7 +4,7 @@ elementary symmetric polynomials."""
 
 __version__ = "0.1.0"
 
-from .polyring import ParseError, Polynomial, RingMismatch, RingSpec, parse_polynomial
+from .polyring import InvalidInput, ParseError, Polynomial, RingMismatch, RingSpec, parse_polynomial
 from .ideals import (
     Ideal,
     NotArtinian,

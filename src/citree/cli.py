@@ -5,9 +5,10 @@ report (sorted keys, seed recorded).  Exit status:
 
     0  every requested check passed
     1  a verification failed
-    2  invalid input (bad flags, unreadable or malformed ideal file)
-    3  internal error: the verifier itself raised (an assertion or a
-       budget exceeded); one "internal error: ..." line goes to stderr
+    2  invalid input: bad flags, an unreadable ideal file, or InvalidInput
+       (a malformed file, a parameter out of range, an unusable ideal)
+    3  internal error: the verifier raised anything else (an assertion, a
+       bare ValueError); one "internal error: ..." line goes to stderr
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from . import __version__, csm, symfun, tree
 from .ideals import Ideal
 from .lefschetz import LefschetzReport, find_lefschetz_element, slp_check_algebra
-from .polyring import ParseError, RingSpec, parse_polynomial
+from .polyring import InvalidInput, RingSpec, parse_polynomial
 from .quotient import build_quotient
 
 
@@ -46,28 +47,31 @@ class RunConfig:
 
 def parse_ideal_file(path: str) -> Ideal:
     """JSON schema: {"nvars": int >= 1, "has_z": bool (optional, default
-    false), "generators": [str, ...]}; a ValueError names the bad field,
-    or says R/I is zero when the generators give the unit ideal."""
+    false), "generators": [str, ...]}; an InvalidInput names the bad
+    field, or says R/I is zero when the generators give the unit ideal."""
     with open(path) as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"ideal file {path} is not UTF-8 text: {exc}") from None
     if not isinstance(data, dict):
-        raise ValueError(f"ideal file {path} must hold a JSON object")
+        raise InvalidInput(f"ideal file {path} must hold a JSON object")
     for key in ("nvars", "generators"):
         if key not in data:
-            raise ValueError(f"ideal file {path} is missing the '{key}' field")
+            raise InvalidInput(f"ideal file {path} is missing the '{key}' field")
     nvars, has_z, gens = data["nvars"], data.get("has_z", False), data["generators"]
     if type(nvars) is not int or nvars < 1:
-        raise ValueError(f"ideal file {path}: 'nvars' must be an integer >= 1, "
+        raise InvalidInput(f"ideal file {path}: 'nvars' must be an integer >= 1, "
                          f"not {json.dumps(nvars)}")
     if type(has_z) is not bool:
-        raise ValueError(f"ideal file {path}: 'has_z' must be true or false, "
+        raise InvalidInput(f"ideal file {path}: 'has_z' must be true or false, "
                          f"not {json.dumps(has_z)}")
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
-        raise ValueError(f"ideal file {path}: 'generators' must be a list of strings")
+        raise InvalidInput(f"ideal file {path}: 'generators' must be a list of strings")
     ring = RingSpec(nvars, has_z)
     ideal = Ideal(ring, [parse_polynomial(text, ring) for text in gens])
     if ideal.is_unit():
-        raise ValueError(f"ideal file {path}: the generators give the unit ideal, "
+        raise InvalidInput(f"ideal file {path}: the generators give the unit ideal, "
                          "so R/I is zero")
     return ideal
 
@@ -478,7 +482,7 @@ def main(argv=None) -> int:
     cfg = _config_from_args(args)
     try:
         code, _, text = run(cfg)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (InvalidInput, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

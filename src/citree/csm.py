@@ -6,11 +6,13 @@ exactly, deduplicated into blocks, and each successive quotient gets the
 one module certificate, cyclic_presentation, which the tree's arrows use
 too: numerator = denominator + (e_{j-1}), and the predicted annihilator
 (denominator : e_{j-1}) settled by the exact-sequence certificate in ideals
-(certify_annihilator).  The power and mixed families are members
-A_(m+1)(a, b+1) with x_(m+1) read as v; every predicted chain block,
-annihilator and side of a colon identity is a member one level down lifted
-by v (member_block, a basis rewrite), and one chain_blocks predicts both
-chains.  No verifier derives a colon: a failed certificate (or
+(certify_annihilator).  One bounded table, member_ideal, builds and
+certifies each member A_n(a, m) once, for the tree's members and arrow
+targets and for every predicted chain block, annihilator and side of a
+colon identity, which are members one level down lifted by v
+(member_block, a basis rewrite).  The power and mixed families are
+A_(m+1)(a, b+1) with x_(m+1) read as v, and one chain_blocks predicts
+both chains.  No verifier derives a colon: a failed certificate (or
 certify_colon, for a colon identity) is reported with the prediction and
 the condition that failed.
 
@@ -21,6 +23,8 @@ rather than raised, so a whole grid can run to completion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 
 from .ideals import (
     Ideal,
@@ -38,7 +42,7 @@ from .ideals import (
     quotient_dimension,
     shifted_hf_matches,  # re-exported: the certificate's helpers stay importable here
 )
-from .polyring import Polynomial, RingSpec
+from .polyring import InvalidInput, Polynomial, RingSpec
 from .symfun import boundary_polynomial, member_generators, symmetric_generator
 
 
@@ -69,12 +73,29 @@ def power_family_ideal(n: int, a: int) -> Ideal:
     return mixed_family_ideal(n, a, n)
 
 
+# Members kept by member_ideal; the full verification builds 56.
+MEMBER_TABLE_SIZE = 256
+
+
+@lru_cache(maxsize=MEMBER_TABLE_SIZE)
+def member_ideal(n: int, a: int, m: int) -> Ideal:
+    """A_n(a, m) in K[x1..xn], built once and certified in place by
+    certify_regular_sequence, so its standard monomials stay on it and a
+    caller re-reads the verdict for free.  A_n(1, m) and A_n(a, 0) are the
+    coinvariant ideal (e_1..e_n): they return the A_n(1, 0) entry itself."""
+    gens = member_generators(n, a, m)
+    if (a == 1 or m == 0) and (a, m) != (1, 0):
+        return member_ideal(n, 1, 0)
+    ideal = Ideal(RingSpec(n), gens)
+    certify_regular_sequence(ideal)
+    return ideal
+
+
 def member_block(ring: RingSpec, a: int, m: int) -> Ideal:
     """A_n(a, m)R + (v): the family member in the leading variables of
-    ring, extended to ring, plus the cheapest variable v; its reduced basis
-    is the member's, rewritten (extend_with_last_variable)."""
-    n = xpart(ring)
-    return extend_with_last_variable(Ideal(RingSpec(n), member_generators(n, a, m)), ring)
+    ring, extended to ring, plus the cheapest variable v: the member's
+    reduced basis and standard monomials, rewritten."""
+    return extend_with_last_variable(member_ideal(xpart(ring), a, m), ring)
 
 
 def chain_blocks(ring: RingSpec, a: int, b: int):
@@ -169,7 +190,7 @@ def csm_chain(I: Ideal) -> CsmChain:
     """Compute and deduplicate (I : v^i) + (v) until the unit ideal."""
     dim = quotient_dimension(I)
     if dim is None:
-        raise ValueError(f"{I} is not Artinian")
+        raise InvalidInput(f"{I} is not Artinian")
     entries = []
     cur = I
     i = 0
@@ -271,11 +292,8 @@ def _verify_family_common(report, checks, I, expected_blocks, a):
     ring = I.ring
     n = xpart(ring)
     dim = quotient_dimension(I)
-    degs = [g.degree() for g in I.generators]
-    prod = 1
-    for d in degs:
-        prod *= d
-    _check(checks, "dimension_product", dim == prod, dim=dim, expected=prod)
+    expected = prod(g.degree() for g in I.generators)
+    _check(checks, "dimension_product", dim == expected, dim=dim, expected=expected)
     hf = hf_of(I)
     _check(checks, "hilbert_symmetric", hf == tuple(reversed(hf)))
 
@@ -310,14 +328,9 @@ def _verify_family_common(report, checks, I, expected_blocks, a):
     report["modules"] = module_reports
 
     # predicted annihilators form a decreasing chain of complete intersections
-    chain_ok = True
-    for t in range(len(annihilators) - 1):
-        bigger = annihilators[t]       # J_j has smaller index -> larger ideal
-        smaller = annihilators[t + 1]
-        if not bigger.contains_ideal(smaller):
-            chain_ok = False
-    _check(checks, "annihilator_chain", chain_ok)
-    ci_ok = all(certify_regular_sequence(member_generators(n, a - 1, j))
+    _check(checks, "annihilator_chain", all(
+        big.contains_ideal(small) for big, small in zip(annihilators, annihilators[1:])))
+    ci_ok = all(certify_regular_sequence(member_ideal(n, a - 1, j))
                 for j in range(len(annihilators)))
     _check(checks, "annihilators_regular", ci_ok)
     return chain, modules
@@ -328,7 +341,7 @@ def verify_power_family(n: int, a: int) -> dict:
     of length a, module count 1 (a = 1) or n+1, cyclic presentations,
     annihilator and shifted-Hilbert matches."""
     if n < 1 or a < 1:
-        raise ValueError("need n >= 1 and a >= 1")
+        raise InvalidInput("need n >= 1 and a >= 1")
     I = power_family_ideal(n, a)
     report = {"verifier": "power-family", "params": {"n": n, "a": a},
               "ideal": str(I)}
@@ -342,7 +355,7 @@ def verify_mixed_family(n: int, a: int, b: int) -> dict:
     b+2 modules, block boundaries c_k = n - b + (k-1)a, and the single
     colon equality I : v^(n-b) = (p~_a..p~_(a+b), e_(b+1)..e_n)."""
     if n < 1 or a < 2 or not 0 <= b <= n - 1:
-        raise ValueError("need n >= 1, a >= 2 and 0 <= b <= n-1")
+        raise InvalidInput("need n >= 1, a >= 2 and 0 <= b <= n-1")
     I = mixed_family_ideal(n, a, b)
     report = {"verifier": "mixed-family", "params": {"n": n, "a": a, "b": b},
               "ideal": str(I)}
@@ -386,7 +399,7 @@ def verify_generator_swap(kind: str, n: int, a: int, b: int | None = None) -> di
     """Equality of the two presentations of every I_k: replacing the last
     power sum by z^a f^(k) (kind f) or z^a g^(k-1) (kind g)."""
     if a < 2:
-        raise ValueError("need a >= 2")
+        raise InvalidInput("need a >= 2")
     report = {"verifier": "generator-swap", "params": {"kind": kind, "n": n, "a": a, "b": b}}
     checks = []
     if kind == "f":
@@ -396,12 +409,12 @@ def verify_generator_swap(kind: str, n: int, a: int, b: int | None = None) -> di
             _check(checks, f"k_{k}", ideal_equal(I1, I2))
     elif kind == "g":
         if b is None or not 0 <= b < n:
-            raise ValueError("kind g needs 0 <= b < n")
+            raise InvalidInput("kind g needs 0 <= b < n")
         for k in range(1, b + 2):
             I1, I2 = _g_presentations(n, a, b, k)
             _check(checks, f"k_{k}", ideal_equal(I1, I2))
     else:
-        raise ValueError(f"unknown swap kind {kind!r}")
+        raise InvalidInput(f"unknown swap kind {kind!r}")
     return _finish(report, checks)
 
 
@@ -417,9 +430,9 @@ def verify_colon_identity(n: int, a: int, s: int | None = None) -> dict:
     divisor is e_n and neither side has an elementary symmetric generator.
     """
     if a < 2:
-        raise ValueError("need a >= 2, the identities shift indices down by one")
+        raise InvalidInput("need a >= 2, the identities shift indices down by one")
     if s is not None and not 0 <= s <= n - 2:
-        raise ValueError(f"s={s} out of range 0..{n - 2}")
+        raise InvalidInput(f"s={s} out of range 0..{n - 2}")
     top = n - 1 if s is None else s
     ring = RingSpec(n, has_z=True)
     report = {"verifier": "colon-identity", "params": {"n": n, "a": a, "s": s}}
@@ -449,13 +462,13 @@ def verify_chain_blocks(kind: str, n: int, a: int, b: int | None = None) -> dict
     blocks of length a starting at ka (kind f), or the c_k = n-b+(k-1)a
     boundaries with a leading block of length n-b (kind g)."""
     if a < 2:
-        raise ValueError("need a >= 2 for the block structure")
+        raise InvalidInput("need a >= 2 for the block structure")
     report = {"verifier": "chain-blocks", "params": {"kind": kind, "n": n, "a": a, "b": b}}
     checks = []
     if kind not in ("f", "g"):
-        raise ValueError(f"unknown chain kind {kind!r}")
+        raise InvalidInput(f"unknown chain kind {kind!r}")
     if kind == "g" and (b is None or not 0 <= b <= n - 1):
-        raise ValueError("kind g needs 0 <= b <= n-1")
+        raise InvalidInput("kind g needs 0 <= b <= n-1")
     family_b = n if kind == "f" else b
     I = mixed_family_ideal(n, a, family_b)
     expected = chain_blocks(I.ring, a, family_b)

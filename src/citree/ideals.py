@@ -38,6 +38,7 @@ from math import gcd
 
 from . import linalg
 from .polyring import (
+    InvalidInput,
     Polynomial,
     RingMismatch,
     RingSpec,
@@ -49,7 +50,7 @@ from .polyring import (
 )
 
 
-class NotArtinian(ValueError):
+class NotArtinian(InvalidInput):
     """An operation needs R/I to be Artinian and it is not."""
 
     def __init__(self, ideal, variable):
@@ -337,6 +338,8 @@ def _interreduce(G):
 
 # --- public Ideal ------------------------------------------------------------
 
+# Reduced bases by (ring, generators), oldest dropped first; the full verification stores 255.
+GB_CACHE_SIZE = 1024
 _GB_CACHE: dict = {}
 
 
@@ -376,7 +379,7 @@ class Ideal:
             if g.is_zero():
                 continue
             if not g.is_homogeneous():
-                raise ValueError(f"generator {g} is not homogeneous")
+                raise InvalidInput(f"generator {g} is not homogeneous")
             gens.append(g)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", tuple(gens))
@@ -399,6 +402,8 @@ class Ideal:
             hit = _GB_CACHE.get(cache_key)
             if hit is None:
                 hit = _buchberger([_poly_to_core(g) for g in self.generators])
+                if len(_GB_CACHE) >= GB_CACHE_SIZE:
+                    del _GB_CACHE[next(iter(_GB_CACHE))]
                 _GB_CACHE[cache_key] = hit
             object.__setattr__(self, "_elems", hit)
         return self._elems
@@ -607,7 +612,7 @@ def hf_of(I: Ideal):
     be Artinian."""
     basis = artinian_monomial_basis(I)
     if basis is None:
-        raise ValueError(f"{I} is not Artinian")
+        raise InvalidInput(f"{I} is not Artinian")
     return tuple(len(b) for b in basis)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .ideals import Ideal
-from .polyring import Polynomial
+from .polyring import InvalidInput, Polynomial
 from .quotient import QuotientAlgebra, build_quotient, mult_map_matrix
 
 
@@ -50,9 +50,9 @@ class LefschetzReport:
 
 def _require_linear(A: QuotientAlgebra, y: Polynomial):
     if y.ring != A.ring:
-        raise ValueError(f"linear form lives in {y.ring}, algebra in {A.ring}")
+        raise InvalidInput(f"linear form lives in {y.ring}, algebra in {A.ring}")
     if y.is_zero() or y.degree() != 1:
-        raise ValueError(f"{y} is not a linear form")
+        raise InvalidInput(f"{y} is not a linear form")
 
 
 def _degree_one_matrices(A: QuotientAlgebra, y: Polynomial):

@@ -19,7 +19,12 @@ class RingMismatch(ValueError):
     """Operands live in incompatible polynomial rings."""
 
 
-class ParseError(ValueError):
+class InvalidInput(ValueError):
+    """Input the verifier rejects: a malformed ideal file or polynomial, a
+    parameter out of range, or an ideal a command cannot take."""
+
+
+class ParseError(InvalidInput):
     """Polynomial text that does not match the grammar."""
 
     def __init__(self, message: str, position: int):

@@ -14,11 +14,14 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
-from .polyring import Polynomial, RingSpec
+from .polyring import InvalidInput, Polynomial, RingSpec
 
-_memo: dict = {}
+# Polynomials kept by symmetric_generator and by boundary_polynomial, each;
+# the full verification makes 97 and 38.
+GENERATOR_CACHE_SIZE = 512
 
 
 def falling_factorial(m: int, k: int) -> int:
@@ -29,15 +32,13 @@ def falling_factorial(m: int, k: int) -> int:
     return out
 
 
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def symmetric_generator(kind: str, n: int, i: int) -> Polynomial:
     """The generators e_i, p_i and p~_i = p_i + z^i.
 
     e_signed and p live in K[x1..xn]; p_tilde in K[x1..xn, z].  The e~_i
     of the mixed families are e_signed of n+1 variables, x_(n+1) read as z.
     """
-    key = (kind, n, i)
-    if key in _memo:
-        return _memo[key]
     if n < 1:
         raise ValueError("need n >= 1")
     if i < 0:
@@ -70,7 +71,6 @@ def symmetric_generator(kind: str, n: int, i: int) -> Polynomial:
         poly = p + zpow
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
-    _memo[key] = poly
     return poly
 
 
@@ -84,6 +84,7 @@ def member_generators(n: int, a: int, m: int):
             + [symmetric_generator("e_signed", n, i) for i in range(m + 1, n + 1)])
 
 
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def boundary_polynomial(kind: str, n: int, b: int | None, k: int) -> Polynomial:
     """The z-derivatives of sum_i e_i z^(n-i) (kind f) or its degree-b
     truncation sum_{i<=b} e_i z^(b-i) (kind g).
@@ -104,9 +105,6 @@ def boundary_polynomial(kind: str, n: int, b: int | None, k: int) -> Polynomial:
             raise ValueError(f"k={k} out of range 0..{b}")
     else:
         raise ValueError(f"unknown boundary kind {kind!r}")
-    key = ("boundary", kind, n, top, k)
-    if key in _memo:
-        return _memo[key]
     z = Polynomial.variable(ring, "z")
     acc = Polynomial.zero(ring)
     for i in range(top + 1):
@@ -115,7 +113,6 @@ def boundary_polynomial(kind: str, n: int, b: int | None, k: int) -> Polynomial:
             continue
         e_i = symmetric_generator("e_signed", n, i).extend(ring)
         acc = acc + e_i * (z ** (top - i - k)) * coeff
-    _memo[key] = acc
     return acc
 
 
@@ -126,7 +123,7 @@ def newton_check(n: int, k: int):
     the identity holds.
     """
     if k < 1:
-        raise ValueError("need k >= 1")
+        raise InvalidInput("need k >= 1")
     ring = RingSpec(n, has_z=False)
     residual = symmetric_generator("e_signed", n, k) * k
     for i in range(k):
@@ -137,7 +134,7 @@ def newton_check(n: int, k: int):
 def vanishing_sum_residual(n: int, m: int) -> Polynomial:
     """sum_{i=0}^{n} e_i p_{m-i}; identically zero for every m >= n."""
     if m < n:
-        raise ValueError("need m >= n")
+        raise InvalidInput("need m >= n")
     ring = RingSpec(n, has_z=False)
     acc = Polynomial.zero(ring)
     for i in range(n + 1):
@@ -190,16 +187,16 @@ def derivative_identity_check(kind: str, n: int, b: int | None, k: int) -> bool:
     polynomial identities."""
     if kind == "f":
         if not 2 <= k <= n - 1:
-            raise ValueError(f"k={k} out of range 2..{n - 1}")
+            raise InvalidInput(f"k={k} out of range 2..{n - 1}")
         size = n
     elif kind == "g":
         if b is None or not 0 <= b < n:
-            raise ValueError(f"b={b} out of range 0..{n - 1}")
+            raise InvalidInput(f"b={b} out of range 0..{n - 1}")
         if not 2 <= k <= b - 1:
-            raise ValueError(f"k={k} out of range 2..{b - 1}")
+            raise InvalidInput(f"k={k} out of range 2..{b - 1}")
         size = b
     else:
-        raise ValueError(f"unknown identity kind {kind!r}")
+        raise InvalidInput(f"unknown identity kind {kind!r}")
     ring, _, e_row, zmat = _triangular_data(n, size)
     u_k = derivative_vector(n, size, k)
     lhs = _dot(_row_times_matrix(e_row, zmat), u_k)

@@ -1,8 +1,9 @@
 """The binary tree of complete intersections.
 
-Members of the power-sum family A_n(a, m) live in K[x1..xn]; the left child
-of an ideal is (I : xn) and the right child is the contraction of I + (xn)
-to one variable fewer.  This module enumerates the families, verifies the
+Members of the power-sum family A_n(a, m) live in K[x1..xn], each built
+and certified once by csm.member_ideal; the left child of an ideal is
+(I : xn) and the right child is the contraction of I + (xn) to one
+variable fewer.  This module enumerates the families, verifies the
 tree closure conditions on bounded enumerations, checks Hilbert-function
 additivity of the child split, sends each central simple module to the
 member J' one level down that the paper predicts for its annihilator,
@@ -17,13 +18,20 @@ from fractions import Fraction
 from math import prod
 
 from . import linalg
-from .csm import central_simple_modules, csm_chain, cyclic_presentation, sym_e
+from .csm import (
+    central_simple_modules,
+    csm_chain,
+    cyclic_presentation,
+    member_block,
+    member_ideal,
+    sym_e,
+)
 from .ideals import (
     Ideal,
     add_last_variable,
+    artinian_monomial_basis,
     certify_regular_sequence,
     colon_by_variable_power,
-    extend_with_last_variable,
     hf_difference,
     hf_of,
     ideal_equal,
@@ -33,9 +41,8 @@ from .ideals import (
     standard_monomials_of_degree,
 )
 from .lefschetz import find_lefschetz_element, module_slp_search, module_view
-from .polyring import Polynomial, RingSpec
+from .polyring import InvalidInput, Polynomial, RingSpec
 from .quotient import build_quotient
-from .symfun import member_generators
 
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
@@ -64,42 +71,27 @@ class TreeNode:
     colon_exponent: int = 0
 
 
-def _generators(n: int, a: int, m: int):
-    """Generators of the tree member labelled (n, a, m): those of A_n(a, m),
-    except that the coinvariant member A_n(1, n) is built from those of
-    A_n(1, 0) = (e_1..e_n), the same ideal by Newton's identities."""
-    return member_generators(n, a, 0 if a == 1 else m)
-
-
 def family_member(n: int, a: int, m: int) -> FamilyMember:
     """A_n(a, m): m power sums of consecutive degrees starting at a,
     padded with e_(m+1)..e_n; a >= 2 except for the coinvariant member
-    A_n(1, n) = (e_1..e_n)."""
+    A_n(1, n) = (e_1..e_n); the ideal is the member table's
+    (csm.member_ideal)."""
     if n < 1 or not 1 <= m <= n:
-        raise ValueError(f"invalid member level n={n}, m={m}")
+        raise InvalidInput(f"invalid member level n={n}, m={m}")
     if a == 1 and m != n:
-        raise ValueError("a = 1 requires m = n")
+        raise InvalidInput("a = 1 requires m = n")
     if a < 1:
-        raise ValueError(f"invalid a={a}")
-    ideal = Ideal(RingSpec(n, has_z=False), _generators(n, a, m))
+        raise InvalidInput(f"invalid a={a}")
+    ideal = member_ideal(n, a, m)
     if not certify_regular_sequence(ideal):
         raise AssertionError(f"family member ({n},{a},{m}) failed certification")
     return FamilyMember(n, a, m, member_label(n, a, m), ideal)
 
 
-def _member_dimension(n: int, a: int, m: int) -> int:
-    """dim A_n(a, m) as family_member certifies it: the product of the
-    degrees of its generators."""
-    return prod(g.degree() for g in _generators(n, a, m))
-
-
 def family_members(n: int, a_max: int):
     """All of A_n with a <= a_max: the a = 1 member plus the grid a >= 2."""
-    out = [family_member(n, 1, n)]
-    for a in range(2, a_max + 1):
-        for m in range(1, n + 1):
-            out.append(family_member(n, a, m))
-    return out
+    return [family_member(n, 1, n)] + [family_member(n, a, m) for a in range(2, a_max + 1)
+                                       for m in range(1, n + 1)]
 
 
 # --- children ------------------------------------------------------------------
@@ -153,11 +145,9 @@ def exact_sequence_check(I: Ideal) -> dict:
 
 def minimal_generator_degrees(I: Ideal):
     """Degrees of a minimal homogeneous generating set (graded Nakayama)."""
-    from .ideals import artinian_monomial_basis
-
     basis = artinian_monomial_basis(I)
     if basis is None:
-        raise ValueError(f"{I} is not Artinian")
+        raise InvalidInput(f"{I} is not Artinian")
     ring = I.ring
     width = ring.total_vars
     socle = len(basis) - 1
@@ -223,19 +213,14 @@ def colon_closure_family(n: int, a_max: int):
     """The colon closures of the power-sum members: A_n(a, n) : xn^i for
     0 <= i <= an-1, and A_n(a, b) : xn^i for 0 < b < n and
     0 <= i <= (a-1)b + n - 1."""
-    ring = RingSpec(n, has_z=False)
+    starts = [("pure", a, None, n, a * n) for a in range(1, a_max + 1)]
+    starts += [("mixed", a, b, b, (a - 1) * b + n) for a in range(2, a_max + 1) for b in range(1, n)]
     out = []
-    for a in range(1, a_max + 1):
-        cur = Ideal(ring, member_generators(n, a, n))
-        for i in range(a * n):
-            out.append({"ideal": cur, "kind": "pure", "a": a, "b": None, "i": i})
+    for kind, a, b, m, length in starts:
+        cur = member_ideal(n, a, m)
+        for i in range(length):
+            out.append({"ideal": cur, "kind": kind, "a": a, "b": b, "i": i})
             cur = colon_by_variable_power(cur, 1)
-    for a in range(2, a_max + 1):
-        for b in range(1, n):
-            cur = Ideal(ring, member_generators(n, a, b))
-            for i in range((a - 1) * b + n):
-                out.append({"ideal": cur, "kind": "mixed", "a": a, "b": b, "i": i})
-                cur = colon_by_variable_power(cur, 1)
     return out
 
 
@@ -250,7 +235,7 @@ def verify_tree_conditions(kind: str, n_max: int, bound: int) -> dict:
     elif kind == "colon-closure":
         families = {n: colon_closure_family(n, bound) for n in range(1, n_max + 1)}
     else:
-        raise ValueError(f"unknown family kind {kind!r}")
+        raise InvalidInput(f"unknown family kind {kind!r}")
     report = {"verifier": "tree-conditions", "params": {"kind": kind, "n_max": n_max, "bound": bound}}
     checks = []
     counts = {n: len(families[n]) for n in families}
@@ -282,23 +267,12 @@ def verify_tree_conditions(kind: str, n_max: int, bound: int) -> dict:
 # --- central simple module arrows -------------------------------------------------
 
 
-def _members_of_dimension(n: int, a_bound: int, dim: int):
-    """The members A_n(a, m) of dimension dim, built lazily in the order
-    (1, n), then a = 2..a_bound with m = 1..n."""
-    candidates = [(1, n)] + [(a, m) for a in range(2, a_bound + 1) for m in range(1, n + 1)]
-    for a, m in candidates:
-        if _member_dimension(n, a, m) == dim:
-            yield family_member(n, a, m)
-
-
 def resolve_member_label(ideal: Ideal, n: int, a_bound: int):
-    """Find (a, m) with A_n(a, m) equal to the ideal, or None.
-
-    Only the candidates whose certified dimension matches the ideal's are
-    built, and the first one equal to the ideal is returned.
-    """
-    for cand in _members_of_dimension(n, a_bound, quotient_dimension(ideal)):
-        if ideal_equal(cand.ideal, ideal):
+    """The first of family_members(n, a_bound) equal to the ideal, or None;
+    members of another certified dimension are skipped unseen."""
+    dim = quotient_dimension(ideal)
+    for cand in family_members(n, a_bound):
+        if quotient_dimension(cand.ideal) == dim and ideal_equal(cand.ideal, ideal):
             return cand
     return None
 
@@ -320,8 +294,8 @@ def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: i
     """Certified arrows from one member to the members one level down.
 
     Module j of (A, xn) gets the one module certificate, cyclic_presentation
-    by e_(j-1) against J'R + (xn) for the predicted member J' (a rewrite of
-    J''s reduced basis); its arrow goes to J' when the certificate holds.
+    by e_(j-1) against J'R + (xn) for the predicted member J'
+    (csm.member_block, a rewrite of J''s reduced basis); its arrow goes to J' when the certificate holds.
     Otherwise it has no target, and its entry names the predicted member
     and the failed condition.  check_modules searches each certified module
     for a Lefschetz element through that annihilator."""
@@ -342,7 +316,7 @@ def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: i
             passed = False
             continue
         g = sym_e(ring, j - 1)
-        lifted = extend_with_last_variable(target.ideal, ring)
+        lifted = member_block(ring, target.a, target.m)
         sub = cyclic_presentation(mod.numerator, mod.denominator, g, lifted)
         entry = {"j": j, "presentation": sub["presentation_ok"], "target": None}
         details.append(entry)

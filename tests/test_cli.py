@@ -230,6 +230,53 @@ def test_internal_error_exit_3(monkeypatch, capsys, error):
     assert captured.err.count("\n") == 1
 
 
+def test_bare_value_error_exit_3(monkeypatch, capsys):
+    # only InvalidInput means bad input; a ValueError from the library is a bug
+    def boom(cfg):
+        raise ValueError("a library bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "newton", boom)
+    assert main(["newton", "--n", "2"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ValueError")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["thm41", "--a", "1"], "a >= 2"),
+    (["colon-lemma", "--n", "2", "--s", "5"], "s=5"),
+])
+def test_parameter_out_of_range_exit_2(capsys, argv, named):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("command", ["slp", "csm", "hilbert", "tree"])
+def test_non_artinian_file_exit_2(tmp_path, capsys, command):
+    path = write_ideal(tmp_path, "line.json", 2, False, ["x1^2"])
+    assert main([command, "--ideal", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Artinian" in err
+
+
+def test_undecodable_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["hilbert", "--ideal", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_non_homogeneous_generator_exit_2(tmp_path, capsys):
+    path = write_ideal(tmp_path, "mixed.json", 2, False, ["x1^2 + x2", "x2^2"])
+    assert main(["hilbert", "--ideal", path]) == 2
+    assert "not homogeneous" in capsys.readouterr().err
+
+
+def test_non_linear_form_exit_2(tmp_path, capsys):
+    path = write_ideal(tmp_path, "squares.json", 2, False, ["x1^2", "x2^2"])
+    assert main(["slp", "--ideal", path, "--y", "x1^2"]) == 2
+    assert "not a linear form" in capsys.readouterr().err
+
+
 def test_unknown_variable_in_file(tmp_path, capsys):
     path = write_ideal(tmp_path, "bad.json", 2, False, ["z"])
     assert main(["hilbert", "--ideal", path]) == 2

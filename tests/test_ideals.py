@@ -438,6 +438,21 @@ def test_add_last_variable_examples(ring, gens):
     assert_rewrite_matches_sum(Ideal.from_strings(ring, gens))
 
 
+def test_gb_cache_drops_its_oldest_entries(monkeypatch):
+    # five distinct ideals through a cache bounded at two: at most two
+    # entries stay, and every basis is the one an unbounded cache gives
+    gens = [["x1^2", "x2^2"], ["x1^2", "x2^3"], ["x1*x2", "x1^2 + x2^2"],
+            ["x1^3", "x2^2 - x1*x2"], ["x1^2 - x2^2", "x1*x2^2"]]
+    monkeypatch.setattr(ideals, "_GB_CACHE", {})
+    expected = [Ideal.from_strings(R2, g).groebner_basis() for g in gens]
+    monkeypatch.setattr(ideals, "_GB_CACHE", {})
+    monkeypatch.setattr(ideals, "GB_CACHE_SIZE", 2)
+    assert [Ideal.from_strings(R2, g).groebner_basis() for g in gens] == expected
+    assert len(ideals._GB_CACHE) <= 2
+    assert [Ideal.from_strings(R2, g).groebner_basis() for g in gens] == expected
+    assert len(ideals._GB_CACHE) <= 2
+
+
 def test_rewrites_run_no_buchberger(monkeypatch):
     from citree.tree import children, contract_modulo_last, exact_sequence_check
 

@@ -1,11 +1,12 @@
 """Family constructors, children, tree conditions, arrows, export."""
 
 import json
+from math import prod
 
 import pytest
 
 from citree import cli, ideals, tree
-from citree.csm import central_simple_modules, certify_annihilator, sym_e
+from citree.csm import central_simple_modules, certify_annihilator, member_ideal, sym_e
 from citree.ideals import (
     Ideal,
     extend_with_last_variable,
@@ -19,7 +20,6 @@ from citree.ideals import (
 from citree.polyring import Polynomial, RingSpec
 from citree.symfun import symmetric_generator
 from citree.tree import (
-    _member_dimension,
     _predicted_arrow_target,
     binary_tree,
     certify_complete_intersection,
@@ -67,15 +67,6 @@ def test_member_validation():
         family_member(2, 0, 2)
     with pytest.raises(ValueError):
         family_member(2, 2, 3)
-
-
-def test_member_dimension_is_the_certified_dimension():
-    # the arrow-target filter must agree with the dimension family_member
-    # certifies, for every member thm53 builds
-    n_max, a_max = cli.thm53_bounds()
-    for n in range(1, n_max + 1):
-        for member in family_members(n, a_max):
-            assert _member_dimension(n, member.a, member.m) == quotient_dimension(member.ideal)
 
 
 def test_member_label_subscripts():
@@ -355,11 +346,49 @@ def test_member_ideal_keeps_its_certified_basis(monkeypatch):
         return original(lms, width, d)
 
     monkeypatch.setattr(ideals, "standard_monomials_of_degree", counting)
+    member_ideal.cache_clear()
     member = family_member(3, 4, 2)
     assert calls  # certification enumerated the basis once
     calls.clear()
     assert quotient_dimension(member.ideal) == 4 * 5 * 3
     assert calls == []
+
+
+def test_member_table_builds_each_member_once(monkeypatch):
+    # a second run of the same grid reads every member from the table, and
+    # the Groebner cache holds every other basis, so Buchberger never runs
+    member_ideal.cache_clear()
+    first = verify_family_slp(2, 3)
+    misses = member_ideal.cache_info().misses
+    runs = []
+    build = ideals._buchberger
+    monkeypatch.setattr(ideals, "_buchberger", lambda *a, **k: runs.append(a) or build(*a, **k))
+    assert verify_family_slp(2, 3) == first
+    assert member_ideal.cache_info().misses == misses
+    assert runs == []
+
+
+def test_member_table_is_certified():
+    # the dimension of every member is the product of its generator degrees
+    member_ideal.cache_clear()
+    for n in range(1, 4):
+        for a in range(1, 6):
+            for m in range(n + 1):
+                ideal = member_ideal(n, a, m)
+                assert quotient_dimension(ideal) == prod(g.degree() for g in ideal.generators)
+
+
+def test_coinvariant_members_share_one_entry():
+    # A_n(1, m) and A_n(a, 0) are (e_1..e_n) by Newton's identities
+    for n in range(1, 4):
+        coinvariant = member_ideal(n, 1, 0)
+        assert [str(g) for g in coinvariant.generators] == [
+            str(symmetric_generator("e_signed", n, i)) for i in range(1, n + 1)]
+        for m in range(n + 1):
+            assert member_ideal(n, 1, m) is coinvariant
+        for a in range(5):
+            assert member_ideal(n, a, 0) is coinvariant
+    assert family_member(3, 1, 3).ideal is member_ideal(3, 1, 0)
 
 
 def test_depth_five_roots_fan_out():
