@@ -12,7 +12,6 @@ from .ideals import (
     colon_by_variable_power,
     ideal_equal,
     ideal_sum,
-    initial_ideal,
     normal_form,
     quotient_dimension,
 )
@@ -52,7 +51,6 @@ from .csm import (
 )
 from .tree import (
     FamilyMember,
-    TreeNode,
     children,
     csm_diagram,
     exact_sequence_check,

@@ -232,8 +232,7 @@ def _cmd_csm(cfg: RunConfig):
 def _cmd_tree(cfg: RunConfig):
     if cfg.params.get("ideal"):
         I = parse_ideal_file(cfg.params["ideal"])
-        node = tree.binary_tree(I, cfg.params.get("depth", 3))
-        graph = tree.tree_graph(node)
+        graph = tree.tree_graph(I, cfg.params.get("depth", 3))
         return [{"verifier": "tree-export", "graph": graph, "passed": True}]
     p = cfg.params
     bounds = tree_bounds(p.get("family"), p.get("n_max"), p.get("bound"))
@@ -354,8 +353,9 @@ def _build_parser():
     p = sub.add_parser("colon-lemma", help="colon of chain blocks by elementary symmetric polynomials")
     p.add_argument("--n", type=_positive)
     p.add_argument("--a", type=_positive)
-    p.add_argument("--s", type=_nonnegative)
-    p.add_argument("--top", action="store_true", help="only the top (e_n) case")
+    case = p.add_mutually_exclusive_group()
+    case.add_argument("--s", type=_nonnegative)
+    case.add_argument("--top", action="store_true", help="only the top (e_n) case")
     common(p)
 
     p = sub.add_parser("slp", help="strong Lefschetz check for an ideal file")
@@ -479,6 +479,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "dot", False) and not (args.ideal if args.command == "tree" else args.diagram):
         parser.error("--dot draws a graph, so it needs tree --ideal or thm53 --diagram")
+    if args.command == "tree" and args.ideal and (args.family or args.n_max or args.bound):
+        parser.error("tree --ideal exports one tree, so it takes no --family, --n-max or --bound")
     cfg = _config_from_args(args)
     try:
         code, _, text = run(cfg)

@@ -32,7 +32,6 @@ against the kernel-lifting colon, and the reduced basis against sympy.
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -671,28 +670,6 @@ def colon_by_variable_power(I: Ideal, i: int) -> Ideal:
     for _ in range(i):
         out = _colon_by_last_variable(out)
     return out
-
-
-InitialIdeal = namedtuple("InitialIdeal", ["ideal", "is_monomial_ci"])
-
-
-def initial_ideal(I: Ideal) -> InitialIdeal:
-    """Leading-monomial ideal of the reduced basis, with a flag telling
-    whether its minimal generators are powers of pairwise distinct
-    variables (a monomial complete intersection)."""
-    gens = []
-    seen_vars = []
-    is_ci = True
-    for lm in I.leading_exponents():
-        gens.append(Polynomial.monomial(I.ring, lm))
-        nz = [v for v, e in enumerate(lm) if e]
-        if len(nz) != 1 or nz[0] in seen_vars:
-            is_ci = False
-        else:
-            seen_vars.append(nz[0])
-    if not gens:
-        is_ci = False
-    return InitialIdeal(Ideal(I.ring, gens), is_ci)
 
 
 def artinian_offending_variable(I: Ideal):

@@ -8,16 +8,16 @@ tree closure conditions on bounded enumerations, checks Hilbert-function
 additivity of the child split, sends each central simple module to the
 member J' one level down that the paper predicts for its annihilator,
 certified by csm.cyclic_presentation against J'R + (xn), and exports
-diagrams as DOT or JSON.
+diagrams as DOT or JSON.  Every dimension it reads is a Hilbert function
+of the ideal layer (ideals.hf_of): the complete-intersection certificate
+counts minimal generators by graded Nakayama, with no linear algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
-from . import linalg
 from .csm import (
     central_simple_modules,
     csm_chain,
@@ -29,7 +29,6 @@ from .csm import (
 from .ideals import (
     Ideal,
     add_last_variable,
-    artinian_monomial_basis,
     certify_regular_sequence,
     colon_by_variable_power,
     hf_difference,
@@ -38,7 +37,6 @@ from .ideals import (
     normal_form,
     quotient_dimension,
     shifted_hf_matches,
-    standard_monomials_of_degree,
 )
 from .lefschetz import find_lefschetz_element, module_slp_search, module_view
 from .polyring import InvalidInput, Polynomial, RingSpec
@@ -60,15 +58,6 @@ class FamilyMember:
     m: int
     label: str
     ideal: Ideal
-
-
-@dataclass
-class TreeNode:
-    ideal: Ideal
-    depth: int
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    colon_exponent: int = 0
 
 
 def family_member(n: int, a: int, m: int) -> FamilyMember:
@@ -144,39 +133,13 @@ def exact_sequence_check(I: Ideal) -> dict:
 
 
 def minimal_generator_degrees(I: Ideal):
-    """Degrees of a minimal homogeneous generating set (graded Nakayama)."""
-    basis = artinian_monomial_basis(I)
-    if basis is None:
-        raise InvalidInput(f"{I} is not Artinian")
-    ring = I.ring
-    width = ring.total_vars
-    socle = len(basis) - 1
-    degs = []
-    prev_ideal_basis = []  # polynomials of the previous degree spanning I_(d-1)
-    for d in range(0, socle + 2):
-        monos = standard_monomials_of_degree([], width, d)
-        std = set(basis[d]) if d <= socle else set()
-        in_monos = [m for m in monos if m not in std]
-        index = {m: i for i, m in enumerate(monos)}
-        # triangular basis of I_d: m - nf(m) for leading monomials m in In(I)_d
-        cur_basis = []
-        for m in in_monos:
-            poly = Polynomial.monomial(ring, m) - normal_form(Polynomial.monomial(ring, m), I)
-            cur_basis.append(poly)
-        dim_id = len(cur_basis)
-        rows = []
-        for f in prev_ideal_basis:
-            for v in range(width):
-                prod = f * Polynomial.variable(ring, v)
-                row = [Fraction(0)] * len(monos)
-                for mono, c in prod.terms:
-                    row[index[mono]] = c
-                rows.append(row)
-        spanned = linalg.rank(rows) if rows else 0
-        fresh = dim_id - spanned
-        degs.extend([d] * fresh)
-        prev_ideal_basis = cur_basis
-    return degs
+    """Degrees of a minimal homogeneous generating set, by graded Nakayama:
+    (I/mI)_d has dimension HF(R/mI)_d - HF(R/I)_d, with mI spanned by the
+    variables times the reduced basis of I."""
+    hf = hf_of(I)
+    variables = [Polynomial.variable(I.ring, v) for v in range(I.ring.total_vars)]
+    mI = Ideal(I.ring, [v * g for g in I.groebner_basis() for v in variables])
+    return [d for d, fresh in enumerate(hf_difference(hf_of(mI), hf)) for _ in range(fresh)]
 
 
 def certify_complete_intersection(I: Ideal) -> bool:
@@ -378,7 +341,7 @@ def csm_diagram(roots) -> dict:
         member = queue.pop(0)
         if member.label in nodes:
             continue
-        hf = list(build_quotient(member.ideal).hilbert_function())
+        hf = list(hf_of(member.ideal))
         nodes[member.label] = {
             "label": member.label,
             "level": member.n,
@@ -400,39 +363,28 @@ def csm_diagram(roots) -> dict:
     }
 
 
-def binary_tree(root: Ideal, max_depth: int) -> TreeNode:
-    """Left/right tree under (I : v) and the contraction of I + (v)."""
-    node = TreeNode(ideal=root, depth=root.ring.total_vars)
-    if max_depth <= 0:
-        return node
-    left, right = children(root)
-    if left is not None and not ideal_equal(left, root):
-        node.left = binary_tree(left, max_depth - 1)
-        node.left.colon_exponent = node.colon_exponent + 1
-    if right is not None:
-        node.right = binary_tree(right, max_depth - 1)
-    return node
-
-
-def tree_graph(node: TreeNode) -> dict:
-    """Flatten a TreeNode into the same graph schema as csm_diagram."""
+def tree_graph(root: Ideal, max_depth: int) -> dict:
+    """The tree under (I : v) and the contraction of I + (v), max_depth
+    levels deep, in csm_diagram's graph schema: each node comes before its
+    left and then its right subtree, and a left child equal to its parent
+    is not drawn."""
     nodes = []
     edges = []
 
-    def walk(cur, name):
-        hf = list(hf_of(cur.ideal))
-        nodes.append({"label": name, "level": cur.depth,
-                      "ideal": cur.ideal.canonical_str(), "hilbert": hf})
-        if cur.left is not None:
-            child = f"{name}L"
-            edges.append({"from": name, "to": child, "kind": "left", "index": cur.left.colon_exponent})
-            walk(cur.left, child)
-        if cur.right is not None:
-            child = f"{name}R"
-            edges.append({"from": name, "to": child, "kind": "right", "index": 0})
-            walk(cur.right, child)
+    def walk(I, name, depth):
+        nodes.append({"label": name, "level": I.ring.total_vars,
+                      "ideal": I.canonical_str(), "hilbert": list(hf_of(I))})
+        if depth <= 0:
+            return
+        left, right = children(I)
+        if left is not None and ideal_equal(left, I):
+            left = None
+        for kind, child, suffix, index in (("left", left, "L", 1), ("right", right, "R", 0)):
+            if child is not None:
+                edges.append({"from": name, "to": name + suffix, "kind": kind, "index": index})
+                walk(child, name + suffix, depth - 1)
 
-    walk(node, "root")
+    walk(root, "root", max_depth)
     return {"nodes": nodes, "edges": edges, "passed": True}
 
 

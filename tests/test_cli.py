@@ -1,6 +1,7 @@
 """Command line behaviour: parsing, output formats, determinism, exit codes,
 grid overrides, and the scripts built on the command line."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -122,6 +123,21 @@ def test_tree_export_dot(tmp_path, capsys):
     assert main(["tree", "--ideal", path, "--depth", "2", "--dot"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("digraph")
+
+
+def test_tree_export_bytes_pinned(tmp_path):
+    # reports of tree --ideal {x1^3, x2^4} --depth 4; left edges are colons
+    # by one power of v, right edges contractions
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"nvars": 2, "generators": ["x1^3", "x2^4"]}))
+    code, envelope, _ = run(RunConfig(command="tree", params={"ideal": str(path), "depth": 4}))
+    reports = envelope["reports"]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert code == 0
+    assert digest == "b48a774d9b41225d4f50cae798929f9e8675d331d26fe8fa53503e62ac96b7fe"
+    edges = reports[0]["graph"]["edges"]
+    assert {e["index"] for e in edges if e["kind"] == "left"} == {1}
+    assert {e["index"] for e in edges if e["kind"] == "right"} == {0}
 
 
 @pytest.mark.parametrize("argv", [
@@ -396,6 +412,20 @@ def test_bounds_below_zero_exit_2(capsys, argv, flag):
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["colon-lemma", "--n", "3", "--a", "2", "--s", "0", "--top"], "not allowed with argument"),
+    (["tree", "--ideal", "unread.json", "--family", "monomial"], "tree --ideal exports one tree"),
+    (["tree", "--ideal", "unread.json", "--n-max", "2"], "tree --ideal exports one tree"),
+    (["tree", "--ideal", "unread.json", "--bound", "2"], "tree --ideal exports one tree"),
+])
+def test_flags_a_run_would_drop_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_zero_b_s_depth_accepted(tmp_path, capsys):

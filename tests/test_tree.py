@@ -1,14 +1,17 @@
 """Family constructors, children, tree conditions, arrows, export."""
 
 import json
+import re
+from fractions import Fraction
 from math import prod
 
 import pytest
 
-from citree import cli, ideals, tree
+from citree import cli, ideals, linalg, tree
 from citree.csm import central_simple_modules, certify_annihilator, member_ideal, sym_e
 from citree.ideals import (
     Ideal,
+    artinian_monomial_basis,
     extend_with_last_variable,
     hf_of,
     ideal_colon,
@@ -16,12 +19,12 @@ from citree.ideals import (
     ideal_sum,
     normal_form,
     quotient_dimension,
+    standard_monomials_of_degree,
 )
-from citree.polyring import Polynomial, RingSpec
+from citree.polyring import InvalidInput, Polynomial, RingSpec
 from citree.symfun import symmetric_generator
 from citree.tree import (
     _predicted_arrow_target,
-    binary_tree,
     certify_complete_intersection,
     children,
     colon_closure_family,
@@ -161,6 +164,46 @@ def test_minimal_generator_degrees():
     assert minimal_generator_degrees(I) == [2, 3]
     gens = [symmetric_generator("p", 2, 2), symmetric_generator("p", 2, 3)]
     assert minimal_generator_degrees(Ideal(R2, gens)) == [2, 3]
+
+
+def _rank_generator_degrees(I):
+    """Reference: the number of degree-d minimal generators is dim I_d minus
+    the rank of the variables times a basis of I_(d-1), read from the
+    normal form of every monomial of degree d."""
+    basis = artinian_monomial_basis(I)
+    ring = I.ring
+    width = ring.total_vars
+    degs = []
+    prev = []
+    for d in range(len(basis) + 1):
+        monos = standard_monomials_of_degree([], width, d)
+        std = set(basis[d]) if d < len(basis) else set()
+        index = {m: i for i, m in enumerate(monos)}
+        cur = [Polynomial.monomial(ring, m) - normal_form(Polynomial.monomial(ring, m), I)
+               for m in monos if m not in std]
+        rows = []
+        for f in prev:
+            for v in range(width):
+                row = [Fraction(0)] * len(monos)
+                for mono, c in (f * Polynomial.variable(ring, v)).terms:
+                    row[index[mono]] = c
+                rows.append(row)
+        degs.extend([d] * (len(cur) - (linalg.rank(rows) if rows else 0)))
+        prev = cur
+    return degs
+
+
+def test_minimal_generator_degrees_match_rank_oracle():
+    ideals_ = [e["ideal"] for n in (1, 2, 3) for e in tree.monomial_ci_family(n, 3)]
+    ideals_ += [e["ideal"] for n in (1, 2) for e in colon_closure_family(n, 3)]
+    ideals_ += [Ideal.from_strings(R2, ["x1^2", "x1*x2", "x2^2"]),
+                Ideal.from_strings(RingSpec(1, True), ["x1^2 + z^2", "x1*z"])]
+    for I in ideals_:
+        assert minimal_generator_degrees(I) == _rank_generator_degrees(I), I
+    assert minimal_generator_degrees(ideals_[-2]) == [2, 2, 2]
+    open_ideal = Ideal.from_strings(R2, ["x1^2", "x1*x2"])
+    with pytest.raises(InvalidInput, match=re.escape(f"{open_ideal} is not Artinian")):
+        minimal_generator_degrees(open_ideal)
 
 
 def test_minimal_generators_of_colon():
@@ -454,8 +497,7 @@ def test_export_json_schema():
 
 
 def test_binary_tree_export():
-    node = binary_tree(Ideal.from_strings(R2, ["x1^2", "x2^2"]), 2)
-    graph = tree_graph(node)
+    graph = tree_graph(Ideal.from_strings(R2, ["x1^2", "x2^2"]), 2)
     dot = export_dot(graph)
     assert "style=dashed" in dot  # left edges
     assert "style=solid" in dot  # right edges
