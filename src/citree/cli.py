@@ -361,7 +361,8 @@ def _build_parser():
     p = sub.add_parser("slp", help="strong Lefschetz check for an ideal file")
     p.add_argument("--ideal", required=True)
     p.add_argument("--y", help="linear form; omitted means search")
-    p.add_argument("--max-tries", type=_positive, default=24)
+    p.add_argument("--max-tries", type=_positive,
+                   help="candidates a search tries (default 24); not with --y")
     p.add_argument("--check-top-degree", action="store_true",
                    help="also test the top power map d = socle degree")
     common(p)
@@ -401,7 +402,7 @@ def _config_from_args(args) -> RunConfig:
         if getattr(args, key, None) is not None:
             params[key] = getattr(args, key)
     if hasattr(args, "max_tries"):
-        params["max_tries"] = args.max_tries
+        params["max_tries"] = 24 if args.max_tries is None else args.max_tries
     if getattr(args, "skip_modules", False):
         params["check_modules"] = False
     output = "json" if args.json else "text"
@@ -481,6 +482,8 @@ def main(argv=None) -> int:
         parser.error("--dot draws a graph, so it needs tree --ideal or thm53 --diagram")
     if args.command == "tree" and args.ideal and (args.family or args.n_max or args.bound):
         parser.error("tree --ideal exports one tree, so it takes no --family, --n-max or --bound")
+    if args.command == "slp" and args.y and args.max_tries is not None:
+        parser.error("slp --y checks one linear form, so it takes no --max-tries")
     cfg = _config_from_args(args)
     try:
         code, _, text = run(cfg)

@@ -6,8 +6,9 @@ module g * (R/den) is, through r -> g*r, the algebra R/(den : g) moved up
 by deg g (Harima-Watanabe).  The caller supplies the annihilator (den : g),
 certified, so this module computes no colon: a module check is the algebra
 check of that quotient with the top pairing included, and both run one rank
-loop.  Power maps are built by repeated multiplication with the degree-1
-matrices, so every rank is exact.
+loop.  For each source degree i the map of y^d is the degree-1 matrix
+from degree i+d-1 times the map of y^(d-1), one exact product per (d, i),
+so every rank is exact.
 """
 
 from __future__ import annotations
@@ -51,21 +52,8 @@ class LefschetzReport:
 def _require_linear(A: QuotientAlgebra, y: Polynomial):
     if y.ring != A.ring:
         raise InvalidInput(f"linear form lives in {y.ring}, algebra in {A.ring}")
-    if y.is_zero() or y.degree() != 1:
+    if y.degree() != 1 or not y.is_homogeneous():
         raise InvalidInput(f"{y} is not a linear form")
-
-
-def _degree_one_matrices(A: QuotientAlgebra, y: Polynomial):
-    return [mult_map_matrix(A, y, i) for i in range(A.socle_degree)]
-
-
-def _power_matrix(mats, i, d):
-    """Matrix of multiplication by y^d from degree i, as a product of
-    degree-1 matrices."""
-    out = mats[i]
-    for j in range(i + 1, i + d):
-        out = mats[j] * out
-    return out
 
 
 # The public checks and searches call _check, _module_check and _search,
@@ -78,12 +66,15 @@ def _check(A: QuotientAlgebra, y: Polynomial, check_top_degree: bool, shift: int
     hf = A.hilbert_function()
     witnesses = []
     if c >= 1:
-        mats = _degree_one_matrices(A, y)
+        mats = [mult_map_matrix(A, y, i) for i in range(c)]
+        powers = mats  # powers[i]: multiplication by y^d from degree i
         dmax = c if check_top_degree else c - 1
         for d in range(1, dmax + 1):
+            if d > 1:
+                powers = [mats[i + d - 1] * powers[i] for i in range(c - d + 1)]
             for i in range(0, c - d + 1):
                 expected = min(hf[i], hf[i + d])
-                r = linalg.rank(_power_matrix(mats, i, d).entries)
+                r = linalg.rank(powers[i].entries)
                 if r < expected:
                     witnesses.append((d, i + shift, r, expected))
     return LefschetzReport(

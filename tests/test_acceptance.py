@@ -19,7 +19,6 @@ from citree.csm import (
     power_family_ideal,
 )
 from citree.ideals import quotient_dimension
-from citree.lefschetz import find_lefschetz_element
 from citree.quotient import build_quotient
 from citree.tree import csm_diagram, family_member, family_members, member_label
 
@@ -43,6 +42,7 @@ REPORT_DIGESTS = {
     ("tree",): "ba851f7a854614ad021263cbb926831dba38d23092be7e98511a82a6ce33752e",
     ("tree", ("family", "colon-closure")):
         "93622f87a923d9e2c2cad9bf9d9ddec69cf873062a07d293314a48101960c7f4",
+    ("thm53",): "f2f5ba002d974d98a7d68108d8aa3ca0461e3cd4fba2f76747fcb573aeefa9be",
     ("thm53", ("a_max", 3), ("diagram", True), ("n_max", 3)):
         "7eee2918eb9098d38505f12a66a56554597989d6ec5d3eabe50e3237b3696778",
 }
@@ -132,17 +132,7 @@ def test_criterion_07_colon_identities():
 
 def test_criterion_08_family_slp():
     started = time.time()
-    ok = True
-    n_max, a_max = cli.thm53_bounds()
-    for n in range(1, n_max + 1):
-        for member in family_members(n, a_max):
-            A = build_quotient(member.ideal)
-            found = find_lefschetz_element(A)
-            good = found is not None
-            if good:
-                _, report = found
-                good = report.holds and not report.witnesses
-            ok = ok and good
+    ok = _default_run("thm53")
     assert quotient_dimension(family_member(3, 4, 3).ideal) == 120
     _report(8, "family slp", ok, started)
 

@@ -72,6 +72,13 @@ def test_slp_search(tmp_path, capsys):
     rep = data["reports"][0]
     assert rep["holds"] and rep["linear_form"] == "x1 + x2 + x3"
     assert rep["seed"] == 0 and rep["tries"] == 1
+    assert data["config"]["params"]["max_tries"] == 24
+
+
+def test_slp_check_records_default_max_tries(tmp_path, capsys):
+    path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
+    assert main(["slp", "--ideal", path, "--y", "x1+x2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["params"]["max_tries"] == 24
 
 
 def test_csm_command(tmp_path, capsys):
@@ -293,6 +300,13 @@ def test_non_linear_form_exit_2(tmp_path, capsys):
     assert "not a linear form" in capsys.readouterr().err
 
 
+def test_non_homogeneous_linear_form_exit_2(tmp_path, capsys):
+    path = write_ideal(tmp_path, "squares.json", 2, False, ["x1^2", "x2^2"])
+    assert main(["slp", "--ideal", path, "--y", "x1+1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a linear form" in err
+
+
 def test_unknown_variable_in_file(tmp_path, capsys):
     path = write_ideal(tmp_path, "bad.json", 2, False, ["z"])
     assert main(["hilbert", "--ideal", path]) == 2
@@ -419,6 +433,7 @@ def test_bounds_below_zero_exit_2(capsys, argv, flag):
     (["tree", "--ideal", "unread.json", "--family", "monomial"], "tree --ideal exports one tree"),
     (["tree", "--ideal", "unread.json", "--n-max", "2"], "tree --ideal exports one tree"),
     (["tree", "--ideal", "unread.json", "--bound", "2"], "tree --ideal exports one tree"),
+    (["slp", "--ideal", "unread.json", "--y", "x1", "--max-tries", "3"], "takes no --max-tries"),
 ])
 def test_flags_a_run_would_drop_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -16,8 +16,8 @@ from citree.lefschetz import (
     slp_check_algebra,
     slp_check_module,
 )
-from citree.polyring import Polynomial, RingSpec, parse_polynomial
-from citree.quotient import build_quotient
+from citree.polyring import InvalidInput, Polynomial, RingSpec, parse_polynomial
+from citree.quotient import build_quotient, mult_map_matrix
 from citree.symfun import symmetric_generator
 
 R1 = RingSpec(1)
@@ -85,8 +85,6 @@ def test_monomial_ci_all_ones_against_oracle():
 
 
 def test_monomial_ci_oracle_matches_engine_ranks():
-    from citree.quotient import mult_map_matrix
-
     caps = (3, 2, 2)
     I = Ideal.from_strings(R3, ["x1^3", "x2^2", "x3^2"])
     A = build_quotient(I)
@@ -124,8 +122,9 @@ def test_univariate():
 
 def test_linear_form_required():
     A = build_quotient(Ideal.from_strings(R2, ["x1^2", "x2^2"]))
-    with pytest.raises(ValueError):
-        slp_check_algebra(A, parse_polynomial("x1^2", R2))
+    for text in ("x1^2", "x1 + 1", "x1 + x2^2"):
+        with pytest.raises(InvalidInput, match="not a linear form"):
+            slp_check_algebra(A, parse_polynomial(text, R2))
 
 
 def test_scaling_invariance():
@@ -277,6 +276,51 @@ def test_module_check_matches_ambient_span_oracle(I, g, ys):
         assert report.holds == (not witnesses)
         assert report.hilbert == dims
         assert report.top_degree_checked
+
+
+# --- oracle: power maps from the normal forms of y^d * m ------------------------------
+
+
+def direct_power_witnesses(B, y, dmax, shift=0):
+    """Failing (d, i + shift, rank, expected) of B for d = 1..dmax, each map
+    x y^d read from the normal forms of y^d * m, with no matrix products."""
+    c, hf = B.socle_degree, B.hilbert_function()
+    witnesses = []
+    for d in range(1, dmax + 1):
+        for i in range(c - d + 1):
+            expected = min(hf[i], hf[i + d])
+            r = linalg.rank(mult_map_matrix(B, y ** d, i).entries)
+            if r < expected:
+                witnesses.append((d, i + shift, r, expected))
+    return witnesses
+
+
+@settings(max_examples=40, deadline=None)
+@given(artinian_r2z_ideals(),
+       st.integers(min_value=0, max_value=2).flatmap(lambda d: forms_of_degree(R2Z, d)),
+       linear_forms)
+@example(Ideal.from_strings(R3, ["x1^2", "x2^2", "x3^2"]), Polynomial.one(R3),
+         parse_polynomial("x1", R3))
+@example(Ideal.from_strings(R2Z, ["x1^3", "x2^3", "z^2"]), parse_polynomial("x1 - x2", R2Z),
+         parse_polynomial("x1 + x2 + z", R2Z))
+def test_checks_match_direct_power_oracle(I, g, y):
+    A = build_quotient(I)
+    c = A.socle_degree
+    for top in (False, True):
+        report = slp_check_algebra(A, y, check_top_degree=top)
+        witnesses = direct_power_witnesses(A, y, c if top else c - 1)
+        assert report.witnesses == witnesses
+        assert report.holds == (not witnesses)
+    if g.is_zero():
+        return
+    annihilator = ideal_colon(I, g)
+    if annihilator.is_unit():
+        return
+    V = module_view(A, g, annihilator)
+    B = V.algebra
+    report = slp_check_module(V, y)
+    assert report.witnesses == direct_power_witnesses(B, y, B.socle_degree, V.shift)
+    assert report.holds == (not report.witnesses)
 
 
 def test_module_empty_rejected():
