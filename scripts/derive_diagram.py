@@ -16,8 +16,12 @@ e_(j-1), and its annihilator is that member, lifted by xn.
 
 import argparse
 import sys
+from pathlib import Path
 
-from citree.tree import csm_diagram, export_dot, export_json, family_member
+# run from a plain checkout: this checkout's src/ comes first, as in perfbench
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from citree.tree import csm_diagram, export_dot, export_json, family_member  # noqa: E402
 
 
 def _member(text: str):

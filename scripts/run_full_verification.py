@@ -14,8 +14,12 @@ import contextlib
 import io
 import sys
 import time
+from pathlib import Path
 
-from citree import cli
+# run from a plain checkout: this checkout's src/ comes first, as in perfbench
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from citree import cli  # noqa: E402
 
 RUNS = [
     ["newton"],

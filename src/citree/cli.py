@@ -314,32 +314,36 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # each flag is registered only where a run reads it: --fail-fast on
+    # the grid subcommands, --seed on the two that search linear forms
+    def common(p, fail_fast=False, seed=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--fail-fast", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
+        if fail_fast:
+            p.add_argument("--fail-fast", action="store_true", help="stop at the first failure")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="seed of the candidate forms")
 
     p = sub.add_parser("newton", help="power sum / elementary symmetric recurrences")
     p.add_argument("--n", type=_positive)
     p.add_argument("--kmax", type=_positive)
-    common(p)
+    common(p, fail_fast=True)
 
     p = sub.add_parser("identity", help="triangular derivative identities")
     p.add_argument("--kind", choices=["f", "g"])
     p.add_argument("--n", type=_positive)
     p.add_argument("--b", type=_nonnegative)
-    common(p)
+    common(p, fail_fast=True)
 
     p = sub.add_parser("thm31", help="module decomposition of the pure power-sum family")
     p.add_argument("--n", type=_positive)
     p.add_argument("--a", type=_positive)
-    common(p)
+    common(p, fail_fast=True)
 
     p = sub.add_parser("thm41", help="module decomposition of the mixed family")
     p.add_argument("--n", type=_positive)
     p.add_argument("--a", type=_positive)
     p.add_argument("--b", type=_nonnegative)
-    common(p)
+    common(p, fail_fast=True)
 
     for name, text in (("swap", "generator replacement identities"),
                        ("chain", "colon chain block boundaries")):
@@ -348,7 +352,7 @@ def _build_parser():
         p.add_argument("--n", type=_positive)
         p.add_argument("--a", type=_positive)
         p.add_argument("--b", type=_nonnegative)
-        common(p)
+        common(p, fail_fast=True)
 
     p = sub.add_parser("colon-lemma", help="colon of chain blocks by elementary symmetric polynomials")
     p.add_argument("--n", type=_positive)
@@ -356,7 +360,7 @@ def _build_parser():
     case = p.add_mutually_exclusive_group()
     case.add_argument("--s", type=_nonnegative)
     case.add_argument("--top", action="store_true", help="only the top (e_n) case")
-    common(p)
+    common(p, fail_fast=True)
 
     p = sub.add_parser("slp", help="strong Lefschetz check for an ideal file")
     p.add_argument("--ideal", required=True)
@@ -365,7 +369,7 @@ def _build_parser():
                    help="candidates a search tries (default 24); not with --y")
     p.add_argument("--check-top-degree", action="store_true",
                    help="also test the top power map d = socle degree")
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("csm", help="central simple module decomposition of an ideal file")
     p.add_argument("--ideal", required=True)
@@ -386,7 +390,7 @@ def _build_parser():
     p.add_argument("--skip-modules", action="store_true")
     p.add_argument("--diagram", action="store_true")
     p.add_argument("--dot", action="store_true")
-    common(p)
+    common(p, seed=True)
 
     p = sub.add_parser("hilbert", help="Hilbert function of an ideal file")
     p.add_argument("--ideal", required=True)
@@ -412,9 +416,9 @@ def _config_from_args(args) -> RunConfig:
         command=args.command,
         params=params,
         output=output,
-        fail_fast=args.fail_fast,
+        fail_fast=getattr(args, "fail_fast", False),
         check_top_degree=getattr(args, "check_top_degree", False),
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
     )
 
 

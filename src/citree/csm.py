@@ -2,19 +2,19 @@
 
 For an Artinian quotient of K[x1..xm, v] (v the cheapest variable, playing
 the distinguished linear form), the chain (I : v^i) + (v) is computed
-exactly, deduplicated into blocks, and each successive quotient gets the
-one module certificate, cyclic_presentation, which the tree's arrows use
-too: numerator = denominator + (e_{j-1}), and the predicted annihilator
-(denominator : e_{j-1}) settled by the exact-sequence certificate in ideals
-(certify_annihilator).  One bounded table, member_ideal, builds and
-certifies each member A_n(a, m) once, for the tree's members and arrow
-targets and for every predicted chain block, annihilator and side of a
-colon identity, which are members one level down lifted by v
-(member_block, a basis rewrite).  The power and mixed families are
+exactly and deduplicated into blocks.  The paper's module prediction is
+written once, in predicted_member: module j is presented by e_(j-1), and
+its annihilator is the member A_m(a-1, j-1) one level down, lifted by v
+(member_block, a basis rewrite).  One module pass, certified_modules,
+certifies each module against it with cyclic_presentation (numerator =
+denominator + (e_(j-1)), the annihilator settled by certify_annihilator in
+ideals); the family verifiers and the tree's arrows render its results,
+and the colon identities prove the same prediction by certify_colon.  One
+bounded table, member_ideal, builds and certifies each member A_n(a, m)
+once under its member_key.  The power and mixed families are
 A_(m+1)(a, b+1) with x_(m+1) read as v, and one chain_blocks predicts
-both chains.  No verifier derives a colon: a failed certificate (or
-certify_colon, for a colon identity) is reported with the prediction and
-the condition that failed.
+both chains.  No verifier derives a colon: a failed certificate is
+reported with the prediction and the condition that failed.
 
 Every verifier returns a structured report; a failing sub-check is recorded
 rather than raised, so a whole grid can run to completion.
@@ -77,16 +77,31 @@ def power_family_ideal(n: int, a: int) -> Ideal:
 MEMBER_TABLE_SIZE = 256
 
 
+def member_key(n: int, a: int, m: int):
+    """The member table's key (a, m) of A_n(a, m): (1, n), the coinvariant
+    member (e_1..e_n), when a <= 1 or m = 0, since A_n(1, m) and A_n(a, 0)
+    are that ideal by Newton's identities."""
+    return (1, n) if a <= 1 or m == 0 else (a, m)
+
+
+def predicted_member(k: int, a: int, s: int):
+    """member_key of A_k(a-1, s), the member one level down that the paper
+    predicts as the annihilator of module s+1 when the power sums start at
+    degree a (Harima-Watanabe); None when s > k, where no member exists."""
+    return None if s > k else member_key(k, a - 1, s)
+
+
 @lru_cache(maxsize=MEMBER_TABLE_SIZE)
 def member_ideal(n: int, a: int, m: int) -> Ideal:
-    """A_n(a, m) in K[x1..xn], built once and certified in place by
-    certify_regular_sequence, so its standard monomials stay on it and a
-    caller re-reads the verdict for free.  A_n(1, m) and A_n(a, 0) are the
-    coinvariant ideal (e_1..e_n): they return the A_n(1, 0) entry itself."""
-    gens = member_generators(n, a, m)
-    if (a == 1 or m == 0) and (a, m) != (1, 0):
-        return member_ideal(n, 1, 0)
-    ideal = Ideal(RingSpec(n), gens)
+    """A_n(a, m) in K[x1..xn], built once under its member_key and
+    certified in place by certify_regular_sequence, so its standard
+    monomials stay on it and a caller re-reads the verdict for free.  The
+    coinvariant entry (1, n) is built from e_1..e_n, the generators of
+    A_n(1, 0)."""
+    key = member_key(n, a, m)
+    if key != (a, m):
+        return member_ideal(n, *key)
+    ideal = Ideal(RingSpec(n), member_generators(n, a, 0 if a == 1 else m))
     certify_regular_sequence(ideal)
     return ideal
 
@@ -265,6 +280,25 @@ def cyclic_presentation(num: Ideal, den: Ideal, g: Polynomial, annihilator: Idea
     return report
 
 
+def certified_modules(I: Ideal, a: int, modules):
+    """The one module pass over the modules of I, whose power sums start at
+    degree a: module j is presented by g = e_(j-1), and its annihilator is
+    the predicted_member lifted by v (member_block), certified by
+    cyclic_presentation.  Yields (module, g, key, annihilator, report) one
+    module at a time; when j - 1 exceeds the level no member is predicted,
+    g, key and annihilator are None and the report fails with "no_member"."""
+    ring = I.ring
+    for mod in modules:
+        key = predicted_member(xpart(ring), a, mod.index - 1)
+        if key is None:
+            yield mod, None, None, None, {"passed": False, "failed_condition": "no_member"}
+            continue
+        g = sym_e(ring, mod.index - 1)
+        annihilator = member_block(ring, *key)
+        yield mod, g, key, annihilator, cyclic_presentation(
+            mod.numerator, mod.denominator, g, annihilator)
+
+
 # --- report plumbing -----------------------------------------------------------
 
 
@@ -285,55 +319,62 @@ def _finish(report, checks):
 # --- family verifiers -----------------------------------------------------------
 
 
-def _verify_family_common(report, checks, I, expected_blocks, a):
-    """Chain blocks, CSM count, cyclic presentations and annihilators for a
-    family whose j-th module is R/(A_n(a-1, j-1)R + (v)): one module per
-    predicted block below the unit ideal."""
-    ring = I.ring
-    n = xpart(ring)
+def _family_chain(I: Ideal, a: int, b: int):
+    """The chain of I = mixed_family_ideal(n, a, b) (b = n: the power
+    family) against chain_blocks: (chain, the predicted exponent ranges,
+    whether the blocks match, and first_block_colon_holds for the mixed
+    kind b < n, None for the power family)."""
+    expected = chain_blocks(I.ring, a, b)
+    chain = csm_chain(I)
+    colon_ok = first_block_colon_holds(I, a, b) if b < xpart(I.ring) else None
+    return chain, [[lo, hi] for _, lo, hi in expected], chain.matches(expected), colon_ok
+
+
+def _verify_family(report, I, a, b):
+    """Chain blocks, CSM count and the module pass (certified_modules) for
+    I = mixed_family_ideal(n, a, b), whose j-th module is
+    R/(A_n(a-1, j-1)R + (v)): one module per predicted block below the
+    unit ideal."""
+    checks = []
+    n = xpart(I.ring)
     dim = quotient_dimension(I)
     expected = prod(g.degree() for g in I.generators)
     _check(checks, "dimension_product", dim == expected, dim=dim, expected=expected)
     hf = hf_of(I)
     _check(checks, "hilbert_symmetric", hf == tuple(reversed(hf)))
 
-    chain = csm_chain(I)
+    chain, ranges, blocks_ok, colon_ok = _family_chain(I, a, b)
     report["chain"] = chain.to_json()
-    _check(checks, "chain_blocks", chain.matches(expected_blocks),
-           expected=[[lo, hi] for _, lo, hi in expected_blocks])
+    _check(checks, "chain_blocks", blocks_ok, expected=ranges)
     total = sum(chain.filtration_summands())
     _check(checks, "filtration_dimension", total == dim, total=total, dim=dim)
 
     modules = central_simple_modules(I, chain)
-    expected_count = len(expected_blocks) - 1
-    _check(checks, "module_count", len(modules) == expected_count,
-           count=len(modules), expected=expected_count)
+    _check(checks, "module_count", len(modules) == len(ranges) - 1,
+           count=len(modules), expected=len(ranges) - 1)
 
-    module_reports = []
-    annihilators = []
-    for mod in modules:
+    report["modules"] = []
+    members = []
+    for mod, _, key, annihilator, sub in certified_modules(I, a, modules):
         j = mod.index
-        g = sym_e(ring, j - 1)
-        expected_ann = member_block(ring, a - 1, j - 1)
-        sub = cyclic_presentation(mod.numerator, mod.denominator, g, expected_ann)
         sub["shift_ok"] = mod.shift == j - 1
         sub["index"] = j
         sub["passed"] = sub["passed"] and sub["shift_ok"]
-        module_reports.append(sub)
-        annihilators.append(expected_ann)
+        report["modules"].append(sub)
+        if key is not None:
+            members.append((key, annihilator))
         _check(checks, f"module_{j}", sub["passed"],
                **{k: v for k, v in sub.items()
                   if k in ("annihilator", "predicted_annihilator", "failed_condition")})
 
-    report["modules"] = module_reports
-
     # predicted annihilators form a decreasing chain of complete intersections
     _check(checks, "annihilator_chain", all(
-        big.contains_ideal(small) for big, small in zip(annihilators, annihilators[1:])))
-    ci_ok = all(certify_regular_sequence(member_ideal(n, a - 1, j))
-                for j in range(len(annihilators)))
-    _check(checks, "annihilators_regular", ci_ok)
-    return chain, modules
+        big.contains_ideal(small) for (_, big), (_, small) in zip(members, members[1:])))
+    _check(checks, "annihilators_regular",
+           all(certify_regular_sequence(member_ideal(n, *key)) for key, _ in members))
+    if colon_ok is not None:
+        _check(checks, "first_block_colon", colon_ok, exponent=n - b)
+    return _finish(report, checks)
 
 
 def verify_power_family(n: int, a: int) -> dict:
@@ -343,11 +384,8 @@ def verify_power_family(n: int, a: int) -> dict:
     if n < 1 or a < 1:
         raise InvalidInput("need n >= 1 and a >= 1")
     I = power_family_ideal(n, a)
-    report = {"verifier": "power-family", "params": {"n": n, "a": a},
-              "ideal": str(I)}
-    checks = []
-    _verify_family_common(report, checks, I, chain_blocks(I.ring, a, n), a)
-    return _finish(report, checks)
+    return _verify_family({"verifier": "power-family", "params": {"n": n, "a": a},
+                           "ideal": str(I)}, I, a, n)
 
 
 def verify_mixed_family(n: int, a: int, b: int) -> dict:
@@ -357,42 +395,27 @@ def verify_mixed_family(n: int, a: int, b: int) -> dict:
     if n < 1 or a < 2 or not 0 <= b <= n - 1:
         raise InvalidInput("need n >= 1, a >= 2 and 0 <= b <= n-1")
     I = mixed_family_ideal(n, a, b)
-    report = {"verifier": "mixed-family", "params": {"n": n, "a": a, "b": b},
-              "ideal": str(I)}
-    checks = []
-    _verify_family_common(report, checks, I, chain_blocks(I.ring, a, b), a)
-    _check(checks, "first_block_colon", first_block_colon_holds(I, a, b),
-           exponent=n - b)
-    return _finish(report, checks)
+    return _verify_family({"verifier": "mixed-family", "params": {"n": n, "a": a, "b": b},
+                           "ideal": str(I)}, I, a, b)
 
 
 # --- generator swaps --------------------------------------------------------------
 
 
-def _f_presentations(n: int, a: int, k: int):
-    """The two generating sets of I_k for the pure family: with the last
-    power sum, and with z^a f^(k) in its place."""
+def _swap_presentations(kind: str, n: int, a: int, b: int | None, r: int):
+    """The two generating sets of I_k, with top = n (kind f, r = k) or
+    top = b (kind g, r = k-1): the power sums p~_a..p~_(a+top-r), the
+    boundary polynomials of orders r-1 down to 0 and e_(top+1)..e_n; the
+    second has z^a times the order-r boundary polynomial in place of the
+    last power sum."""
     ring = RingSpec(n, has_z=True)
     z = Polynomial.variable(ring, "z")
-    ptilde = [symmetric_generator("p_tilde", n, a + t) for t in range(n - k + 1)]
-    fs = [boundary_polynomial("f", n, None, t) for t in range(k - 1, -1, -1)]
-    with_p = ptilde + fs
-    za_fk = (z ** a) * boundary_polynomial("f", n, None, k)
-    with_f = ptilde[:-1] + [za_fk] + fs
-    return Ideal(ring, with_p), Ideal(ring, with_f)
-
-
-def _g_presentations(n: int, a: int, b: int, k: int):
-    """The two generating sets of I_k for the mixed family (k = 1..b+1)."""
-    ring = RingSpec(n, has_z=True)
-    z = Polynomial.variable(ring, "z")
-    ptilde = [symmetric_generator("p_tilde", n, a + t) for t in range(b + 2 - k)]
-    gs = [boundary_polynomial("g", n, b, t) for t in range(k - 2, -1, -1)]
-    es = [sym_e(ring, j) for j in range(b + 1, n + 1)]
-    with_p = ptilde + gs + es
-    za_gk = (z ** a) * boundary_polynomial("g", n, b, k - 1)
-    with_g = ptilde[:-1] + [za_gk] + gs + es
-    return Ideal(ring, with_p), Ideal(ring, with_g)
+    top = n if kind == "f" else b
+    ptilde = [symmetric_generator("p_tilde", n, a + t) for t in range(top - r + 1)]
+    rest = ([boundary_polynomial(kind, n, b, t) for t in range(r - 1, -1, -1)]
+            + [sym_e(ring, j) for j in range(top + 1, n + 1)])
+    swapped = (z ** a) * boundary_polynomial(kind, n, b, r)
+    return Ideal(ring, ptilde + rest), Ideal(ring, ptilde[:-1] + [swapped] + rest)
 
 
 def verify_generator_swap(kind: str, n: int, a: int, b: int | None = None) -> dict:
@@ -403,18 +426,15 @@ def verify_generator_swap(kind: str, n: int, a: int, b: int | None = None) -> di
     report = {"verifier": "generator-swap", "params": {"kind": kind, "n": n, "a": a, "b": b}}
     checks = []
     if kind == "f":
-        ks = range(0, n + 1)
-        for k in ks:
-            I1, I2 = _f_presentations(n, a, k)
-            _check(checks, f"k_{k}", ideal_equal(I1, I2))
+        ks, offset = range(0, n + 1), 0
     elif kind == "g":
         if b is None or not 0 <= b < n:
             raise InvalidInput("kind g needs 0 <= b < n")
-        for k in range(1, b + 2):
-            I1, I2 = _g_presentations(n, a, b, k)
-            _check(checks, f"k_{k}", ideal_equal(I1, I2))
+        ks, offset = range(1, b + 2), 1
     else:
         raise InvalidInput(f"unknown swap kind {kind!r}")
+    for k in ks:
+        _check(checks, f"k_{k}", ideal_equal(*_swap_presentations(kind, n, a, b, k - offset)))
     return _finish(report, checks)
 
 
@@ -428,6 +448,9 @@ def verify_colon_identity(n: int, a: int, s: int | None = None) -> dict:
 
     for 0 <= s <= n-2, and without s for the top case s = n-1, where the
     divisor is e_n and neither side has an elementary symmetric generator.
+    This is module s+2 of the power family from degree a: the left side
+    is its denominator divided by its generator, the right side the
+    module pass's predicted_member, proved by certify_colon.
     """
     if a < 2:
         raise InvalidInput("need a >= 2, the identities shift indices down by one")
@@ -438,18 +461,17 @@ def verify_colon_identity(n: int, a: int, s: int | None = None) -> dict:
     report = {"verifier": "colon-identity", "params": {"n": n, "a": a, "s": s}}
     checks = []
     J = member_block(ring, a, top + 1)
-    expected = member_block(ring, a - 1, top + 1)
+    expected = member_block(ring, *predicted_member(n, a, top + 1))
     divisor = sym_e(ring, top + 1)
     failed = certify_colon(J, divisor, expected)
     named = {"colon": expected.canonical_str()} if failed is None else {"failed_condition": failed}
     _check(checks, "colon_equality", failed is None, **named, expected=expected.canonical_str())
 
     # the combination sum_{i=0}^{top+1} e_i p_(a+top-i) lies in (e_(top+2)..e_n)
-    m = xpart(ring)
-    acc = Polynomial.zero(RingSpec(m))
+    acc = Polynomial.zero(RingSpec(n))
     for i in range(top + 2):
-        acc = acc + symmetric_generator("e_signed", m, i) * symmetric_generator("p", m, a + top - i)
-    tail = Ideal(RingSpec(m), [symmetric_generator("e_signed", m, i) for i in range(top + 2, m + 1)])
+        acc = acc + symmetric_generator("e_signed", n, i) * symmetric_generator("p", n, a + top - i)
+    tail = Ideal(RingSpec(n), [symmetric_generator("e_signed", n, i) for i in range(top + 2, n + 1)])
     _check(checks, "newton_membership", normal_form(acc, tail).is_zero())
     return _finish(report, checks)
 
@@ -471,19 +493,16 @@ def verify_chain_blocks(kind: str, n: int, a: int, b: int | None = None) -> dict
         raise InvalidInput("kind g needs 0 <= b <= n-1")
     family_b = n if kind == "f" else b
     I = mixed_family_ideal(n, a, family_b)
-    expected = chain_blocks(I.ring, a, family_b)
-
-    chain = csm_chain(I)
+    chain, ranges, blocks_ok, colon_ok = _family_chain(I, a, family_b)
     report["chain"] = chain.to_json()
-    _check(checks, "blocks", chain.matches(expected),
-           expected=[[lo, hi] for _, lo, hi in expected])
+    _check(checks, "blocks", blocks_ok, expected=ranges)
 
     # strictness via strictly dropping quotient dimensions
     dims = [quotient_dimension(J) for J, _, _ in chain.entries]
     _check(checks, "strict_inclusions", all(x > y for x, y in zip(dims, dims[1:])),
            dims=dims)
-    if kind == "g":
-        _check(checks, "first_block_colon", first_block_colon_holds(I, a, b))
+    if colon_ok is not None:
+        _check(checks, "first_block_colon", colon_ok)
     return _finish(report, checks)
 
 

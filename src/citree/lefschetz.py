@@ -56,11 +56,14 @@ def _require_linear(A: QuotientAlgebra, y: Polynomial):
         raise InvalidInput(f"{y} is not a linear form")
 
 
-# The public checks and searches call _check, _module_check and _search,
-# never one another, so the work of each public call is its own.
-def _check(A: QuotientAlgebra, y: Polynomial, check_top_degree: bool, shift: int = 0):
-    """The rank loop behind both public checks; each witness's i is moved
-    up by shift."""
+def slp_check_algebra(
+    A: QuotientAlgebra,
+    y: Polynomial,
+    check_top_degree: bool = False,
+) -> LefschetzReport:
+    """Exact full-rank check of every power map x y^d: A_i -> A_(i+d)
+    for 1 <= d <= c-1 (and d = c when asked), 0 <= i <= c-d: the one rank
+    loop."""
     _require_linear(A, y)
     c = A.socle_degree
     hf = A.hilbert_function()
@@ -76,7 +79,7 @@ def _check(A: QuotientAlgebra, y: Polynomial, check_top_degree: bool, shift: int
                 expected = min(hf[i], hf[i + d])
                 r = linalg.rank(powers[i].entries)
                 if r < expected:
-                    witnesses.append((d, i + shift, r, expected))
+                    witnesses.append((d, i, r, expected))
     return LefschetzReport(
         subject=str(A.ideal),
         linear_form=str(y),
@@ -85,16 +88,6 @@ def _check(A: QuotientAlgebra, y: Polynomial, check_top_degree: bool, shift: int
         hilbert=hf,
         top_degree_checked=check_top_degree,
     )
-
-
-def slp_check_algebra(
-    A: QuotientAlgebra,
-    y: Polynomial,
-    check_top_degree: bool = False,
-) -> LefschetzReport:
-    """Exact full-rank check of every power map x y^d: A_i -> A_(i+d)
-    for 1 <= d <= c-1 (and d = c when asked), 0 <= i <= c-d."""
-    return _check(A, y, check_top_degree)
 
 
 @dataclass
@@ -130,17 +123,14 @@ def module_view(ambient: QuotientAlgebra, generator: Polynomial,
                             generator.degree())
 
 
-def _module_check(V: GradedModuleView, y: Polynomial) -> LefschetzReport:
-    report = _check(V.algebra, y, True, V.shift)
-    report.subject = f"{V.generator} * {V.ambient.ring}/{V.ambient.ideal}"
-    return report
-
-
 def slp_check_module(V: GradedModuleView, y: Polynomial) -> LefschetzReport:
     """Full-rank check of x y^d: V_i -> V_(i+d) for 1 <= d <= b-a,
     a <= i <= b-d: the algebra check of R/(den : g) with the top pairing,
-    witnesses in the degrees of V."""
-    return _module_check(V, y)
+    witnesses moved up by deg g into the degrees of V."""
+    report = slp_check_algebra(V.algebra, y, True)
+    report.subject = f"{V.generator} * {V.ambient.ring}/{V.ambient.ideal}"
+    report.witnesses = [(d, i + V.shift, r, e) for d, i, r, e in report.witnesses]
+    return report
 
 
 def lefschetz_candidates(ring, seed: int, max_tries: int):
@@ -193,9 +183,10 @@ def find_lefschetz_element(
 ):
     """First linear form in the deterministic candidate list for which the
     algebra check holds; None after max_tries failures."""
-    return _search(A.ring, lambda y: _check(A, y, check_top_degree), max_tries, seed)
+    return _search(A.ring, lambda y: slp_check_algebra(A, y, check_top_degree),
+                   max_tries, seed)
 
 
 def module_slp_search(V: GradedModuleView, max_tries: int = 24, seed: int = 0):
     """find_lefschetz_element for a graded module view."""
-    return _search(V.ambient.ring, lambda y: _module_check(V, y), max_tries, seed)
+    return _search(V.ambient.ring, lambda y: slp_check_module(V, y), max_tries, seed)

@@ -7,7 +7,7 @@ variable fewer.  This module enumerates the families, verifies the
 tree closure conditions on bounded enumerations, checks Hilbert-function
 additivity of the child split, sends each central simple module to the
 member J' one level down that the paper predicts for its annihilator,
-certified by csm.cyclic_presentation against J'R + (xn), and exports
+certified by the module pass csm.certified_modules, and exports
 diagrams as DOT or JSON.  Every dimension it reads is a Hilbert function
 of the ideal layer (ideals.hf_of): the complete-intersection certificate
 counts minimal generators by graded Nakayama, with no linear algebra.
@@ -18,14 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .csm import (
-    central_simple_modules,
-    csm_chain,
-    cyclic_presentation,
-    member_block,
-    member_ideal,
-    sym_e,
-)
+from .csm import central_simple_modules, certified_modules, csm_chain, member_ideal
 from .ideals import (
     Ideal,
     add_last_variable,
@@ -240,47 +233,32 @@ def resolve_member_label(ideal: Ideal, n: int, a_bound: int):
     return None
 
 
-def _predicted_arrow_target(member: FamilyMember, j: int):
-    """A_(n-1)(a-1, j-1), the member one level down that the paper names as
-    the annihilator of module j of A_n(a, m), labelled as the coinvariant
-    member A_(n-1)(1, n-1) when a-1 <= 1 or j = 1 (the same ideal by
-    Newton's identities); None when j - 1 exceeds n - 1."""
-    n = member.n
-    if j > n:
-        return None
-    if member.a <= 2 or j == 1:
-        return family_member(n - 1, 1, n - 1)
-    return family_member(n - 1, member.a - 1, j - 1)
-
-
 def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: int = 0):
     """Certified arrows from one member to the members one level down.
 
-    Module j of (A, xn) gets the one module certificate, cyclic_presentation
-    by e_(j-1) against J'R + (xn) for the predicted member J'
-    (csm.member_block, a rewrite of J''s reduced basis); its arrow goes to J' when the certificate holds.
-    Otherwise it has no target, and its entry names the predicted member
-    and the failed condition.  check_modules searches each certified module
-    for a Lefschetz element through that annihilator."""
+    The module pass (csm.certified_modules) certifies module j of (A, xn)
+    by e_(j-1) against J'R + (xn), J' the paper's predicted member
+    (csm.predicted_member); its arrow goes to J' when the certificate
+    holds.  Otherwise it has no target, and its entry names the predicted
+    member and the failed condition, or "no_member" when j - 1 exceeds
+    n - 1.  check_modules searches each certified module for a Lefschetz
+    element through that annihilator."""
     n = member.n
     if n < 2:
         return [], {"passed": True, "modules": []}
     I = member.ideal
-    ring = I.ring
     arrows = []
     details = []
     passed = True
-    for mod in central_simple_modules(I, csm_chain(I)):
+    modules = central_simple_modules(I, csm_chain(I))
+    for mod, g, key, lifted, sub in certified_modules(I, member.a, modules):
         j = mod.index
-        target = _predicted_arrow_target(member, j)
-        if target is None:
+        if key is None:
             details.append({"j": j, "target": None, "predicted": None,
-                            "failed_condition": "no_member"})
+                            "failed_condition": sub["failed_condition"]})
             passed = False
             continue
-        g = sym_e(ring, j - 1)
-        lifted = member_block(ring, target.a, target.m)
-        sub = cyclic_presentation(mod.numerator, mod.denominator, g, lifted)
+        target = family_member(n - 1, *key)
         entry = {"j": j, "presentation": sub["presentation_ok"], "target": None}
         details.append(entry)
         if not sub["passed"]:

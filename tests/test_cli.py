@@ -443,6 +443,60 @@ def test_flags_a_run_would_drop_exit_2(capsys, argv, message):
     assert captured.out == "" and message in captured.err
 
 
+GRID_COMMANDS = ("newton", "identity", "thm31", "thm41", "swap", "chain", "colon-lemma")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    *[([c], "--seed") for c in GRID_COMMANDS + ("tree",)],
+    *[(["csm", "--ideal", "unread.json"], "--seed"),
+      (["hilbert", "--ideal", "unread.json"], "--seed")],
+    *[([c], "--fail-fast") for c in ("tree", "thm53")],
+    *[([c, "--ideal", "unread.json"], "--fail-fast") for c in ("slp", "csm", "hilbert")],
+])
+def test_flags_a_run_does_not_read_exit_2(capsys, argv, flag):
+    # --seed is read only by slp and thm53, --fail-fast only by the grids
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag] + (["1"] if flag == "--seed" else []))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {flag}" in captured.err
+
+
+def test_seed_and_fail_fast_where_read(tmp_path, capsys):
+    assert main(["newton", "--n", "1", "--kmax", "1", "--fail-fast", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["fail_fast"] is True
+    path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
+    assert main(["slp", "--ideal", path, "--seed", "5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 5
+
+
+def test_readme_csm_example(tmp_path, capsys):
+    # the README's ideal file, run through its csm example, prints the
+    # README's example block
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    ideal = readme.split("Ideal files are JSON:\n\n```json\n", 1)[1].split("```", 1)[0]
+    example = readme.split("\n$ citree csm --ideal ideal.json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "ideal.json"
+    path.write_text(ideal)
+    assert main(["csm", "--ideal", str(path)]) == 0
+    assert capsys.readouterr().out == example
+
+
+@pytest.mark.parametrize("script, argv, code", [
+    ("derive_diagram.py", ["--member", "2,3,2", "--format", "json"], 0),
+    ("run_full_verification.py", ["--unused"], 2),
+])
+def test_scripts_run_from_a_plain_checkout(tmp_path, script, argv, code):
+    # no site-packages (-S), no PYTHONPATH, working directory outside the
+    # checkout: each script finds citree in its checkout's src/
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-S", str(SCRIPTS / script), *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_zero_b_s_depth_accepted(tmp_path, capsys):
     assert main(["thm41", "--n", "1", "--a", "2", "--b", "0"]) == 0
     assert main(["colon-lemma", "--n", "2", "--a", "2", "--s", "0"]) == 0

@@ -7,8 +7,14 @@ from math import prod
 
 import pytest
 
-from citree import cli, ideals, linalg, tree
-from citree.csm import central_simple_modules, certify_annihilator, member_ideal, sym_e
+from citree import cli, csm, ideals, linalg, tree
+from citree.csm import (
+    central_simple_modules,
+    certify_annihilator,
+    member_ideal,
+    predicted_member,
+    sym_e,
+)
 from citree.ideals import (
     Ideal,
     artinian_monomial_basis,
@@ -24,7 +30,6 @@ from citree.ideals import (
 from citree.polyring import InvalidInput, Polynomial, RingSpec
 from citree.symfun import symmetric_generator
 from citree.tree import (
-    _predicted_arrow_target,
     certify_complete_intersection,
     children,
     colon_closure_family,
@@ -341,31 +346,48 @@ def test_arrow_target_needs_the_module_hilbert_function():
 
 def test_no_predicted_target_beyond_the_level():
     # A_2(5, 3) does not exist, so a fourth module of A_3(6, 3) has no target
-    assert _predicted_arrow_target(family_member(3, 6, 3), 4) is None
+    assert predicted_member(2, 6, 3) is None
+    assert predicted_member(2, 6, 2) == (5, 2)
+    # below a = 3 and for module 1 the prediction is the coinvariant member
+    assert predicted_member(2, 2, 2) == predicted_member(2, 6, 0) == (1, 2)
+
+
+def test_module_beyond_the_level_has_no_member(monkeypatch):
+    # a module the prediction cannot place gets no target and no presentation
+    predicted = csm.predicted_member
+    monkeypatch.setattr(csm, "predicted_member", lambda k, a, s:
+                        None if s == 1 else predicted(k, a, s))
+    arrows, rep = member_csm_arrows(family_member(3, 4, 3))
+    assert not rep["passed"]
+    assert rep["modules"][1] == {"j": 2, "target": None, "predicted": None,
+                                 "failed_condition": "no_member"}
+    assert [j for j, _ in arrows] == [1, 3]
 
 
 def test_wrong_prediction_has_no_target(monkeypatch):
-    predicted = tree._predicted_arrow_target
-    monkeypatch.setattr(tree, "_predicted_arrow_target", lambda member, j:
-                        family_member(2, 2, 2) if j == 2 else predicted(member, j))
+    predicted = csm.predicted_member
+    monkeypatch.setattr(csm, "predicted_member", lambda k, a, s:
+                        (2, 2) if s == 1 else predicted(k, a, s))
     for check_modules in (False, True):
         arrows, rep = member_csm_arrows(family_member(3, 4, 3), check_modules=check_modules)
         assert not rep["passed"]
         assert [m["target"] for m in rep["modules"]] == [
             member_label(2, 1, 2), None, member_label(2, 3, 2)]
+        assert rep["modules"][1]["predicted"] == member_label(2, 2, 2)
         assert [j for j, _ in arrows] == [1, 3]
 
 
 def test_failed_presentation_names_the_prediction(monkeypatch):
     # with e_j in place of e_(j-1) no module is presented cyclically, and
     # each entry names the member it was predicted to land on
-    monkeypatch.setattr(tree, "sym_e", lambda ring, i: sym_e(ring, i + 1))
+    monkeypatch.setattr(csm, "sym_e", lambda ring, i: sym_e(ring, i + 1))
     member = family_member(3, 4, 3)
     arrows, rep = member_csm_arrows(member)
     assert not rep["passed"] and arrows == []
     for entry in rep["modules"]:
         assert entry["target"] is None and not entry["presentation"]
-        assert entry["predicted"] == _predicted_arrow_target(member, entry["j"]).label
+        key = predicted_member(2, member.a, entry["j"] - 1)
+        assert entry["predicted"] == member_label(2, *key)
         assert entry["failed_condition"] == "presentation"
 
 
