@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 from . import __version__, csm, symfun, tree
 from .ideals import Ideal
-from .lefschetz import LefschetzReport, find_lefschetz_element, slp_check_algebra
+from .lefschetz import (LefschetzReport, find_lefschetz_element, lefschetz_candidates,
+                        slp_check_algebra)
 from .polyring import InvalidInput, RingSpec, parse_polynomial
 from .quotient import build_quotient
 
@@ -199,9 +200,11 @@ def _cmd_slp(cfg: RunConfig):
         max_tries = cfg.params.get("max_tries", 24)
         found = find_lefschetz_element(A, max_tries=max_tries, seed=cfg.seed,
                                        check_top_degree=cfg.check_top_degree)
+        # a failed search tried every candidate, which may be fewer than max_tries
         rep = found[1] if found else LefschetzReport(
             subject=str(I), linear_form=None, holds=False, witnesses=[],
-            hilbert=A.hilbert_function(), seed=cfg.seed, tries=max_tries,
+            hilbert=A.hilbert_function(), seed=cfg.seed,
+            tries=len(lefschetz_candidates(I.ring, cfg.seed, max_tries)),
             top_degree_checked=cfg.check_top_degree)
     out = rep.to_json()
     out["verifier"] = "slp"

@@ -73,7 +73,7 @@ def power_family_ideal(n: int, a: int) -> Ideal:
     return mixed_family_ideal(n, a, n)
 
 
-# Members kept by member_ideal; the full verification builds 56.
+# Members kept by member_ideal; the full verification builds 46.
 MEMBER_TABLE_SIZE = 256
 
 
@@ -138,13 +138,11 @@ def chain_blocks(ring: RingSpec, a: int, b: int):
 
 
 def first_block_colon_holds(I: Ideal, a: int, b: int) -> bool:
-    """I : v^(n-b) = (p~_a..p~_(a+b), e_(b+1)..e_n) for the mixed family I."""
-    ring = I.ring
-    n = xpart(ring)
-    swap_target = Ideal(ring, [symmetric_generator("p_tilde", n, a + t) for t in range(b + 1)]
-                        + [sym_e(ring, j) for j in range(b + 1, n + 1)])
-    colon = colon_by_variable_power(I, n - b)
-    return ideal_equal(colon, swap_target)
+    """I : v^(n-b) = (p~_a..p~_(a+b), e_(b+1)..e_n), the generators of I_1
+    (_swap_generators, kind g), for the mixed family I."""
+    n = xpart(I.ring)
+    ptilde, rest = _swap_generators("g", n, a, b, 0)
+    return ideal_equal(colon_by_variable_power(I, n - b), Ideal(I.ring, ptilde + rest))
 
 
 # --- the chain ----------------------------------------------------------------
@@ -156,10 +154,12 @@ class CsmChain:
 
     entries[t] = (ideal, lo, hi): the ideal attained exactly for the
     exponents lo..hi; the last entry is the unit ideal at (p, p).
+    hilbert_functions[t] is HF(R/ideal) of entries[t], recorded by csm_chain.
     """
 
     p: int
     entries: list
+    hilbert_functions: list
 
     def ideal_at(self, i: int) -> Ideal:
         for ideal, lo, hi in self.entries:
@@ -180,13 +180,15 @@ class CsmChain:
             (lo, hi) == (elo, ehi) and ideal_equal(J, E)
             for (J, lo, hi), (E, elo, ehi) in zip(self.entries, expected_blocks))
 
+    def dimensions(self):
+        """dim R/ideal for each entry."""
+        return [sum(hf) for hf in self.hilbert_functions]
+
     def filtration_summands(self):
         """dim R/((I : v^i) + (v)) for i = 0..p; the filtration identity
         says they sum to dim R/I."""
-        summands = []
-        for J, lo, hi in self.entries:
-            summands.extend([quotient_dimension(J) or 0] * (hi - lo + 1))
-        return summands
+        return [dim for dim, (_, lo, hi) in zip(self.dimensions(), self.entries)
+                for _ in range(lo, hi + 1)]
 
 
 @dataclass
@@ -202,10 +204,10 @@ class CentralSimpleModule:
 
 
 def csm_chain(I: Ideal) -> CsmChain:
-    """Compute and deduplicate (I : v^i) + (v) until the unit ideal."""
-    dim = quotient_dimension(I)
-    if dim is None:
-        raise InvalidInput(f"{I} is not Artinian")
+    """Compute and deduplicate (I : v^i) + (v) until the unit ideal, with
+    each block's Hilbert function; raises NotArtinian when R/I is not
+    Artinian."""
+    dim = sum(hf_of(I))
     entries = []
     cur = I
     i = 0
@@ -221,14 +223,16 @@ def csm_chain(I: Ideal) -> CsmChain:
             raise AssertionError("chain failed to terminate")
         cur = colon_by_variable_power(cur, 1)
         i += 1
-    dims = [quotient_dimension(e[0]) for e in entries]
+    chain = CsmChain(p=i, entries=[tuple(e) for e in entries],
+                     hilbert_functions=[hf_of(e[0]) for e in entries])
+    dims = chain.dimensions()
     for t in range(len(entries) - 1):
         small, big = entries[t][0], entries[t + 1][0]
         if not big.contains_ideal(small):
             raise AssertionError("chain is not increasing")
         if not dims[t] > dims[t + 1]:
             raise AssertionError("consecutive chain blocks are not strict")
-    return CsmChain(p=i, entries=[tuple(e) for e in entries])
+    return chain
 
 
 def central_simple_modules(I: Ideal, chain: CsmChain | None = None):
@@ -236,7 +240,7 @@ def central_simple_modules(I: Ideal, chain: CsmChain | None = None):
     if chain is None:
         chain = csm_chain(I)
     ideals = chain.distinct_ideals()
-    hfs = [hf_of(J) for J in ideals]
+    hfs = chain.hilbert_functions
     out = []
     m = len(ideals) - 1
     for j in range(1, m + 1):
@@ -402,25 +406,21 @@ def verify_mixed_family(n: int, a: int, b: int) -> dict:
 # --- generator swaps --------------------------------------------------------------
 
 
-def _swap_presentations(kind: str, n: int, a: int, b: int | None, r: int):
-    """The two generating sets of I_k, with top = n (kind f, r = k) or
-    top = b (kind g, r = k-1): the power sums p~_a..p~_(a+top-r), the
-    boundary polynomials of orders r-1 down to 0 and e_(top+1)..e_n; the
-    second has z^a times the order-r boundary polynomial in place of the
-    last power sum."""
+def _swap_generators(kind: str, n: int, a: int, b: int | None, r: int):
+    """The generators of I_k, with top = n (kind f, r = k) or top = b
+    (kind g, r = k-1): the power sums p~_a..p~_(a+top-r), then the rest,
+    the boundary polynomials of orders r-1 down to 0 and e_(top+1)..e_n."""
     ring = RingSpec(n, has_z=True)
-    z = Polynomial.variable(ring, "z")
     top = n if kind == "f" else b
-    ptilde = [symmetric_generator("p_tilde", n, a + t) for t in range(top - r + 1)]
-    rest = ([boundary_polynomial(kind, n, b, t) for t in range(r - 1, -1, -1)]
+    return ([symmetric_generator("p_tilde", n, a + t) for t in range(top - r + 1)],
+            [boundary_polynomial(kind, n, b, t) for t in range(r - 1, -1, -1)]
             + [sym_e(ring, j) for j in range(top + 1, n + 1)])
-    swapped = (z ** a) * boundary_polynomial(kind, n, b, r)
-    return Ideal(ring, ptilde + rest), Ideal(ring, ptilde[:-1] + [swapped] + rest)
 
 
 def verify_generator_swap(kind: str, n: int, a: int, b: int | None = None) -> dict:
-    """Equality of the two presentations of every I_k: replacing the last
-    power sum by z^a f^(k) (kind f) or z^a g^(k-1) (kind g)."""
+    """Equality of the two presentations of every I_k (_swap_generators):
+    replacing the last power sum by z^a f^(k) (kind f) or z^a g^(k-1)
+    (kind g)."""
     if a < 2:
         raise InvalidInput("need a >= 2")
     report = {"verifier": "generator-swap", "params": {"kind": kind, "n": n, "a": a, "b": b}}
@@ -433,8 +433,13 @@ def verify_generator_swap(kind: str, n: int, a: int, b: int | None = None) -> di
         ks, offset = range(1, b + 2), 1
     else:
         raise InvalidInput(f"unknown swap kind {kind!r}")
+    ring = RingSpec(n, has_z=True)
+    z = Polynomial.variable(ring, "z")
     for k in ks:
-        _check(checks, f"k_{k}", ideal_equal(*_swap_presentations(kind, n, a, b, k - offset)))
+        ptilde, rest = _swap_generators(kind, n, a, b, k - offset)
+        swapped = (z ** a) * boundary_polynomial(kind, n, b, k - offset)
+        _check(checks, f"k_{k}", ideal_equal(Ideal(ring, ptilde + rest),
+                                             Ideal(ring, ptilde[:-1] + [swapped] + rest)))
     return _finish(report, checks)
 
 
@@ -498,7 +503,7 @@ def verify_chain_blocks(kind: str, n: int, a: int, b: int | None = None) -> dict
     _check(checks, "blocks", blocks_ok, expected=ranges)
 
     # strictness via strictly dropping quotient dimensions
-    dims = [quotient_dimension(J) for J, _, _ in chain.entries]
+    dims = chain.dimensions()
     _check(checks, "strict_inclusions", all(x > y for x, y in zip(dims, dims[1:])),
            dims=dims)
     if colon_ok is not None:
@@ -538,7 +543,7 @@ def verify_terminal_csm(I: Ideal, chain: CsmChain | None = None) -> dict:
         full = colon_by_variable_power(I, q)
         if full.is_unit():
             _check(checks, "single_module", len(modules) == 1)
-            dims_match = last.graded_dims == hf_of(base)
+            dims_match = last.graded_dims == chain.hilbert_functions[0]
             _check(checks, "module_is_quotient_by_variable", dims_match)
     return _finish(report, checks)
 

@@ -214,7 +214,7 @@ def _spoly(f, g):
 
 
 def _pure_power_caps(lm_exps_list, width):
-    """Per-variable pure-power exponents in a monomial ideal, or None."""
+    """Per-variable pure-power exponents of a proper monomial ideal, or None."""
     caps = [None] * width
     for lm in lm_exps_list:
         nz = [v for v in range(width) if lm[v]]
@@ -222,8 +222,6 @@ def _pure_power_caps(lm_exps_list, width):
             v = nz[0]
             if caps[v] is None or lm[v] < caps[v]:
                 caps[v] = lm[v]
-        elif not nz:
-            return [0] * width  # unit ideal
     return caps
 
 
@@ -337,7 +335,7 @@ def _interreduce(G):
 
 # --- public Ideal ------------------------------------------------------------
 
-# Reduced bases by (ring, generators), oldest dropped first; the full verification stores 255.
+# Reduced bases by (ring, generators), oldest dropped first; the full verification stores 301.
 GB_CACHE_SIZE = 1024
 _GB_CACHE: dict = {}
 
@@ -364,7 +362,8 @@ def _core_to_poly(terms, ring: RingSpec):
 
 
 class Ideal:
-    """A homogeneous ideal with cached reduced Groebner basis."""
+    """A homogeneous ideal with cached reduced Groebner basis and, once
+    artinian_monomial_basis has run, its verdict in _basis."""
 
     __slots__ = ("ring", "generators", "_elems", "_gb_polys", "_basis")
 
@@ -388,6 +387,15 @@ class Ideal:
 
     def __setattr__(self, *a):
         raise AttributeError("Ideal is immutable")
+
+    @classmethod
+    def _from_reduced_basis(cls, ring: RingSpec, generators, elems, basis=None) -> "Ideal":
+        """Ideal(ring, generators) with its reduced basis elems and, when
+        known, its artinian_monomial_basis verdict set without recomputing."""
+        out = cls(ring, generators)
+        object.__setattr__(out, "_elems", elems)
+        object.__setattr__(out, "_basis", basis)
+        return out
 
     @classmethod
     def from_strings(cls, ring: RingSpec, texts):
@@ -475,10 +483,8 @@ def _last_variable(ring: RingSpec) -> int:
 
 
 def _from_basis(ring: RingSpec, elems) -> Ideal:
-    """The ideal whose reduced Groebner basis is elems, set without Buchberger."""
-    out = Ideal(ring, [_core_to_poly(g.terms, ring) for g in elems])
-    object.__setattr__(out, "_elems", elems)
-    return out
+    """The ideal whose reduced Groebner basis is elems, generated by it."""
+    return Ideal._from_reduced_basis(ring, [_core_to_poly(g.terms, ring) for g in elems], elems)
 
 
 def _colon_by_last_variable(I: Ideal) -> Ideal:
@@ -533,23 +539,22 @@ def extend_with_last_variable(J: Ideal, ring: RingSpec) -> Ideal:
     A zero v-exponent inserted at component 1 of a grevlex key gives the
     key in ring, and every S-pair with v has coprime leading monomials, so
     J's reduced basis plus v is the reduced basis of JR + (v).  The
-    generators are J's, extended, then v; J's standard monomials carry
-    over with v-exponent 0 when J has computed them.
+    generators are J's, extended, then v.  When J has computed its
+    standard monomials they carry over with v-exponent 0; when J is not
+    Artinian, neither is JR + (v), for the same variable.
     """
     if ring.total_vars != J.ring.total_vars + 1 or not J.ring.embeds_in(ring):
         raise RingMismatch(f"{J.ring} is not {ring} without its cheapest variable")
     v = Polynomial.variable(ring, _last_variable(ring))
-    out = Ideal(ring, [g.extend(ring) for g in J.generators] + [v])
     elems = [_BasisElem([(k[:1] + (0,) + k[1:], c) for k, c in g.terms])
              for g in J._gb_elems()]
     if not J.is_unit():
         elems = sorted(elems + [_BasisElem(_poly_to_core(v))], key=lambda g: g.lm_key)
-    object.__setattr__(out, "_elems", elems)
     basis = J._basis
     if isinstance(basis, list):
         basis = [[m + (0,) for m in monos] for monos in basis]
-    object.__setattr__(out, "_basis", basis)
-    return out
+    return Ideal._from_reduced_basis(ring, [g.extend(ring) for g in J.generators] + [v],
+                                     elems, basis)
 
 
 def _colon_artinian(I: Ideal, f: Polynomial) -> Ideal:
@@ -559,7 +564,7 @@ def _colon_artinian(I: Ideal, f: Polynomial) -> Ideal:
     the degree-d piece of the colon ideal modulo I, so I plus all the
     lifted kernels generates (I : f).
     """
-    basis_by_degree = artinian_monomial_basis(I)
+    basis_by_degree = require_artinian(I)
     elems = I._gb_elems()
     ring = I.ring
     e = f.degree()
@@ -601,18 +606,13 @@ def ideal_colon(I: Ideal, f: Polynomial) -> Ideal:
     unit_last = tuple(1 if i == slot else 0 for i in range(I.ring.total_vars))
     if len(f.terms) == 1 and f.terms[0][0] == unit_last:
         return _colon_by_last_variable(I)
-    if artinian_monomial_basis(I) is None:
-        raise NotArtinian(I, artinian_offending_variable(I))
     return _colon_artinian(I, f)
 
 
 def hf_of(I: Ideal):
-    """HF of R/I in degrees 0..socle (empty for the unit ideal); R/I must
-    be Artinian."""
-    basis = artinian_monomial_basis(I)
-    if basis is None:
-        raise InvalidInput(f"{I} is not Artinian")
-    return tuple(len(b) for b in basis)
+    """HF of R/I in degrees 0..socle (empty for the unit ideal); raises
+    NotArtinian when R/I is not Artinian."""
+    return tuple(len(b) for b in require_artinian(I))
 
 
 def hf_difference(den_hf, num_hf):
@@ -672,44 +672,37 @@ def colon_by_variable_power(I: Ideal, i: int) -> Ideal:
     return out
 
 
-def artinian_offending_variable(I: Ideal):
-    """A variable without a pure power among the leading terms, or None."""
-    if I.is_unit():
-        return None
-    caps = _pure_power_caps(I.leading_exponents(), I.ring.total_vars)
-    if caps is None:
-        return None
-    for v, cap in enumerate(caps):
-        if cap is None:
-            return I.ring.var_names[v]
-    return None
-
-
 def artinian_monomial_basis(I: Ideal):
-    """Standard monomials per degree 0..socle, or None when not Artinian.
+    """Standard monomials per degree 0..socle, or None when R/I is not
+    Artinian, the first variable with no pure power among the leading
+    terms then recorded for NotArtinian.
 
     Cached on the ideal; every entry of the returned list is non-empty.
     """
-    if I._basis is not None:
-        return I._basis if I._basis != "non-artinian" else None
-    width = I.ring.total_vars
-    lms = I.leading_exponents()
-    if I.is_unit():
-        object.__setattr__(I, "_basis", [])
-        return []
-    caps = _pure_power_caps(lms, width)
-    if caps is None or any(c is None for c in caps):
-        object.__setattr__(I, "_basis", "non-artinian")
-        return None
-    bound = sum(c - 1 for c in caps) + 1
-    out = []
-    for d in range(bound + 1):
-        monos = standard_monomials_of_degree(lms, width, d)
-        if not monos:
-            break
-        out.append(monos)
-    object.__setattr__(I, "_basis", out)
-    return out
+    if I._basis is None:
+        width = I.ring.total_vars
+        lms = I.leading_exponents()
+        caps = [] if I.is_unit() else _pure_power_caps(lms, width)  # R/(1) = 0
+        basis = []
+        if None in caps:
+            basis = I.ring.var_names[caps.index(None)]
+        elif caps:
+            for d in range(sum(c - 1 for c in caps) + 2):
+                monos = standard_monomials_of_degree(lms, width, d)
+                if not monos:
+                    break
+                basis.append(monos)
+        object.__setattr__(I, "_basis", basis)
+    return I._basis if isinstance(I._basis, list) else None
+
+
+def require_artinian(I: Ideal):
+    """artinian_monomial_basis of an Artinian R/I; the one refusal of a
+    quotient that is not: NotArtinian, naming the recorded variable."""
+    basis = artinian_monomial_basis(I)
+    if basis is None:
+        raise NotArtinian(I, I._basis)
+    return basis
 
 
 def quotient_dimension(I: Ideal):

@@ -13,10 +13,9 @@ from fractions import Fraction
 
 from .ideals import (
     Ideal,
-    NotArtinian,
-    artinian_monomial_basis,
-    artinian_offending_variable,
+    NotArtinian,  # re-exported: build_quotient raises it
     normal_form,
+    require_artinian,
 )
 from .polyring import Polynomial
 
@@ -75,11 +74,9 @@ class QuotientAlgebra:
 
 
 def build_quotient(I: Ideal) -> QuotientAlgebra:
-    """Enumerate the standard monomial bases of an Artinian quotient."""
-    basis = artinian_monomial_basis(I)
-    if basis is None:
-        raise NotArtinian(I, artinian_offending_variable(I))
-    return QuotientAlgebra(I, basis)
+    """The quotient over the standard monomial bases of an Artinian R/I;
+    raises NotArtinian otherwise."""
+    return QuotientAlgebra(I, require_artinian(I))
 
 
 def mult_map_matrix(A: QuotientAlgebra, f: Polynomial, i: int) -> RationalMatrix:

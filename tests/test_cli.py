@@ -180,7 +180,7 @@ def test_parse_errors_exit_2(tmp_path, capsys):
 
 
 # `slp --max-tries 1 --json` on a search that fails: the report has the
-# LefschetzReport fields with no linear form and tries = --max-tries
+# LefschetzReport fields with no linear form and tries = the one candidate tried
 FAILED_SEARCH_JSON = """{
   "config": {
     "check_top_degree": false,
@@ -222,6 +222,17 @@ def test_failed_search_json_bytes(tmp_path, capsys):
     path = write_ideal(tmp_path, "fail.json", 2, False, ["(x1 + x2)^2", "x2^3"])
     assert main(["slp", "--ideal", path, "--max-tries", "1", "--json"]) == 1
     assert capsys.readouterr().out == FAILED_SEARCH_JSON % json.dumps(path)
+
+
+def test_failed_search_counts_the_candidates_tried(tmp_path, capsys):
+    # 3 variables have 124 candidate forms (coefficients 0..4, not all 0),
+    # none a Lefschetz element of R/(x1^3, x2^3, x3^3, x1*x2*x3), HF 1,3,6,6,3
+    path = write_ideal(tmp_path, "f.json", 3, False, ["x1^3", "x2^3", "x3^3", "x1*x2*x3"])
+    for argv, tries in ((["--max-tries", "200"], 124), ([], 24)):
+        assert main(["slp", "--ideal", path, "--json"] + argv) == 1
+        rep = json.loads(capsys.readouterr().out)["reports"][0]
+        assert rep["hilbert"] == [1, 3, 6, 6, 3] and not rep["holds"]
+        assert rep["tries"] == tries
 
 
 @pytest.mark.parametrize("flag", [["--max-tries", "3"], ["--check-top-degree"]])
@@ -279,6 +290,16 @@ def test_non_artinian_file_exit_2(tmp_path, capsys, command):
     assert main([command, "--ideal", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Artinian" in err
+
+
+def test_non_artinian_file_one_refusal(tmp_path, capsys):
+    # every command that needs an Artinian quotient refuses it the same way
+    path = write_ideal(tmp_path, "line.json", 2, False, ["x1^2"])
+    for command in ("hilbert", "slp", "csm", "tree"):
+        assert main([command, "--ideal", path]) == 2, command
+        assert capsys.readouterr().err == (
+            "error: quotient by (x1^2) is not Artinian: no pure power of x2 among the "
+            "leading terms\n"), command
 
 
 def test_undecodable_file_exit_2(tmp_path, capsys):

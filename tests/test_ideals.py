@@ -312,6 +312,51 @@ def artinian_ideals(draw):
     return Ideal(R2Z, list(I.generators) + powers), k
 
 
+@st.composite
+def monomial_ideals(draw):
+    """A monomial ideal of K[x1..xn] or K[x1..xn, z], n = 1..3, with
+    generators of degree 1..12 and a pure power of each variable drawn or
+    not; returns (ideal, generator exponents)."""
+    ring = RingSpec(draw(st.integers(min_value=1, max_value=3)), draw(st.booleans()))
+    width = ring.total_vars
+    exps = draw(st.lists(st.lists(st.integers(min_value=0, max_value=3),
+                                  min_size=width, max_size=width).filter(any), max_size=4))
+    for v in range(width):
+        k = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=3)))
+        if k is not None:
+            exps.append([k if u == v else 0 for u in range(width)])
+    exps = [tuple(e) for e in exps]
+    return Ideal(ring, [Polynomial.monomial(ring, e) for e in exps]), exps
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_ideals())
+def test_artinian_verdict_against_brute_force(case):
+    # Artinian exactly when every variable has a pure power among the
+    # generators; then the standard monomials are the monomials below those
+    # powers that no generator divides
+    I, exps = case
+    width = I.ring.total_vars
+    caps = [min((e[v] for e in exps if e[v] == sum(e)), default=None) for v in range(width)]
+    lifted = None if I.ring.has_z else extend_with_last_variable(I, RingSpec(I.ring.nvars, True))
+    if None in caps:
+        assert artinian_monomial_basis(I) is None
+        with pytest.raises(NotArtinian) as err:
+            hf_of(I)
+        assert err.value.variable == I.ring.var_names[caps.index(None)]
+    else:
+        outside = [m for m in product(*(range(c) for c in caps))
+                   if not any(all(x >= y for x, y in zip(m, e)) for e in exps)]
+        assert sorted(m for monos in artinian_monomial_basis(I) for m in monos) == sorted(outside)
+        top = max(sum(m) for m in outside)
+        assert hf_of(I) == tuple(sum(1 for m in outside if sum(m) == d) for d in range(top + 1))
+    if lifted is not None:
+        # the verdict carries over one variable up, as computed afresh
+        fresh = Ideal(lifted.ring, lifted.generators)
+        assert artinian_monomial_basis(lifted) == artinian_monomial_basis(fresh)
+        assert lifted._basis == fresh._basis
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_ideals(), homogeneous_polys(R2Z, 2))
 def test_normal_form_idempotent(I, p):
