@@ -5,6 +5,9 @@ basis under the ring's grevlex order; the reduced basis is canonical
 (primitive integer coefficients, positive leading coefficient, sorted), so
 two ideals are equal exactly when their reduced bases coincide.
 Buchberger's algorithm prunes S-pairs by the Gebauer-Moeller criteria only.
+Division keeps its remainder as a sparse accumulator, a dict of
+coefficients with its keys in one sorted list, so a reduction step costs
+the reducer's length, not the remainder's.
 
 Both children of the ring's cheapest variable v are rewrites of the
 reduced basis, with no Buchberger run: (I : v) divides v out of the
@@ -32,8 +35,11 @@ against the kernel-lifting colon, and the reduced basis against sympy.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from fractions import Fraction
+from itertools import islice
 from math import gcd
+from operator import add
 
 from . import linalg
 from .polyring import (
@@ -89,10 +95,10 @@ class _BasisElem:
 # descending by key.
 
 
-def _content(terms, start=0):
+def _content(coeffs):
     g = 0
-    for i in range(start, len(terms)):
-        g = gcd(g, terms[i][1])
+    for c in coeffs:
+        g = gcd(g, c)
         if g == 1:
             return 1
     return g
@@ -102,7 +108,7 @@ def _normalize(terms):
     """Primitive with positive leading coefficient."""
     if not terms:
         return terms
-    g = _content(terms)
+    g = _content(c for _, c in terms)
     if terms[0][1] < 0:
         g = -g
     if g != 1:
@@ -147,38 +153,52 @@ def _reduce_core(p, basis):
     """Full division remainder of a core polynomial by the basis.
 
     Returns a list of (key, Fraction) pairs, descending: the true normal
-    form of (integer core) p, linear in p.  Reduction itself is
-    fraction-free; the running scale is divided out on emission.
+    form of (integer core) p, linear in p.  The unprocessed remainder is a
+    dict key -> int with its keys in an ascending list, so the lead is the
+    last key and a reduction step touches only the reducer's terms.  The
+    reducer is the first basis element, in list order, whose leading
+    monomial divides the lead.  Reduction is fraction-free: the remainder
+    is scaled only when the reducer's leading coefficient does not divide
+    the lead's, its content is divided out every 16 steps, and the running
+    scale is divided out on emission.
     """
     out = []
-    work = list(p)
-    start = 0
+    rem = dict(p)
+    keys = [k for k, _ in reversed(p)]
     scale = Fraction(1)
     steps = 0
-    while start < len(work):
-        klead, clead = work[start]
+    while keys:
+        klead = keys.pop()
+        clead = rem.pop(klead)
+        if not clead:  # cancelled after its key went in
+            continue
         elead = _decode(klead)
-        hit = None
-        for be in basis:
-            if mono_divides(be.lm_exps, elead):
-                hit = be
+        for hit in basis:
+            if mono_divides(hit.lm_exps, elead):
                 break
-        if hit is None:
+        else:
             out.append((klead, clead / scale))
-            start += 1
             continue
         shift = mono_div(klead, hit.lm_key)
         g = gcd(clead, hit.lc)
         a = hit.lc // g
         b = clead // g
-        work = _axpy_shift(a, work, start + 1, -b, hit.terms, 1, shift)
-        start = 0
-        scale *= a
+        if a != 1:
+            rem = {k: a * c for k, c in rem.items()}
+            scale *= a
+        for k, c in islice(hit.terms, 1, None):
+            k = tuple(map(add, k, shift))
+            old = rem.get(k)
+            if old is None:
+                rem[k] = -b * c
+                insort(keys, k)
+            else:
+                rem[k] = old - b * c
         steps += 1
-        if steps % 16 == 0 and work:
-            cont = _content(work)
+        if steps % 16 == 0:
+            cont = _content(rem.values())
             if cont > 1:
-                work = [(k, c // cont) for k, c in work]
+                rem = {k: c // cont for k, c in rem.items()}
                 scale /= cont
     return out
 

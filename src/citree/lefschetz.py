@@ -135,8 +135,11 @@ def slp_check_module(V: GradedModuleView, y: Polynomial) -> LefschetzReport:
 
 def lefschetz_candidates(ring, seed: int, max_tries: int):
     """Deterministic candidate stream: all-ones, single variables, then
-    seeded small random combinations."""
+    seeded small random combinations, drawn until max_tries forms are
+    listed, every one of the 5^width - 1 nonzero coefficient vectors in
+    0..4 is, or 50 * max_tries draws are spent."""
     width = ring.total_vars
+    wanted = min(max_tries, 5 ** width - 1)
     ones = Polynomial(ring, {tuple(1 if j == i else 0 for j in range(width)): 1 for i in range(width)})
     seen = set()
     out = []
@@ -151,7 +154,7 @@ def lefschetz_candidates(ring, seed: int, max_tries: int):
         push(Polynomial.variable(ring, i))
     rng = random.Random(seed)
     attempts = 0
-    while len(out) < max_tries and attempts < 50 * max_tries:
+    while len(out) < wanted and attempts < 50 * max_tries:
         attempts += 1
         coeffs = [rng.randint(0, 4) for _ in range(width)]
         if not any(coeffs):

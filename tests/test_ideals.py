@@ -34,8 +34,9 @@ from citree.ideals import (
     shifted_hf_matches,
     standard_monomials_of_degree,
 )
-from citree.polyring import Polynomial, RingSpec, parse_polynomial
-from citree.symfun import symmetric_generator
+from citree.polyring import (Polynomial, RingSpec, grevlex_key, mono_div, mono_divides,
+                             parse_polynomial)
+from citree.symfun import member_generators, symmetric_generator
 
 R1Z = RingSpec(1, True)
 R2 = RingSpec(2)
@@ -432,6 +433,111 @@ def test_buchberger_criterion_on_output(Ik):
             assert not _reduce_to_primitive(_spoly(elems[i], elems[j]), elems)
     assert all(normal_form(g, I).is_zero() for g in I.generators)
     assert all(oracle_member(g, list(I.generators)) for g in I.groebner_basis())
+
+
+# --- reduction against the merge-based oracle ------------------------------------
+
+
+def oracle_reduce_core(p, basis):
+    """Full division remainder by re-merging the whole unprocessed remainder
+    at every step (ideals._axpy_shift): the same reducer choice, the same
+    fraction-free scaling and the same content reduction every 16 steps as
+    ideals._reduce_core, at the cost of the remainder's length per step."""
+    out = []
+    work = list(p)
+    start = 0
+    scale = Fraction(1)
+    steps = 0
+    while start < len(work):
+        klead, clead = work[start]
+        elead = ideals._decode(klead)
+        hit = next((be for be in basis if mono_divides(be.lm_exps, elead)), None)
+        if hit is None:
+            out.append((klead, clead / scale))
+            start += 1
+            continue
+        shift = mono_div(klead, hit.lm_key)
+        g = gcd(clead, hit.lc)
+        a = hit.lc // g
+        b = clead // g
+        work = ideals._axpy_shift(a, work, start + 1, -b, hit.terms, 1, shift)
+        start = 0
+        scale *= a
+        steps += 1
+        if steps % 16 == 0 and work:
+            cont = 0
+            for _, c in work:
+                cont = gcd(cont, c)
+            if cont > 1:
+                work = [(k, c // cont) for k, c in work]
+                scale /= cont
+    return out
+
+
+@st.composite
+def core_polys(draw, width, degrees, min_size=0):
+    """A core polynomial: distinct monomials of the given degrees with
+    nonzero integer coefficients, as (grevlex key, int) pairs, descending."""
+    monos = [m for d in degrees for m in standard_monomials_of_degree([], width, d)]
+    chosen = draw(st.lists(st.sampled_from(monos), unique=True, min_size=min_size, max_size=6))
+    coeffs = st.integers(min_value=-6, max_value=6).filter(bool)
+    return sorted(((grevlex_key(m), draw(coeffs)) for m in chosen), reverse=True)
+
+
+@st.composite
+def reduction_cases(draw):
+    """(p, basis) in 1-3 variables: a basis of up to four arbitrary
+    elements, not a Groebner basis in general, with any nonzero leading
+    coefficient, and p of degree at most 4."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    basis = draw(st.lists(core_polys(width, range(1, 4), min_size=1), max_size=4))
+    p = draw(core_polys(width, range(5)))
+    return p, [ideals._BasisElem(terms) for terms in basis]
+
+
+def assert_reduction_matches_oracle(p, basis):
+    rem = ideals._reduce_core(p, basis)
+    assert rem == oracle_reduce_core(p, basis)
+    assert all(type(c) is Fraction for _, c in rem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduction_cases())
+def test_reduce_core_matches_merge_oracle(case):
+    assert_reduction_matches_oracle(*case)
+
+
+def test_reduce_core_scales_and_divides_content():
+    # leading coefficients 2 and 3 scale the remainder at most steps, and a
+    # sixth power of a trinomial takes more than 16 steps to reduce, so the
+    # content is divided out along the way
+    basis = [ideals._BasisElem(ideals._poly_to_core(P(t, R2Z)))
+             for t in ("2*x1 - 3*x2 + z", "3*x2^2 + 5*x2*z - 4*z^2")]
+    p = ideals._poly_to_core(P("(x1 + 2*x2 - 3*z)^6", R2Z))
+    assert_reduction_matches_oracle(p, basis)
+    assert_reduction_matches_oracle(p, basis[::-1])
+
+
+def test_reduce_core_empty_inputs():
+    basis = [ideals._BasisElem(ideals._poly_to_core(P("x1^2 - 2*x2*z", R2Z)))]
+    assert ideals._reduce_core([], basis) == []
+    assert ideals._reduce_core([], []) == []
+    p = ideals._poly_to_core(P("3*x1^2 + x2*z - 5*z^2", R2Z))
+    assert ideals._reduce_core(p, []) == [(k, Fraction(c)) for k, c in p]
+
+
+def test_reduced_basis_canonical_with_redundant_generators():
+    # A_4(7,3) plus redundant generators, interleaved: the seeds and S-pairs
+    # differ, and x1*p7 + p8 leads with coefficient 2, so partial bases hold
+    # a leading coefficient other than 1; the reduced basis must not change
+    ring = RingSpec(4)
+    p7, p8, p9, e4 = member_generators(4, 7, 3)
+    x1, x2, x3, x4 = (Polynomial.variable(ring, v) for v in range(4))
+    redundant = [x1 * p7 + p8, x4 ** 5 * e4 - 2 * x2 ** 2 * p7, 3 * x3 * p8 + x1 ** 5 * e4]
+    plain = Ideal(ring, [p7, p8, p9, e4])
+    padded = Ideal(ring, [redundant[0], p7, redundant[1], p8, p9, redundant[2], e4])
+    assert padded.groebner_basis() == plain.groebner_basis()
+    assert padded.leading_exponents() == plain.leading_exponents()
 
 
 def sum_by_buchberger(I):

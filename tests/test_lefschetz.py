@@ -1,13 +1,15 @@
 """Lefschetz property checks, with a combinatorial oracle for monomial
 complete intersections that bypasses the Groebner machinery entirely."""
 
+import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from citree import linalg
+from citree import lefschetz, linalg
 from citree.ideals import Ideal, ideal_colon, normal_form, standard_monomials_of_degree
 from citree.lefschetz import (
     find_lefschetz_element,
@@ -373,6 +375,50 @@ def test_candidates_deterministic():
     assert a == b
     c = lefschetz_candidates(R3, seed=6, max_tries=12)
     assert a[:4] == c[:4]  # fixed prefix: all-ones then single variables
+
+
+# (ring, seed) -> (max_tries, length, sha256 prefix of the forms, one per
+# line) for each max_tries, taken from the draw loop before it stopped at
+# exhaustion; a ring of width w has 5^w - 1 distinct forms.
+CANDIDATE_PINS = {
+    (RingSpec(1), 0): [(5, 4, "b9d9ae8117f600d7"), (24, 4, "b9d9ae8117f600d7"), (200, 4, "b9d9ae8117f600d7")],
+    (RingSpec(1), 1): [(5, 4, "d4e6218a018dd730"), (24, 4, "d4e6218a018dd730"), (200, 4, "d4e6218a018dd730")],
+    (RingSpec(1), 7): [(5, 4, "c952b27d1ff71c01"), (24, 4, "c952b27d1ff71c01"), (200, 4, "c952b27d1ff71c01")],
+    (RingSpec(2), 0): [(5, 5, "81b081f9c7df68e6"), (24, 24, "1d60497110382554"), (200, 24, "1d60497110382554")],
+    (RingSpec(2), 1): [(5, 5, "ef0e391530ee32a4"), (24, 24, "ad4b3d4af7df5807"), (200, 24, "ad4b3d4af7df5807")],
+    (RingSpec(2), 7): [(5, 5, "ebb54b71f909a767"), (24, 24, "0dc4c98d79756cb0"), (200, 24, "0dc4c98d79756cb0")],
+    (RingSpec(3), 0): [(5, 5, "933425abd534ac49"), (24, 24, "217313fd7b909910"), (200, 124, "5fa98787540fb0fd")],
+    (RingSpec(3), 1): [(5, 5, "cd19735e72a2f004"), (24, 24, "5b8fc69c0a0e44ec"), (200, 124, "73b2cf84d25765b8")],
+    (RingSpec(3), 7): [(5, 5, "f7bd6cadb3bd850f"), (24, 24, "4d8470d895863855"), (200, 124, "b1a407e0ffcc897d")],
+    (RingSpec(2, True), 0): [(5, 5, "ac7b0e225dc3b6df"), (24, 24, "1f8188aaaa87a098"), (200, 124, "35df24195234ac95")],
+    (RingSpec(2, True), 1): [(5, 5, "e5ae36b3264ad87c"), (24, 24, "560947fc074bbb5d"), (200, 124, "0e046e359d16dd8b")],
+    (RingSpec(2, True), 7): [(5, 5, "bd4535ed70e567bf"), (24, 24, "5f8dbdd18af8c995"), (200, 124, "043e3842802b9b46")],
+}
+
+
+@pytest.mark.parametrize("ring, seed", list(CANDIDATE_PINS))
+def test_candidate_lists_pinned(ring, seed):
+    for max_tries, length, digest in CANDIDATE_PINS[ring, seed]:
+        forms = lefschetz_candidates(ring, seed, max_tries)
+        assert len(forms) == length
+        text = "\n".join(str(p) for p in forms)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_candidates_stop_drawing_at_exhaustion(monkeypatch):
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randint(self, a, b):
+            draws.append(1)
+            return super().randint(a, b)
+
+    monkeypatch.setattr(lefschetz.random, "Random", CountingRandom)
+    forms = lefschetz_candidates(R1, 0, 1000)
+    assert [str(p) for p in forms] == ["x1", "3*x1", "2*x1", "4*x1"]
+    # the four nonzero multiples of x1 are listed after a few draws, not
+    # after the 50 * max_tries = 50000 the attempt cap allows
+    assert len(draws) < 50
 
 
 def test_report_json_schema():
