@@ -383,7 +383,8 @@ def _build_parser():
     p.add_argument("--n-max", type=_positive)
     p.add_argument("--bound", type=_positive)
     p.add_argument("--ideal", help="export the tree under this root instead")
-    p.add_argument("--depth", type=_nonnegative, default=3)
+    p.add_argument("--depth", type=_nonnegative,
+                   help="levels of the exported tree (default 3); only with --ideal")
     p.add_argument("--dot", action="store_true")
     common(p)
 
@@ -405,11 +406,13 @@ def _build_parser():
 def _config_from_args(args) -> RunConfig:
     params = {}
     for key in ("n", "a", "b", "s", "kind", "kmax", "ideal", "y", "top",
-                "depth", "family", "bound", "diagram", "n_max", "a_max"):
+                "family", "bound", "diagram", "n_max", "a_max"):
         if getattr(args, key, None) is not None:
             params[key] = getattr(args, key)
     if hasattr(args, "max_tries"):
         params["max_tries"] = 24 if args.max_tries is None else args.max_tries
+    if hasattr(args, "depth"):
+        params["depth"] = 3 if args.depth is None else args.depth
     if getattr(args, "skip_modules", False):
         params["check_modules"] = False
     output = "json" if args.json else "text"
@@ -489,6 +492,10 @@ def main(argv=None) -> int:
         parser.error("--dot draws a graph, so it needs tree --ideal or thm53 --diagram")
     if args.command == "tree" and args.ideal and (args.family or args.n_max or args.bound):
         parser.error("tree --ideal exports one tree, so it takes no --family, --n-max or --bound")
+    if args.command == "tree" and not args.ideal and args.depth is not None:
+        parser.error("tree --depth sets the depth of an exported tree, so it needs --ideal")
+    if args.command in ("identity", "swap", "chain") and args.kind == "f" and args.b is not None:
+        parser.error(f"{args.command} --kind f has no b parameter, so it takes no --b")
     if args.command == "slp" and args.y and args.max_tries is not None:
         parser.error("slp --y checks one linear form, so it takes no --max-tries")
     cfg = _config_from_args(args)

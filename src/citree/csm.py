@@ -29,6 +29,7 @@ from math import prod
 from .ideals import (
     Ideal,
     add_last_variable,
+    artinian_caps,
     certify_annihilator,
     certify_colon,
     certify_regular_sequence,
@@ -94,10 +95,13 @@ def predicted_member(k: int, a: int, s: int):
 @lru_cache(maxsize=MEMBER_TABLE_SIZE)
 def member_ideal(n: int, a: int, m: int) -> Ideal:
     """A_n(a, m) in K[x1..xn], built once under its member_key and
-    certified in place by certify_regular_sequence, so its standard
-    monomials stay on it and a caller re-reads the verdict for free.  The
-    coinvariant entry (1, n) is built from e_1..e_n, the generators of
-    A_n(1, 0)."""
+    certified in place by certify_regular_sequence: its n generators have
+    positive degrees and R/A_n(a, m) is Artinian, so they form a regular
+    sequence (K[x1..xn] is Cohen-Macaulay) and the quotient has dimension
+    the product of their degrees.  The certificate reads the cached
+    reduced basis, so a caller re-reads the verdict for free; no standard
+    monomial is listed until a reader needs one.  The coinvariant entry
+    (1, n) is built from e_1..e_n, the generators of A_n(1, 0)."""
     key = member_key(n, a, m)
     if key != (a, m):
         return member_ideal(n, *key)
@@ -109,7 +113,8 @@ def member_ideal(n: int, a: int, m: int) -> Ideal:
 def member_block(ring: RingSpec, a: int, m: int) -> Ideal:
     """A_n(a, m)R + (v): the family member in the leading variables of
     ring, extended to ring, plus the cheapest variable v: the member's
-    reduced basis and standard monomials, rewritten."""
+    reduced basis and standard monomials, rewritten
+    (extend_with_last_variable lists the member's once)."""
     return extend_with_last_variable(member_ideal(xpart(ring), a, m), ring)
 
 
@@ -206,8 +211,14 @@ class CentralSimpleModule:
 def csm_chain(I: Ideal) -> CsmChain:
     """Compute and deduplicate (I : v^i) + (v) until the unit ideal, with
     each block's Hilbert function; raises NotArtinian when R/I is not
-    Artinian."""
-    dim = sum(hf_of(I))
+    Artinian (artinian_caps), listing none of I's standard monomials.
+
+    The chain reaches the unit ideal at p, the nilpotency index of v in
+    R/I: (I : v^i) + (v) is homogeneous, so it is R exactly when v^i is in
+    I.  v^(s+1) is in I for s the socle degree, and s <= sum(c_j - 1) for
+    the pure-power caps c_j of in(I), which bounds the loop.
+    """
+    bound = sum(c - 1 for c in artinian_caps(I)) + 1
     entries = []
     cur = I
     i = 0
@@ -219,7 +230,7 @@ def csm_chain(I: Ideal) -> CsmChain:
             entries.append([C, i, i])
         if C.is_unit():
             break
-        if i > dim + 1:
+        if i >= bound:
             raise AssertionError("chain failed to terminate")
         cur = colon_by_variable_power(cur, 1)
         i += 1

@@ -30,6 +30,15 @@ uses).  No verifier calls ideal_colon; it is public API and the test
 suite's reference for the certificate.  The test suite checks both
 derivations against a brute-force linear-algebra oracle, the certificate
 against the kernel-lifting colon, and the reduced basis against sympy.
+
+R/I is Artinian exactly when every variable has a pure power among the
+leading monomials of the reduced basis (the monomials outside in(I) are a
+basis of R/I, Macaulay), so artinian_caps decides it with no listing, and the standard monomials are listed, once per ideal, only for
+the readers that need them: hf_of, quotient_dimension, build_quotient,
+and extend_with_last_variable, which carries them to the lift.  The same
+decision certifies a regular sequence: n homogeneous forms of positive
+degree in the Cohen-Macaulay ring K[x1..xn] form one exactly when R/I is
+Artinian (certify_regular_sequence).
 """
 
 from __future__ import annotations
@@ -383,7 +392,7 @@ def _core_to_poly(terms, ring: RingSpec):
 
 class Ideal:
     """A homogeneous ideal with cached reduced Groebner basis and, once
-    artinian_monomial_basis has run, its verdict in _basis."""
+    require_artinian has listed them, its standard monomials in _basis."""
 
     __slots__ = ("ring", "generators", "_elems", "_gb_polys", "_basis")
 
@@ -411,7 +420,7 @@ class Ideal:
     @classmethod
     def _from_reduced_basis(cls, ring: RingSpec, generators, elems, basis=None) -> "Ideal":
         """Ideal(ring, generators) with its reduced basis elems and, when
-        known, its artinian_monomial_basis verdict set without recomputing."""
+        known, its standard monomials per degree set without relisting."""
         out = cls(ring, generators)
         object.__setattr__(out, "_elems", elems)
         object.__setattr__(out, "_basis", basis)
@@ -559,9 +568,10 @@ def extend_with_last_variable(J: Ideal, ring: RingSpec) -> Ideal:
     A zero v-exponent inserted at component 1 of a grevlex key gives the
     key in ring, and every S-pair with v has coprime leading monomials, so
     J's reduced basis plus v is the reduced basis of JR + (v).  The
-    generators are J's, extended, then v.  When J has computed its
-    standard monomials they carry over with v-exponent 0; when J is not
-    Artinian, neither is JR + (v), for the same variable.
+    generators are J's, extended, then v.  R/(JR + (v)) is R'/J with R'
+    the ring without v, so J's standard monomials are listed here, once,
+    and carry over with v-exponent 0: a lift always has them.  When J is
+    not Artinian, neither is JR + (v), for the same variable.
     """
     if ring.total_vars != J.ring.total_vars + 1 or not J.ring.embeds_in(ring):
         raise RingMismatch(f"{J.ring} is not {ring} without its cheapest variable")
@@ -570,8 +580,8 @@ def extend_with_last_variable(J: Ideal, ring: RingSpec) -> Ideal:
              for g in J._gb_elems()]
     if not J.is_unit():
         elems = sorted(elems + [_BasisElem(_poly_to_core(v))], key=lambda g: g.lm_key)
-    basis = J._basis
-    if isinstance(basis, list):
+    basis = artinian_monomial_basis(J)
+    if basis is not None:
         basis = [[m + (0,) for m in monos] for monos in basis]
     return Ideal._from_reduced_basis(ring, [g.extend(ring) for g in J.generators] + [v],
                                      elems, basis)
@@ -692,37 +702,48 @@ def colon_by_variable_power(I: Ideal, i: int) -> Ideal:
     return out
 
 
-def artinian_monomial_basis(I: Ideal):
-    """Standard monomials per degree 0..socle, or None when R/I is not
-    Artinian, the first variable with no pure power among the leading
-    terms then recorded for NotArtinian.
-
-    Cached on the ideal; every entry of the returned list is non-empty.
+def artinian_caps(I: Ideal):
+    """The per-variable pure-power exponents of in(I), [] for the unit
+    ideal: the one Artinian decision, read from the reduced basis with no
+    listing.  R/I is Artinian exactly when every variable has a pure
+    power among the leading monomials; otherwise raises NotArtinian,
+    naming the first variable without one.  Every standard monomial x^e
+    has e_j < c_j, so the socle degree is at most sum(c_j - 1).
     """
-    if I._basis is None:
-        width = I.ring.total_vars
-        lms = I.leading_exponents()
-        caps = [] if I.is_unit() else _pure_power_caps(lms, width)  # R/(1) = 0
-        basis = []
-        if None in caps:
-            basis = I.ring.var_names[caps.index(None)]
-        elif caps:
-            for d in range(sum(c - 1 for c in caps) + 2):
-                monos = standard_monomials_of_degree(lms, width, d)
-                if not monos:
-                    break
-                basis.append(monos)
-        object.__setattr__(I, "_basis", basis)
-    return I._basis if isinstance(I._basis, list) else None
+    lms = I.leading_exponents()
+    if lms and not any(lms[0]):
+        return []  # the unit ideal: R/(1) = 0
+    caps = _pure_power_caps(lms, I.ring.total_vars)
+    if None in caps:
+        raise NotArtinian(I, I.ring.var_names[caps.index(None)])
+    return caps
 
 
 def require_artinian(I: Ideal):
-    """artinian_monomial_basis of an Artinian R/I; the one refusal of a
-    quotient that is not: NotArtinian, naming the recorded variable."""
-    basis = artinian_monomial_basis(I)
-    if basis is None:
-        raise NotArtinian(I, I._basis)
-    return basis
+    """Standard monomials per degree 0..socle of an Artinian R/I, listed
+    once and cached on the ideal; every entry is non-empty.  The one
+    refusal of a quotient that is not Artinian: NotArtinian (artinian_caps).
+    """
+    if I._basis is None:
+        caps = artinian_caps(I)
+        lms = I.leading_exponents()
+        width = I.ring.total_vars
+        basis = []
+        for d in range(sum(c - 1 for c in caps) + 2 if caps else 0):
+            monos = standard_monomials_of_degree(lms, width, d)
+            if not monos:
+                break
+            basis.append(monos)
+        object.__setattr__(I, "_basis", basis)
+    return I._basis
+
+
+def artinian_monomial_basis(I: Ideal):
+    """require_artinian, or None when R/I is not Artinian."""
+    try:
+        return require_artinian(I)
+    except NotArtinian:
+        return None
 
 
 def quotient_dimension(I: Ideal):
@@ -734,12 +755,17 @@ def quotient_dimension(I: Ideal):
 
 
 def certify_regular_sequence(gens) -> bool:
-    """Whether n homogeneous forms in n variables cut out a quotient of
-    dimension equal to the product of their degrees (equivalently, form a
-    regular sequence in this square Artinian setting).
+    """Whether n forms in n variables are a regular sequence: each is
+    homogeneous of positive degree and R/I is Artinian (artinian_caps).
 
-    gens is a list of forms or an Ideal; an Ideal is certified in place, so
-    its standard monomials stay cached for later dimension queries.
+    R = K[x1..xn] is Cohen-Macaulay, so n homogeneous forms of positive
+    degree form a regular sequence exactly when I has height n, that is
+    when R/I is Artinian (Bruns-Herzog, Cohen-Macaulay Rings, 2.1); the
+    Hilbert series then gives dim R/I = the product of their degrees.
+    The reduced basis decides it, with no standard monomial listed.
+
+    gens is a list of forms or an Ideal; an Ideal is certified in place,
+    so its reduced basis stays cached.
     """
     ideal = gens if isinstance(gens, Ideal) else None
     gens = list(ideal.generators if ideal is not None else gens)
@@ -750,13 +776,15 @@ def certify_regular_sequence(gens) -> bool:
         raise ValueError(
             f"need exactly {ring.total_vars} generators in {ring}, got {len(gens)}"
         )
-    product = 1
     for g in gens:
         if g.ring != ring:
             raise RingMismatch("generators live in different rings")
         if g.is_zero() or not g.is_homogeneous() or g.degree() < 1:
             return False
-        product *= g.degree()
     if ideal is None:
         ideal = Ideal(ring, gens)
-    return quotient_dimension(ideal) == product
+    try:
+        artinian_caps(ideal)
+    except NotArtinian:
+        return False
+    return True

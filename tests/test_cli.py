@@ -455,6 +455,11 @@ def test_bounds_below_zero_exit_2(capsys, argv, flag):
     (["tree", "--ideal", "unread.json", "--n-max", "2"], "tree --ideal exports one tree"),
     (["tree", "--ideal", "unread.json", "--bound", "2"], "tree --ideal exports one tree"),
     (["slp", "--ideal", "unread.json", "--y", "x1", "--max-tries", "3"], "takes no --max-tries"),
+    (["identity", "--kind", "f", "--b", "1"], "identity --kind f has no b parameter"),
+    (["swap", "--kind", "f", "--b", "0"], "swap --kind f has no b parameter"),
+    (["chain", "--kind", "f", "--n", "2", "--b", "1"], "chain --kind f has no b parameter"),
+    (["tree", "--depth", "2"], "tree --depth sets the depth of an exported tree"),
+    (["tree", "--family", "colon-closure", "--depth", "3"], "so it needs --ideal"),
 ])
 def test_flags_a_run_would_drop_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -481,6 +486,22 @@ def test_flags_a_run_does_not_read_exit_2(capsys, argv, flag):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"unrecognized arguments: {flag}" in captured.err
+
+
+def test_b_and_depth_where_read(tmp_path, capsys):
+    # --b without --kind f still reaches the kind g runs, and every tree
+    # run records the export depth, 3 unless --ideal is given with --depth
+    for argv in (["identity", "--n", "3"], ["identity", "--kind", "g", "--n", "3"],
+                 ["swap", "--n", "2", "--a", "2"], ["chain", "--kind", "g", "--n", "2", "--a", "2"]):
+        assert main(argv + ["--b", "1", "--json"]) == 0, argv
+        assert json.loads(capsys.readouterr().out)["config"]["params"]["b"] == 1
+    assert main(["tree", "--n-max", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["params"]["depth"] == 3
+    path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
+    assert main(["tree", "--ideal", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["params"]["depth"] == 3
+    assert main(["tree", "--ideal", path, "--depth", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["params"]["depth"] == 1
 
 
 def test_seed_and_fail_fast_where_read(tmp_path, capsys):

@@ -7,7 +7,7 @@ row-reduces over the rationals.
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -240,10 +240,17 @@ def test_certify_regular_sequence_examples():
     assert certify_regular_sequence(tildes)
     assert quotient_dimension(Ideal(R2Z, tildes)) == 24
 
-    x1 = Polynomial.variable(R2, 0)
+    x1, x2 = (Polynomial.variable(R2, v) for v in range(2))
     assert not certify_regular_sequence([x1, x1 * x1])
     with pytest.raises(ValueError):
         certify_regular_sequence([x1])
+    with pytest.raises(ValueError):
+        certify_regular_sequence([x1, x2, x1 * x2])
+    # a zero, constant or non-homogeneous generator is no regular sequence
+    assert not certify_regular_sequence([x1, Polynomial.zero(R2)])
+    assert not certify_regular_sequence([x1, Polynomial.one(R2)])
+    assert not certify_regular_sequence([x1, x2 * x2 + x1])
+    assert certify_regular_sequence([x1, x2 * x2])
 
 
 def test_homogeneity_required():
@@ -705,6 +712,62 @@ def test_ideal_colon_against_sympy(Ik, f):
 def test_regular_sequence_permutation_invariant():
     gens = [symmetric_generator("p", 2, 2), symmetric_generator("p", 2, 3)]
     assert certify_regular_sequence(gens) == certify_regular_sequence(gens[::-1])
+
+
+def count_certificate(gens):
+    """The reference certificate: n forms of positive degree in n variables
+    are a regular sequence exactly when dim R/I is the product of their
+    degrees (None, never equal, when R/I is not Artinian)."""
+    if any(g.is_zero() or not g.is_homogeneous() or g.degree() < 1 for g in gens):
+        return False
+    return quotient_dimension(Ideal(gens[0].ring, gens)) == prod(g.degree() for g in gens)
+
+
+def test_regular_sequence_certificate_matches_count_on_members():
+    # every member A_n(a, m) with n <= 4 and a <= 5 is a complete intersection
+    for n in range(1, 5):
+        for a in range(1, 6):
+            for m in range(n + 1):
+                gens = member_generators(n, a, m)
+                assert certify_regular_sequence(gens) and count_certificate(gens), (n, a, m)
+
+
+@pytest.mark.parametrize("ring, texts", [
+    (R2, ["x1^2", "x1*x2"]),
+    (RingSpec(3), ["x1*x2", "x1*x3", "x2*x3"]),
+    (R2, ["x1 + x2", "(x1 + x2)^2"]),
+    (R2Z, ["x1^2", "x2^2", "x1*z"]),
+    (R2Z, ["x1 + x2 + z", "x1^2 + x2^2 + z^2", "(x1 + x2 + z)^3"]),
+])
+def test_square_systems_that_are_not_regular_sequences(ring, texts):
+    gens = [P(t, ring) for t in texts]
+    assert not certify_regular_sequence(gens)
+    assert not count_certificate(gens)
+    assert not certify_regular_sequence(Ideal(ring, gens))
+
+
+sparse_coeff = st.sampled_from((0, 0, 0, 1, -1, 2))
+
+
+@st.composite
+def square_systems(draw):
+    """n low-degree forms in n = 2 or 3 variables, sparse enough that many
+    are not regular sequences."""
+    ring = draw(st.sampled_from((R2, RingSpec(3), R2Z)))
+    top = 3 if ring.total_vars == 2 else 2
+    gens = []
+    for _ in range(ring.total_vars):
+        monos = standard_monomials_of_degree([], ring.total_vars,
+                                             draw(st.integers(min_value=1, max_value=top)))
+        cs = draw(st.lists(sparse_coeff, min_size=len(monos), max_size=len(monos)))
+        gens.append(Polynomial(ring, dict(zip(monos, cs))))
+    return gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_systems())
+def test_regular_sequence_certificate_matches_count(gens):
+    assert certify_regular_sequence(gens) == count_certificate(gens)
 
 
 # --- colon certification ----------------------------------------------------------

@@ -17,6 +17,7 @@ from citree.csm import (
 )
 from citree.ideals import (
     Ideal,
+    NotArtinian,
     artinian_monomial_basis,
     extend_with_last_variable,
     hf_of,
@@ -25,6 +26,7 @@ from citree.ideals import (
     ideal_sum,
     normal_form,
     quotient_dimension,
+    require_artinian,
     standard_monomials_of_degree,
 )
 from citree.polyring import InvalidInput, Polynomial, RingSpec
@@ -402,20 +404,50 @@ def test_resolve_label_every_level_three_member():
         assert resolve_member_label(member.ideal, 3, 5).label == member.label
 
 
-def test_member_ideal_keeps_its_certified_basis(monkeypatch):
+def test_members_list_standard_monomials_only_for_readers(monkeypatch):
+    # a member is certified from its leading monomials; its standard
+    # monomials are listed once, by the first reader that needs them
     calls = []
     original = ideals.standard_monomials_of_degree
 
     def counting(lms, width, d):
-        calls.append(d)
+        calls.append((tuple(lms), d))
         return original(lms, width, d)
 
     monkeypatch.setattr(ideals, "standard_monomials_of_degree", counting)
     member_ideal.cache_clear()
     member = family_member(3, 4, 2)
-    assert calls  # certification enumerated the basis once
-    calls.clear()
+    assert calls == []
+    own = tuple(member.ideal.leading_exponents())
     assert quotient_dimension(member.ideal) == 4 * 5 * 3
+    socle = len(hf_of(member.ideal)) - 1
+    # degrees 0..socle, then the empty degree socle + 1 that ends the listing
+    assert calls == [(own, d) for d in range(socle + 2)]
+    calls.clear()
+    lifted = csm.member_block(RingSpec(3, True), 4, 2)
+    assert hf_of(lifted) == hf_of(member.ideal)
+    assert calls == []
+
+    member_ideal.cache_clear()
+    fresh = family_member(3, 4, 2).ideal
+    assert fresh is not member.ideal
+    calls.clear()
+    csm.csm_chain(fresh)
+    assert calls and all(lms != own for lms, _ in calls)
+    # lifting an unlisted member lists the member's own degrees, once, and
+    # the lift carries them
+    calls.clear()
+    assert hf_of(csm.member_block(RingSpec(3, True), 4, 2)) == hf_of(member.ideal)
+    assert calls == [(own, d) for d in range(socle + 2)]
+
+    flat = Ideal.from_strings(RingSpec(2), ["x1^2", "x1*x2"])
+    calls.clear()
+    with pytest.raises(NotArtinian) as chain_refusal:
+        csm.csm_chain(flat)
+    with pytest.raises(NotArtinian) as refusal:
+        require_artinian(Ideal.from_strings(RingSpec(2), ["x1^2", "x1*x2"]))
+    assert str(chain_refusal.value) == str(refusal.value)
+    assert chain_refusal.value.variable == refusal.value.variable == "x2"
     assert calls == []
 
 
