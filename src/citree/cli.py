@@ -32,7 +32,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     output: str = "text"  # text | json | dot
     fail_fast: bool = False
-    check_top_degree: bool = False
     seed: int = 0
 
     def to_json(self):
@@ -41,7 +40,6 @@ class RunConfig:
             "params": {k: v for k, v in sorted(self.params.items())},
             "output": self.output,
             "fail_fast": self.fail_fast,
-            "check_top_degree": self.check_top_degree,
             "seed": self.seed,
         }
 
@@ -194,18 +192,16 @@ def _cmd_slp(cfg: RunConfig):
     A = build_quotient(I)
     if cfg.params.get("y"):
         y = parse_polynomial(cfg.params["y"], I.ring)
-        rep = slp_check_algebra(A, y, cfg.check_top_degree)
+        rep = slp_check_algebra(A, y)
         rep.seed = cfg.seed
     else:
         max_tries = cfg.params.get("max_tries", 24)
-        found = find_lefschetz_element(A, max_tries=max_tries, seed=cfg.seed,
-                                       check_top_degree=cfg.check_top_degree)
+        found = find_lefschetz_element(A, max_tries=max_tries, seed=cfg.seed)
         # a failed search tried every candidate, which may be fewer than max_tries
         rep = found[1] if found else LefschetzReport(
             subject=str(I), linear_form=None, holds=False, witnesses=[],
             hilbert=A.hilbert_function(), seed=cfg.seed,
-            tries=len(lefschetz_candidates(I.ring, cfg.seed, max_tries)),
-            top_degree_checked=cfg.check_top_degree)
+            tries=len(lefschetz_candidates(I.ring, cfg.seed, max_tries)))
     out = rep.to_json()
     out["verifier"] = "slp"
     out["passed"] = bool(out["holds"])
@@ -370,8 +366,6 @@ def _build_parser():
     p.add_argument("--y", help="linear form; omitted means search")
     p.add_argument("--max-tries", type=_positive,
                    help="candidates a search tries (default 24); not with --y")
-    p.add_argument("--check-top-degree", action="store_true",
-                   help="also test the top power map d = socle degree")
     common(p, seed=True)
 
     p = sub.add_parser("csm", help="central simple module decomposition of an ideal file")
@@ -423,7 +417,6 @@ def _config_from_args(args) -> RunConfig:
         params=params,
         output=output,
         fail_fast=getattr(args, "fail_fast", False),
-        check_top_degree=getattr(args, "check_top_degree", False),
         seed=getattr(args, "seed", 0),
     )
 

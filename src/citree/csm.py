@@ -98,15 +98,17 @@ def member_ideal(n: int, a: int, m: int) -> Ideal:
     certified in place by certify_regular_sequence: its n generators have
     positive degrees and R/A_n(a, m) is Artinian, so they form a regular
     sequence (K[x1..xn] is Cohen-Macaulay) and the quotient has dimension
-    the product of their degrees.  The certificate reads the cached
-    reduced basis, so a caller re-reads the verdict for free; no standard
-    monomial is listed until a reader needs one.  The coinvariant entry
-    (1, n) is built from e_1..e_n, the generators of A_n(1, 0)."""
+    the product of their degrees.  A member that fails raises
+    AssertionError and never enters the table, so every reader of the
+    table reads a certified complete intersection.  No standard monomial
+    is listed until a reader needs one.  The coinvariant entry (1, n) is
+    built from e_1..e_n, the generators of A_n(1, 0)."""
     key = member_key(n, a, m)
     if key != (a, m):
         return member_ideal(n, *key)
     ideal = Ideal(RingSpec(n), member_generators(n, a, 0 if a == 1 else m))
-    certify_regular_sequence(ideal)
+    if not certify_regular_sequence(ideal):
+        raise AssertionError(f"family member ({n},{a},{m}) failed certification")
     return ideal
 
 
@@ -299,19 +301,18 @@ def certified_modules(I: Ideal, a: int, modules):
     """The one module pass over the modules of I, whose power sums start at
     degree a: module j is presented by g = e_(j-1), and its annihilator is
     the predicted_member lifted by v (member_block), certified by
-    cyclic_presentation.  Yields (module, g, key, annihilator, report) one
+    cyclic_presentation.  Yields (module, key, annihilator, report) one
     module at a time; when j - 1 exceeds the level no member is predicted,
-    g, key and annihilator are None and the report fails with "no_member"."""
+    key and annihilator are None and the report fails with "no_member"."""
     ring = I.ring
     for mod in modules:
         key = predicted_member(xpart(ring), a, mod.index - 1)
         if key is None:
-            yield mod, None, None, None, {"passed": False, "failed_condition": "no_member"}
+            yield mod, None, None, {"passed": False, "failed_condition": "no_member"}
             continue
-        g = sym_e(ring, mod.index - 1)
         annihilator = member_block(ring, *key)
-        yield mod, g, key, annihilator, cyclic_presentation(
-            mod.numerator, mod.denominator, g, annihilator)
+        yield mod, key, annihilator, cyclic_presentation(
+            mod.numerator, mod.denominator, sym_e(ring, mod.index - 1), annihilator)
 
 
 # --- report plumbing -----------------------------------------------------------
@@ -370,7 +371,7 @@ def _verify_family(report, I, a, b):
 
     report["modules"] = []
     members = []
-    for mod, _, key, annihilator, sub in certified_modules(I, a, modules):
+    for mod, key, annihilator, sub in certified_modules(I, a, modules):
         j = mod.index
         sub["shift_ok"] = mod.shift == j - 1
         sub["index"] = j

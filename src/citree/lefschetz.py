@@ -1,14 +1,17 @@
 """Strong Lefschetz checks for Artinian algebras and graded modules.
 
-The algebra check follows the classical range d = 1..c-1 (c the socle
-degree); the top pairing d = c is available behind a flag.  A cyclic
+A linear form y is a strong Lefschetz element of A = R/I, with socle
+degree c, when every power map x y^d: A_i -> A_(i+d) has full rank for
+d >= 1 and i >= 0 (Harima et al., The Lefschetz Properties, LNM 2080,
+2013).  A_i is zero outside 0 <= i <= c, so the range checked is
+1 <= d <= c and 0 <= i <= c-d, the top pairing d = c included.  A cyclic
 module g * (R/den) is, through r -> g*r, the algebra R/(den : g) moved up
-by deg g (Harima-Watanabe).  The caller supplies the annihilator (den : g),
-certified, so this module computes no colon: a module check is the algebra
-check of that quotient with the top pairing included, and both run one rank
-loop.  For each source degree i the map of y^d is the degree-1 matrix
-from degree i+d-1 times the map of y^(d-1), one exact product per (d, i),
-so every rank is exact.
+by deg g (Harima-Watanabe).  The caller supplies the annihilator
+(den : g), certified, so this module computes no colon: a module check is
+the algebra check of that quotient, and both run one rank loop.  For each
+source degree i the map of y^d is the degree-1 matrix from degree i+d-1
+times the map of y^(d-1), one exact product per (d, i), so every rank is
+exact.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ class LefschetzReport:
     hilbert: tuple
     seed: int | None = None
     tries: int | None = None
-    top_degree_checked: bool = False
 
     def to_json(self):
         return {
@@ -45,7 +47,6 @@ class LefschetzReport:
             "hilbert": list(self.hilbert),
             "seed": self.seed,
             "tries": self.tries,
-            "top_degree_checked": self.top_degree_checked,
         }
 
 
@@ -56,37 +57,29 @@ def _require_linear(A: QuotientAlgebra, y: Polynomial):
         raise InvalidInput(f"{y} is not a linear form")
 
 
-def slp_check_algebra(
-    A: QuotientAlgebra,
-    y: Polynomial,
-    check_top_degree: bool = False,
-) -> LefschetzReport:
+def slp_check_algebra(A: QuotientAlgebra, y: Polynomial) -> LefschetzReport:
     """Exact full-rank check of every power map x y^d: A_i -> A_(i+d)
-    for 1 <= d <= c-1 (and d = c when asked), 0 <= i <= c-d: the one rank
-    loop."""
+    for 1 <= d <= c, 0 <= i <= c-d: the one rank loop."""
     _require_linear(A, y)
     c = A.socle_degree
     hf = A.hilbert_function()
     witnesses = []
-    if c >= 1:
-        mats = [mult_map_matrix(A, y, i) for i in range(c)]
-        powers = mats  # powers[i]: multiplication by y^d from degree i
-        dmax = c if check_top_degree else c - 1
-        for d in range(1, dmax + 1):
-            if d > 1:
-                powers = [mats[i + d - 1] * powers[i] for i in range(c - d + 1)]
-            for i in range(0, c - d + 1):
-                expected = min(hf[i], hf[i + d])
-                r = linalg.rank(powers[i].entries)
-                if r < expected:
-                    witnesses.append((d, i, r, expected))
+    mats = [mult_map_matrix(A, y, i) for i in range(c)]
+    powers = mats  # powers[i]: multiplication by y^d from degree i
+    for d in range(1, c + 1):
+        if d > 1:
+            powers = [mats[i + d - 1] * powers[i] for i in range(c - d + 1)]
+        for i in range(0, c - d + 1):
+            expected = min(hf[i], hf[i + d])
+            r = linalg.rank(powers[i].entries)
+            if r < expected:
+                witnesses.append((d, i, r, expected))
     return LefschetzReport(
         subject=str(A.ideal),
         linear_form=str(y),
         holds=not witnesses,
         witnesses=witnesses,
         hilbert=hf,
-        top_degree_checked=check_top_degree,
     )
 
 
@@ -125,9 +118,9 @@ def module_view(ambient: QuotientAlgebra, generator: Polynomial,
 
 def slp_check_module(V: GradedModuleView, y: Polynomial) -> LefschetzReport:
     """Full-rank check of x y^d: V_i -> V_(i+d) for 1 <= d <= b-a,
-    a <= i <= b-d: the algebra check of R/(den : g) with the top pairing,
-    witnesses moved up by deg g into the degrees of V."""
-    report = slp_check_algebra(V.algebra, y, True)
+    a <= i <= b-d: the algebra check of R/(den : g), witnesses moved up by
+    deg g into the degrees of V."""
+    report = slp_check_algebra(V.algebra, y)
     report.subject = f"{V.generator} * {V.ambient.ring}/{V.ambient.ideal}"
     report.witnesses = [(d, i + V.shift, r, e) for d, i, r, e in report.witnesses]
     return report
@@ -178,16 +171,10 @@ def _search(ring, check, max_tries: int, seed: int):
     return None
 
 
-def find_lefschetz_element(
-    A: QuotientAlgebra,
-    max_tries: int = 24,
-    seed: int = 0,
-    check_top_degree: bool = False,
-):
+def find_lefschetz_element(A: QuotientAlgebra, max_tries: int = 24, seed: int = 0):
     """First linear form in the deterministic candidate list for which the
     algebra check holds; None after max_tries failures."""
-    return _search(A.ring, lambda y: slp_check_algebra(A, y, check_top_degree),
-                   max_tries, seed)
+    return _search(A.ring, lambda y: slp_check_algebra(A, y), max_tries, seed)
 
 
 def module_slp_search(V: GradedModuleView, max_tries: int = 24, seed: int = 0):

@@ -7,7 +7,8 @@ variable fewer.  This module enumerates the families, verifies the
 tree closure conditions on bounded enumerations, checks Hilbert-function
 additivity of the child split, sends each central simple module to the
 member J' one level down that the paper predicts for its annihilator,
-certified by the module pass csm.certified_modules, and exports
+certified by the module pass csm.certified_modules (so the module has
+the strong Lefschetz property exactly when R/J' does), and exports
 diagrams as DOT or JSON.  Every dimension it reads is a Hilbert function
 of the ideal layer (ideals.hf_of): the complete-intersection certificate
 counts minimal generators by graded Nakayama, with no linear algebra.
@@ -22,7 +23,6 @@ from .csm import central_simple_modules, certified_modules, csm_chain, member_id
 from .ideals import (
     Ideal,
     add_last_variable,
-    certify_regular_sequence,
     colon_by_variable_power,
     hf_difference,
     hf_of,
@@ -31,7 +31,7 @@ from .ideals import (
     quotient_dimension,
     shifted_hf_matches,
 )
-from .lefschetz import find_lefschetz_element, module_slp_search, module_view
+from .lefschetz import find_lefschetz_element
 from .polyring import InvalidInput, Polynomial, RingSpec
 from .quotient import build_quotient
 
@@ -57,17 +57,14 @@ def family_member(n: int, a: int, m: int) -> FamilyMember:
     """A_n(a, m): m power sums of consecutive degrees starting at a,
     padded with e_(m+1)..e_n; a >= 2 except for the coinvariant member
     A_n(1, n) = (e_1..e_n); the ideal is the member table's
-    (csm.member_ideal)."""
+    (csm.member_ideal), which certifies it."""
     if n < 1 or not 1 <= m <= n:
         raise InvalidInput(f"invalid member level n={n}, m={m}")
     if a == 1 and m != n:
         raise InvalidInput("a = 1 requires m = n")
     if a < 1:
         raise InvalidInput(f"invalid a={a}")
-    ideal = member_ideal(n, a, m)
-    if not certify_regular_sequence(ideal):
-        raise AssertionError(f"family member ({n},{a},{m}) failed certification")
-    return FamilyMember(n, a, m, member_label(n, a, m), ideal)
+    return FamilyMember(n, a, m, member_label(n, a, m), member_ideal(n, a, m))
 
 
 def family_members(n: int, a_max: int):
@@ -233,16 +230,16 @@ def resolve_member_label(ideal: Ideal, n: int, a_bound: int):
     return None
 
 
-def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: int = 0):
+def member_csm_arrows(member: FamilyMember):
     """Certified arrows from one member to the members one level down.
 
     The module pass (csm.certified_modules) certifies module j of (A, xn)
     by e_(j-1) against J'R + (xn), J' the paper's predicted member
     (csm.predicted_member); its arrow goes to J' when the certificate
-    holds.  Otherwise it has no target, and its entry names the predicted
-    member and the failed condition, or "no_member" when j - 1 exceeds
-    n - 1.  check_modules searches each certified module for a Lefschetz
-    element through that annihilator."""
+    holds, and module j is then R/(J'R + (xn)) moved up by j - 1, an
+    algebra isomorphic to R'/J' (R' = K[x1..x_(n-1)]).  Otherwise it has
+    no target, and its entry names the predicted member and the failed
+    condition, or "no_member" when j - 1 exceeds n - 1."""
     n = member.n
     if n < 2:
         return [], {"passed": True, "modules": []}
@@ -251,7 +248,7 @@ def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: i
     details = []
     passed = True
     modules = central_simple_modules(I, csm_chain(I))
-    for mod, g, key, lifted, sub in certified_modules(I, member.a, modules):
+    for mod, key, _, sub in certified_modules(I, member.a, modules):
         j = mod.index
         if key is None:
             details.append({"j": j, "target": None, "predicted": None,
@@ -267,22 +264,27 @@ def member_csm_arrows(member: FamilyMember, check_modules: bool = False, seed: i
             continue
         entry["target"] = target.label
         arrows.append((j, target))
-        if check_modules:
-            view = module_view(build_quotient(mod.denominator), g, lifted)
-            found = module_slp_search(view, seed=seed)
-            entry["module_slp"] = found is not None
-            passed = passed and found is not None
     return arrows, {"passed": passed, "modules": details}
 
 
 def verify_family_slp(n_max: int, a_max: int, check_modules: bool = True, seed: int = 0) -> dict:
     """Every family member up to the bounds admits a Lefschetz element with
     all power maps of full rank, and its central simple modules land in
-    the family one level down (with module-level Lefschetz checks when
-    check_modules is set)."""
+    the family one level down.
+
+    With check_modules, every module also has the strong Lefschetz
+    property: module j of a member is R/(J'R + (xn)) for its certified
+    target J' (member_csm_arrows), and R/(J'R + (xn)) is R'/J' as a
+    graded algebra (xn acts as zero, so a linear form of R acts through
+    its image in R' = K[x1..x_(n-1)]); its SLP is therefore the target's
+    verdict.  J' is a member with n - 1 variables and a - 1 <= a_max, or
+    the coinvariant member, so the same loop has checked it earlier, on
+    the same power maps 1 <= d <= c.  arrows_ok is then "every arrow
+    certified and every target's slp true"."""
     report = {"verifier": "family-slp", "params": {"n_max": n_max, "a_max": a_max},
               "seed": seed, "members": []}
     ok_all = True
+    slp = {}  # label -> verdict of every member checked so far
     for n in range(1, n_max + 1):
         for member in family_members(n, a_max):
             A = build_quotient(member.ideal)
@@ -294,15 +296,19 @@ def verify_family_slp(n_max: int, a_max: int, check_modules: bool = True, seed: 
                 "hilbert": list(A.hilbert_function()),
                 "slp": found is not None,
             }
+            slp[member.label] = entry["slp"]
             if found is not None:
                 y, rep = found
                 entry["linear_form"] = str(y)
                 entry["tries"] = rep.tries
-            arrows, arrow_report = member_csm_arrows(member, check_modules=check_modules, seed=seed)
+            arrows, arrow_report = member_csm_arrows(member)
+            arrows_ok = arrow_report["passed"]
+            if check_modules:
+                arrows_ok = arrows_ok and all(slp[t.label] for _, t in arrows)
             if n >= 2:
                 entry["arrows"] = [{"j": j, "to": t.label} for j, t in arrows]
-                entry["arrows_ok"] = arrow_report["passed"]
-            ok_all = ok_all and entry["slp"] and arrow_report["passed"]
+                entry["arrows_ok"] = arrows_ok
+            ok_all = ok_all and entry["slp"] and arrows_ok
             report["members"].append(entry)
     report["passed"] = ok_all
     return report

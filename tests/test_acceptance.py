@@ -42,9 +42,9 @@ REPORT_DIGESTS = {
     ("tree",): "ba851f7a854614ad021263cbb926831dba38d23092be7e98511a82a6ce33752e",
     ("tree", ("family", "colon-closure")):
         "93622f87a923d9e2c2cad9bf9d9ddec69cf873062a07d293314a48101960c7f4",
-    ("thm53",): "f2f5ba002d974d98a7d68108d8aa3ca0461e3cd4fba2f76747fcb573aeefa9be",
+    ("thm53",): "eab538bb0d57182619b276ccde00184887866bba4eb62b56aa6e523f3b653602",
     ("thm53", ("a_max", 3), ("diagram", True), ("n_max", 3)):
-        "7eee2918eb9098d38505f12a66a56554597989d6ec5d3eabe50e3237b3696778",
+        "14f292a13cb541b62cd10bf4df3a6dad41d834847e7e853a7c7219dc6d2e99ae",
 }
 
 

@@ -61,8 +61,25 @@ def test_slp_holds(tmp_path, capsys):
 
 
 def test_slp_failure_exit_code(tmp_path, capsys):
+    # x1^2 = 0 fails the top pairing d = c = 2, which every check includes
     path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
-    assert main(["slp", "--ideal", path, "--y", "x1", "--check-top-degree"]) == 1
+    assert main(["slp", "--ideal", path, "--y", "x1"]) == 1
+
+
+def test_slp_linear_form_in_the_ideal_fails(tmp_path, capsys):
+    # A_2(1, 2): x1 + x2 lies in I, so x y: A_0 -> A_1 = A_c is zero
+    path = write_ideal(tmp_path, "a212.json", 2, False, ["-x1-x2", "x1*x2"])
+    assert main(["slp", "--ideal", path, "--y", "x1 + x2", "--json"]) == 1
+    rep = json.loads(capsys.readouterr().out)["reports"][0]
+    assert rep["witnesses"] == [{"d": 1, "i": 0, "rank": 0, "expected": 1}]
+
+
+def test_check_top_degree_flag_is_gone(tmp_path, capsys):
+    path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
+    with pytest.raises(SystemExit) as exc:
+        main(["slp", "--ideal", path, "--y", "x1", "--check-top-degree"])
+    assert exc.value.code == 2
+    assert "--check-top-degree" in capsys.readouterr().err
 
 
 def test_slp_search(tmp_path, capsys):
@@ -183,7 +200,6 @@ def test_parse_errors_exit_2(tmp_path, capsys):
 # LefschetzReport fields with no linear form and tries = the one candidate tried
 FAILED_SEARCH_JSON = """{
   "config": {
-    "check_top_degree": false,
     "command": "slp",
     "fail_fast": false,
     "output": "json",
@@ -207,7 +223,6 @@ FAILED_SEARCH_JSON = """{
       "passed": false,
       "seed": 0,
       "subject": "(x1^2 + 2*x1*x2 + x2^2, x2^3)",
-      "top_degree_checked": false,
       "tries": 1,
       "verifier": "slp",
       "witnesses": []
@@ -235,7 +250,7 @@ def test_failed_search_counts_the_candidates_tried(tmp_path, capsys):
         assert rep["tries"] == tries
 
 
-@pytest.mark.parametrize("flag", [["--max-tries", "3"], ["--check-top-degree"]])
+@pytest.mark.parametrize("flag", [["--max-tries", "3"]])
 def test_lefschetz_flags_only_on_slp(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["thm31", "--n", "1", "--a", "2"] + flag)
@@ -246,7 +261,7 @@ def test_lefschetz_flags_only_on_slp(capsys, flag):
 def test_lefschetz_flags_default_in_config(capsys):
     assert main(["thm31", "--n", "1", "--a", "2", "--json"]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
-    assert config["check_top_degree"] is False
+    assert "check_top_degree" not in config
     assert "modular_prefilter_prime" not in config
 
 

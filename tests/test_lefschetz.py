@@ -79,7 +79,7 @@ def test_monomial_ci_all_ones_against_oracle():
     assert report.holds
     c = A.socle_degree
     hf = A.hilbert_function()
-    for d in range(1, c):
+    for d in range(1, c + 1):
         for i in range(0, c - d + 1):
             rank, ns, nt = monomial_ci_rank_oracle(caps, (1, 1, 1), d, i)
             assert (ns, nt) == (hf[i], hf[i + d])
@@ -105,15 +105,13 @@ def test_monomial_ci_oracle_matches_engine_ranks():
 
 
 def test_squares_with_single_variable_standard_range():
-    # c = 2 so the algebra range is d = 1 only, and x1 passes it; the top
-    # pairing d = 2 fails and is only seen behind the flag
+    # c = 2: x1 has full rank at d = 1, but the top pairing d = 2 is part
+    # of the standard range, and x1^2 = 0 fails it
     A = build_quotient(Ideal.from_strings(R2, ["x1^2", "x2^2"]))
-    y = parse_polynomial("x1", R2)
-    rep = slp_check_algebra(A, y)
-    assert rep.holds and rep.witnesses == []
-    strict = slp_check_algebra(A, y, check_top_degree=True)
-    assert not strict.holds
-    assert strict.witnesses == [(2, 0, 0, 1)]
+    rep = slp_check_algebra(A, parse_polynomial("x1", R2))
+    assert not rep.holds
+    assert rep.witnesses == [(2, 0, 0, 1)]
+    assert slp_check_algebra(A, parse_polynomial("x1 + x2", R2)).holds
 
 
 def test_univariate():
@@ -153,16 +151,18 @@ def test_witnesses_sorted():
 # --- module views --------------------------------------------------------------------
 
 
-def test_module_of_whole_algebra_range_difference():
-    # as a module over itself the range reaches d = c, unlike the algebra
+def test_module_of_whole_algebra_is_the_algebra():
+    # as a module over itself the algebra has the same range d = 1..c and
+    # the same witnesses, in the same degrees
     I = Ideal.from_strings(R2, ["x1^2", "x2^2"])
     A = build_quotient(I)
     V = module_view(A, Polynomial.one(R2), ideal_colon(I, Polynomial.one(R2)))
     assert V.degree_range == (0, 2)
-    y = parse_polynomial("x1", R2)
-    assert slp_check_algebra(A, y).holds
-    assert not slp_check_module(V, y).holds  # the d = 2 pairing enters
-    assert slp_check_module(V, parse_polynomial("x1 + x2", R2)).holds
+    for text, holds in (("x1", False), ("x1 + x2", True)):
+        y = parse_polynomial(text, R2)
+        module, algebra = slp_check_module(V, y), slp_check_algebra(A, y)
+        assert module.holds == algebra.holds == holds
+        assert module.witnesses == algebra.witnesses
 
 
 def test_module_one_dimensional_vacuous():
@@ -277,18 +277,17 @@ def test_module_check_matches_ambient_span_oracle(I, g, ys):
         assert report.witnesses == witnesses
         assert report.holds == (not witnesses)
         assert report.hilbert == dims
-        assert report.top_degree_checked
 
 
 # --- oracle: power maps from the normal forms of y^d * m ------------------------------
 
 
-def direct_power_witnesses(B, y, dmax, shift=0):
-    """Failing (d, i + shift, rank, expected) of B for d = 1..dmax, each map
+def direct_power_witnesses(B, y, shift=0):
+    """Failing (d, i + shift, rank, expected) of B for d = 1..c, each map
     x y^d read from the normal forms of y^d * m, with no matrix products."""
     c, hf = B.socle_degree, B.hilbert_function()
     witnesses = []
-    for d in range(1, dmax + 1):
+    for d in range(1, c + 1):
         for i in range(c - d + 1):
             expected = min(hf[i], hf[i + d])
             r = linalg.rank(mult_map_matrix(B, y ** d, i).entries)
@@ -307,12 +306,10 @@ def direct_power_witnesses(B, y, dmax, shift=0):
          parse_polynomial("x1 + x2 + z", R2Z))
 def test_checks_match_direct_power_oracle(I, g, y):
     A = build_quotient(I)
-    c = A.socle_degree
-    for top in (False, True):
-        report = slp_check_algebra(A, y, check_top_degree=top)
-        witnesses = direct_power_witnesses(A, y, c if top else c - 1)
-        assert report.witnesses == witnesses
-        assert report.holds == (not witnesses)
+    report = slp_check_algebra(A, y)
+    witnesses = direct_power_witnesses(A, y)
+    assert report.witnesses == witnesses
+    assert report.holds == (not witnesses)
     if g.is_zero():
         return
     annihilator = ideal_colon(I, g)
@@ -321,7 +318,7 @@ def test_checks_match_direct_power_oracle(I, g, y):
     V = module_view(A, g, annihilator)
     B = V.algebra
     report = slp_check_module(V, y)
-    assert report.witnesses == direct_power_witnesses(B, y, B.socle_degree, V.shift)
+    assert report.witnesses == direct_power_witnesses(B, y, V.shift)
     assert report.holds == (not report.witnesses)
 
 
@@ -427,5 +424,5 @@ def test_report_json_schema():
     data = rep.to_json()
     assert set(data) == {
         "subject", "linear_form", "holds", "witnesses", "hilbert",
-        "seed", "tries", "top_degree_checked",
+        "seed", "tries",
     }

@@ -29,7 +29,9 @@ from citree.ideals import (
     require_artinian,
     standard_monomials_of_degree,
 )
-from citree.polyring import InvalidInput, Polynomial, RingSpec
+from citree.lefschetz import module_slp_search, module_view, slp_check_module
+from citree.polyring import InvalidInput, Polynomial, RingSpec, parse_polynomial
+from citree.quotient import build_quotient
 from citree.symfun import symmetric_generator
 from citree.tree import (
     certify_complete_intersection,
@@ -370,13 +372,12 @@ def test_wrong_prediction_has_no_target(monkeypatch):
     predicted = csm.predicted_member
     monkeypatch.setattr(csm, "predicted_member", lambda k, a, s:
                         (2, 2) if s == 1 else predicted(k, a, s))
-    for check_modules in (False, True):
-        arrows, rep = member_csm_arrows(family_member(3, 4, 3), check_modules=check_modules)
-        assert not rep["passed"]
-        assert [m["target"] for m in rep["modules"]] == [
-            member_label(2, 1, 2), None, member_label(2, 3, 2)]
-        assert rep["modules"][1]["predicted"] == member_label(2, 2, 2)
-        assert [j for j, _ in arrows] == [1, 3]
+    arrows, rep = member_csm_arrows(family_member(3, 4, 3))
+    assert not rep["passed"]
+    assert [m["target"] for m in rep["modules"]] == [
+        member_label(2, 1, 2), None, member_label(2, 3, 2)]
+    assert rep["modules"][1]["predicted"] == member_label(2, 2, 2)
+    assert [j for j, _ in arrows] == [1, 3]
 
 
 def test_failed_presentation_names_the_prediction(monkeypatch):
@@ -465,6 +466,20 @@ def test_member_table_builds_each_member_once(monkeypatch):
     assert runs == []
 
 
+def test_member_table_refuses_a_failed_certificate(monkeypatch):
+    # the table is the one member certificate: a member that fails it is
+    # never returned, and family_member raises the same AssertionError
+    monkeypatch.setattr(csm, "certify_regular_sequence", lambda ideal: False)
+    member_ideal.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=re.escape("family member (2,3,1) failed")):
+            member_ideal(2, 3, 1)
+        with pytest.raises(AssertionError, match=re.escape("family member (2,1,2) failed")):
+            family_member(2, 1, 2)
+    finally:
+        member_ideal.cache_clear()
+
+
 def test_member_table_is_certified():
     # the dimension of every member is the product of its generator degrees
     member_ideal.cache_clear()
@@ -512,6 +527,52 @@ def test_verify_family_slp_small():
     assert member_label(2, 2, 1) in labels
     for member in report["members"]:
         assert member["slp"]
+
+
+def test_module_slp_fails_with_its_target(monkeypatch):
+    # with no Lefschetz element found for A_1(2, 1), the arrows into it
+    # fail; skipping the module checks keeps them
+    find = tree.find_lefschetz_element
+    monkeypatch.setattr(tree, "find_lefschetz_element", lambda A, **kw: None if (
+        A.ring.total_vars, A.dimension()) == (1, 2) else find(A, **kw))
+    for check_modules in (True, False):
+        report = verify_family_slp(2, 3, check_modules=check_modules)
+        entries = {m["label"]: m for m in report["members"]}
+        assert not report["passed"] and not entries[member_label(1, 2, 1)]["slp"]
+        assert [a["to"] for a in entries[member_label(2, 3, 1)]["arrows"]] == [
+            member_label(1, 1, 1), member_label(1, 2, 1)]
+        assert entries[member_label(2, 3, 1)]["arrows_ok"] is not check_modules
+        assert entries[member_label(2, 2, 1)]["arrows_ok"]
+
+
+def test_module_slp_is_the_target_members_verdict():
+    # oracle: search every certified module directly through its view of
+    # R/(J'R + (xn)), and lift the target J''s own Lefschetz element to it
+    report = verify_family_slp(2, 3)
+    entries = {m["label"]: m for m in report["members"]}
+    checked = 0
+    for member in family_members(2, 3):
+        I = member.ideal
+        modules = central_simple_modules(I)
+        for j, target in member_csm_arrows(member)[0]:
+            view = module_view(build_quotient(modules[j - 1].denominator), sym_e(I.ring, j - 1),
+                               csm.member_block(I.ring, target.a, target.m))
+            assert (module_slp_search(view) is not None) == entries[target.label]["slp"]
+            y = parse_polynomial(entries[target.label]["linear_form"], target.ideal.ring)
+            assert slp_check_module(view, y.extend(I.ring)).holds
+            checked += 1
+    assert checked == sum(len(m["arrows"]) for m in report["members"] if m["n"] == 2) == 9
+
+
+def test_reported_forms_have_a_nonzero_top_power():
+    # the check reaches d = c, so y^c is not in I for every reported form
+    report = verify_family_slp(*cli.thm53_bounds())
+    assert len(report["members"]) == 21
+    for entry in report["members"]:
+        ideal = family_member(entry["n"], entry["a"], entry["m"]).ideal
+        y = parse_polynomial(entry["linear_form"], ideal.ring)
+        c = len(entry["hilbert"]) - 1
+        assert not normal_form(y ** c, ideal).is_zero(), entry["label"]
 
 
 # --- diagrams and export ------------------------------------------------------------------
