@@ -12,6 +12,11 @@ computed, and the arrow of module j goes to the member the paper's formula
 names, A_(n-1)(a-1, j-1), when the one module certificate
 (csm.cyclic_presentation) holds: module j is presented cyclically by
 e_(j-1), and its annihilator is that member, lifted by xn.
+
+Exit status follows the citree command line's contract: 0 when every
+arrow is certified, 1 when some arrow is not, 2 for bad input or a file
+that cannot be written (one "error: ..." line on stderr), 3 when the
+derivation raised (one "internal error: ..." line).
 """
 
 import argparse
@@ -21,6 +26,7 @@ from pathlib import Path
 # run from a plain checkout: this checkout's src/ comes first, as in perfbench
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from citree.polyring import InvalidInput  # noqa: E402
 from citree.tree import csm_diagram, export_dot, export_json, family_member  # noqa: E402
 
 
@@ -36,21 +42,27 @@ def _member(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--member", action="append", required=True, type=_member,
                         metavar="N,A,M", help="family member, e.g. 4,7,3")
     parser.add_argument("--format", choices=["dot", "json"], default="dot")
     parser.add_argument("-o", "--output", help="file path; stdout otherwise")
-    args = parser.parse_args()
-
-    graph = csm_diagram(args.member)
-    text = export_dot(graph) if args.format == "dot" else export_json(graph)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    args = parser.parse_args(argv)
+    try:
+        graph = csm_diagram(args.member)
+        text = export_dot(graph) if args.format == "dot" else export_json(graph)
+        if args.output:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except (InvalidInput, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
+        return 3
     if not graph["passed"]:
         print("warning: some arrows were not certified", file=sys.stderr)
         return 1

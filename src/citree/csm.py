@@ -5,11 +5,12 @@ the distinguished linear form), the chain (I : v^i) + (v) is computed
 exactly and deduplicated into blocks.  The paper's module prediction is
 written once, in predicted_member: module j is presented by e_(j-1), and
 its annihilator is the member A_m(a-1, j-1) one level down, lifted by v
-(member_block, a basis rewrite).  One module pass, certified_modules,
-certifies each module against it with cyclic_presentation (numerator =
-denominator + (e_(j-1)), the annihilator settled by certify_annihilator in
-ideals); the family verifiers and the tree's arrows render its results,
-and the colon identities prove the same prediction by certify_colon.  One
+(member_block, a basis rewrite).  One module pass, certify_module,
+certifies a module against it with cyclic_presentation, the one
+certificate of a predicted colon: numerator = denominator + (e_(j-1)),
+and the annihilator proved by the exact sequence of Hilbert functions and
+a containment.  The family verifiers, the tree's arrows and the colon
+identities (module s+2 of the power family) all render its results.  One
 bounded table, member_ideal, builds and certifies each member A_n(a, m)
 once under its member_key.  The power and mixed families are
 A_(m+1)(a, b+1) with x_(m+1) read as v, and one chain_blocks predicts
@@ -30,8 +31,6 @@ from .ideals import (
     Ideal,
     add_last_variable,
     artinian_caps,
-    certify_annihilator,
-    certify_colon,
     certify_regular_sequence,
     colon_by_variable_power,
     extend_with_last_variable,
@@ -41,7 +40,7 @@ from .ideals import (
     ideal_sum,
     normal_form,
     quotient_dimension,
-    shifted_hf_matches,  # re-exported: the certificate's helpers stay importable here
+    shifted_hf_matches,
 )
 from .polyring import InvalidInput, Polynomial, RingSpec
 from .symfun import boundary_polynomial, member_generators, symmetric_generator
@@ -272,16 +271,26 @@ def central_simple_modules(I: Ideal, chain: CsmChain | None = None):
 
 
 def cyclic_presentation(num: Ideal, den: Ideal, g: Polynomial, annihilator: Ideal) -> dict:
-    """The one module certificate: check num = den + (g) and certify the
-    predicted annihilator (den : g) by certify_annihilator.
+    """The one certificate of a predicted colon: check num = den + (g) and
+    prove (den : g) = J, J the predicted annihilator, with no colon derived.
 
-    annihilator_matches is the certificate's verdict; no colon is derived.
-    A failing report names the prediction and the first condition that
-    fails: "presentation", "hilbert_function" or "containment".
+    Given num = den + (g), the exact sequence
+    0 -> R/(den : g)(-deg g) -> R/den -> R/num -> 0 gives the Hilbert
+    function of R/(den : g) as HF(R/den) - HF(R/num) moved down by deg g;
+    g*J inside den gives J inside (den : g), and equal Hilbert functions
+    then force equality.  annihilator_matches is the verdict.  A failing
+    report names the prediction and the first condition that fails:
+    "presentation", "hilbert_function" or "containment".  Raises
+    NotArtinian when a quotient is not Artinian.
     """
     presentation_ok = ideal_equal(num, ideal_sum(den, Ideal(num.ring, [g])))
     dims = hf_difference(hf_of(den), hf_of(num))
-    failed = certify_annihilator(den, g, dims, hf_of(annihilator), annihilator.generators)
+    if not shifted_hf_matches(dims, hf_of(annihilator), g.degree()):
+        failed = "hilbert_function"
+    elif not all(den.contains(g * h) for h in annihilator.generators):
+        failed = "containment"
+    else:
+        failed = None
     matches = presentation_ok and failed is None
     report = {
         "presentation_ok": presentation_ok,
@@ -297,22 +306,18 @@ def cyclic_presentation(num: Ideal, den: Ideal, g: Polynomial, annihilator: Idea
     return report
 
 
-def certified_modules(I: Ideal, a: int, modules):
-    """The one module pass over the modules of I, whose power sums start at
-    degree a: module j is presented by g = e_(j-1), and its annihilator is
-    the predicted_member lifted by v (member_block), certified by
-    cyclic_presentation.  Yields (module, key, annihilator, report) one
-    module at a time; when j - 1 exceeds the level no member is predicted,
-    key and annihilator are None and the report fails with "no_member"."""
-    ring = I.ring
-    for mod in modules:
-        key = predicted_member(xpart(ring), a, mod.index - 1)
-        if key is None:
-            yield mod, None, None, {"passed": False, "failed_condition": "no_member"}
-            continue
-        annihilator = member_block(ring, *key)
-        yield mod, key, annihilator, cyclic_presentation(
-            mod.numerator, mod.denominator, sym_e(ring, mod.index - 1), annihilator)
+def certify_module(ring: RingSpec, a: int, j: int, num: Ideal, den: Ideal):
+    """The one module pass: module j = num/den of an ideal of ring whose
+    power sums start at degree a is presented by g = e_(j-1), and its
+    annihilator is the predicted_member lifted by v (member_block),
+    certified by cyclic_presentation.  Returns (key, annihilator, report);
+    when j - 1 exceeds the level no member is predicted, key and
+    annihilator are None and the report fails with "no_member"."""
+    key = predicted_member(xpart(ring), a, j - 1)
+    if key is None:
+        return None, None, {"passed": False, "failed_condition": "no_member"}
+    annihilator = member_block(ring, *key)
+    return key, annihilator, cyclic_presentation(num, den, sym_e(ring, j - 1), annihilator)
 
 
 # --- report plumbing -----------------------------------------------------------
@@ -347,7 +352,7 @@ def _family_chain(I: Ideal, a: int, b: int):
 
 
 def _verify_family(report, I, a, b):
-    """Chain blocks, CSM count and the module pass (certified_modules) for
+    """Chain blocks, CSM count and the module pass (certify_module) for
     I = mixed_family_ideal(n, a, b), whose j-th module is
     R/(A_n(a-1, j-1)R + (v)): one module per predicted block below the
     unit ideal."""
@@ -370,24 +375,26 @@ def _verify_family(report, I, a, b):
            count=len(modules), expected=len(ranges) - 1)
 
     report["modules"] = []
-    members = []
-    for mod, key, annihilator, sub in certified_modules(I, a, modules):
+    annihilators = []
+    for mod in modules:
         j = mod.index
+        _, annihilator, sub = certify_module(I.ring, a, j, mod.numerator, mod.denominator)
         sub["shift_ok"] = mod.shift == j - 1
         sub["index"] = j
         sub["passed"] = sub["passed"] and sub["shift_ok"]
         report["modules"].append(sub)
-        if key is not None:
-            members.append((key, annihilator))
+        if annihilator is not None:
+            annihilators.append(annihilator)
         _check(checks, f"module_{j}", sub["passed"],
                **{k: v for k, v in sub.items()
                   if k in ("annihilator", "predicted_annihilator", "failed_condition")})
 
-    # predicted annihilators form a decreasing chain of complete intersections
+    # predicted annihilators form a decreasing chain of complete intersections:
+    # each is a lifted member_ideal entry, and the table holds only members
+    # that certify_regular_sequence certified (member_ideal raises otherwise)
     _check(checks, "annihilator_chain", all(
-        big.contains_ideal(small) for (_, big), (_, small) in zip(members, members[1:])))
-    _check(checks, "annihilators_regular",
-           all(certify_regular_sequence(member_ideal(n, *key)) for key, _ in members))
+        big.contains_ideal(small) for big, small in zip(annihilators, annihilators[1:])))
+    _check(checks, "annihilators_regular", True)
     if colon_ok is not None:
         _check(checks, "first_block_colon", colon_ok, exponent=n - b)
     return _finish(report, checks)
@@ -465,9 +472,10 @@ def verify_colon_identity(n: int, a: int, s: int | None = None) -> dict:
 
     for 0 <= s <= n-2, and without s for the top case s = n-1, where the
     divisor is e_n and neither side has an elementary symmetric generator.
-    This is module s+2 of the power family from degree a: the left side
-    is its denominator divided by its generator, the right side the
-    module pass's predicted_member, proved by certify_colon.
+    This is module s+2 of the power family from degree a, and the module
+    pass (certify_module) certifies it: numerator A_n(a, s)R + (v),
+    denominator the left side's block, generator e_(s+1), annihilator the
+    right side, the predicted_member.
     """
     if a < 2:
         raise InvalidInput("need a >= 2, the identities shift indices down by one")
@@ -477,12 +485,11 @@ def verify_colon_identity(n: int, a: int, s: int | None = None) -> dict:
     ring = RingSpec(n, has_z=True)
     report = {"verifier": "colon-identity", "params": {"n": n, "a": a, "s": s}}
     checks = []
-    J = member_block(ring, a, top + 1)
-    expected = member_block(ring, *predicted_member(n, a, top + 1))
-    divisor = sym_e(ring, top + 1)
-    failed = certify_colon(J, divisor, expected)
-    named = {"colon": expected.canonical_str()} if failed is None else {"failed_condition": failed}
-    _check(checks, "colon_equality", failed is None, **named, expected=expected.canonical_str())
+    _, expected, sub = certify_module(ring, a, top + 2, member_block(ring, a, top),
+                                      member_block(ring, a, top + 1))
+    named = ({"colon": expected.canonical_str()} if sub["passed"]
+             else {"failed_condition": sub["failed_condition"]})
+    _check(checks, "colon_equality", sub["passed"], **named, expected=expected.canonical_str())
 
     # the combination sum_{i=0}^{top+1} e_i p_(a+top-i) lies in (e_(top+2)..e_n)
     acc = Polynomial.zero(RingSpec(n))

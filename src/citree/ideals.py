@@ -16,26 +16,27 @@ the v-terms of the other elements, because in grevlex with v cheapest
 in(I + (v)) = in(I) + (v) (Bayer-Stillman).  The way back up,
 extend_with_last_variable, is a rewrite too: JR + (v) from J's basis.
 
-Every colon a verifier needs is predicted, and one certificate settles
-each prediction J of (I : f).  The exact sequence
+Every colon a verifier needs is predicted, and one certificate,
+csm.cyclic_presentation, settles each prediction J of (I : f).  It reads
+two helpers here: the exact sequence
 0 -> R/(I : f)(-deg f) -> R/I -> R/(I + (f)) -> 0 gives the Hilbert
-function of R/(I : f) without the colon (hf_difference, read against a
-shift by shifted_hf_matches); certify_annihilator proves (I : f) = J from
-it and f*J inside I, or names the condition that fails, and certify_colon
-is the same certificate from I, f and J alone.  A colon is derived only on
-request: by the basis rewrite when f is v, which works for any I, and
-otherwise by ideal_colon lifting kernels of multiplication on standard
-monomials, which needs R/I to be Artinian (the only setting the paper
-uses).  No verifier calls ideal_colon; it is public API and the test
-suite's reference for the certificate.  The test suite checks both
-derivations against a brute-force linear-algebra oracle, the certificate
-against the kernel-lifting colon, and the reduced basis against sympy.
+function of R/(I : f) without the colon (hf_difference), and
+shifted_hf_matches compares it with HF(R/J) moved up by deg f.  A colon
+is derived only on request: by the basis rewrite when f is v, which
+works for any I, and otherwise by ideal_colon lifting kernels of
+multiplication on standard monomials, which needs R/I to be Artinian
+(the only setting the paper uses).  No verifier calls ideal_colon; it is
+public API and the test suite's reference for the certificate.  The test
+suite checks both derivations against a brute-force linear-algebra
+oracle, the certificate against the kernel-lifting colon, and the
+reduced basis against sympy.
 
 R/I is Artinian exactly when every variable has a pure power among the
-leading monomials of the reduced basis (the monomials outside in(I) are a
-basis of R/I, Macaulay), so artinian_caps decides it with no listing, and the standard monomials are listed, once per ideal, only for
-the readers that need them: hf_of, quotient_dimension, build_quotient,
-and extend_with_last_variable, which carries them to the lift.  The same
+leading monomials of the reduced basis (the monomials outside in(I) are
+a basis of R/I, Macaulay), so artinian_caps decides it with no listing,
+and the standard monomials are listed, once per ideal, only for the
+readers that need them: hf_of, quotient_dimension, build_quotient, and
+extend_with_last_variable, which carries them to the lift.  The same
 decision certifies a regular sequence: n homogeneous forms of positive
 degree in the Cohen-Macaulay ring K[x1..xn] form one exactly when R/I is
 Artinian (certify_regular_sequence).
@@ -659,38 +660,6 @@ def shifted_hf_matches(dims, hf, shift: int) -> bool:
     shifted = (0,) * shift + tuple(hf)
     padded = max(len(dims), len(shifted))
     return tuple(dims) + (0,) * (padded - len(dims)) == shifted + (0,) * (padded - len(shifted))
-
-
-def certify_annihilator(den: Ideal, g: Polynomial, dims, hf, generators) -> str | None:
-    """Prove (den : g) = J, given that (den + (g))/den has graded dimensions
-    dims and that J, of Hilbert function hf, is generated by generators.
-
-    The exact sequence 0 -> R/(den : g)(-deg g) -> R/den -> R/(den + (g)) -> 0
-    gives the Hilbert function of R/(den : g) as dims moved down by deg g;
-    g*J inside den gives J inside (den : g), and equal Hilbert functions
-    then force equality.  Returns None when both conditions hold, otherwise
-    the first that fails: "hilbert_function" or "containment".
-    """
-    if not shifted_hf_matches(dims, hf, g.degree()):
-        return "hilbert_function"
-    if not all(den.contains(g * h) for h in generators):
-        return "containment"
-    return None
-
-
-def certify_colon(I: Ideal, f: Polynomial, J: Ideal) -> str | None:
-    """Prove (I : f) = J without computing the colon (certify_annihilator).
-
-    Returns None when proved, otherwise the condition that fails: "artinian"
-    when R/I or R/J is not Artinian, which proves nothing, else
-    "hilbert_function" or "containment", each of which proves J != (I : f).
-    """
-    if f.ring != I.ring or J.ring != I.ring:
-        raise RingMismatch(f"{f.ring}, {J.ring} vs {I.ring}")
-    if artinian_monomial_basis(I) is None or artinian_monomial_basis(J) is None:
-        return "artinian"
-    dims = hf_difference(hf_of(I), hf_of(ideal_sum(I, Ideal(I.ring, [f]))))
-    return certify_annihilator(I, f, dims, hf_of(J), J.generators)
 
 
 def colon_by_variable_power(I: Ideal, i: int) -> Ideal:

@@ -7,7 +7,7 @@ variable fewer.  This module enumerates the families, verifies the
 tree closure conditions on bounded enumerations, checks Hilbert-function
 additivity of the child split, sends each central simple module to the
 member J' one level down that the paper predicts for its annihilator,
-certified by the module pass csm.certified_modules (so the module has
+certified by the module pass csm.certify_module (so the module has
 the strong Lefschetz property exactly when R/J' does), and exports
 diagrams as DOT or JSON.  Every dimension it reads is a Hilbert function
 of the ideal layer (ideals.hf_of): the complete-intersection certificate
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .csm import central_simple_modules, certified_modules, csm_chain, member_ideal
+from .csm import central_simple_modules, certify_module, csm_chain, member_ideal
 from .ideals import (
     Ideal,
     add_last_variable,
@@ -233,7 +233,7 @@ def resolve_member_label(ideal: Ideal, n: int, a_bound: int):
 def member_csm_arrows(member: FamilyMember):
     """Certified arrows from one member to the members one level down.
 
-    The module pass (csm.certified_modules) certifies module j of (A, xn)
+    The module pass (csm.certify_module) certifies module j of (A, xn)
     by e_(j-1) against J'R + (xn), J' the paper's predicted member
     (csm.predicted_member); its arrow goes to J' when the certificate
     holds, and module j is then R/(J'R + (xn)) moved up by j - 1, an
@@ -247,9 +247,9 @@ def member_csm_arrows(member: FamilyMember):
     arrows = []
     details = []
     passed = True
-    modules = central_simple_modules(I, csm_chain(I))
-    for mod, key, _, sub in certified_modules(I, member.a, modules):
+    for mod in central_simple_modules(I, csm_chain(I)):
         j = mod.index
+        key, _, sub = certify_module(I.ring, member.a, j, mod.numerator, mod.denominator)
         if key is None:
             details.append({"j": j, "target": None, "predicted": None,
                             "failed_condition": sub["failed_condition"]})

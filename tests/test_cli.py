@@ -612,3 +612,25 @@ def test_derive_diagram_rejects_bad_member(member):
     assert proc.returncode == 2
     assert "argument --member:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_derive_diagram_unwritable_output_is_bad_input(tmp_path, capsys):
+    script = _load_script("derive_diagram")
+    out = tmp_path / "missing" / "x.dot"
+    assert script.main(["--member", "2,3,2", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_derive_diagram_crash_is_internal_error(monkeypatch, capsys):
+    script = _load_script("derive_diagram")
+
+    def crash(members):
+        raise AssertionError("chain failed\nto terminate")
+
+    monkeypatch.setattr(script, "csm_diagram", crash)
+    assert script.main(["--member", "2,3,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: AssertionError: chain failed to terminate\n"

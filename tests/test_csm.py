@@ -335,6 +335,22 @@ def test_colon_identity_names_failed_condition(monkeypatch):
                                        "expected": wrong.canonical_str()}
 
 
+def test_colon_identity_names_failed_presentation(monkeypatch):
+    # module 2 of the power family from degree 3 has numerator A_3(3, 0)R + (v);
+    # its initial ideal has the same Hilbert function, so only the
+    # presentation num = den + (e_1) rejects it
+    ring = RingSpec(3, True)
+    build = csm.member_block
+    wrong = _leading_monomial_ideal(build(ring, 3, 0))
+    monkeypatch.setattr(csm, "member_block",
+                        lambda r, a, m: wrong if (a, m) == (3, 0) else build(r, a, m))
+    report = verify_colon_identity(3, 3, 0)
+    assert not report["passed"]
+    assert report["checks"][0] == {"name": "colon_equality", "passed": False,
+                                   "failed_condition": "presentation",
+                                   "expected": build(ring, 2, 1).canonical_str()}
+
+
 def test_family_and_identity_verifiers_derive_no_colon(monkeypatch):
     calls = _counting_colon(monkeypatch)
     assert verify_power_family(2, 3)["passed"]

@@ -10,7 +10,7 @@ import pytest
 from citree import cli, csm, ideals, linalg, tree
 from citree.csm import (
     central_simple_modules,
-    certify_annihilator,
+    cyclic_presentation,
     member_ideal,
     predicted_member,
     sym_e,
@@ -314,16 +314,20 @@ def test_certified_arrows_match_derived_colons():
 
 
 def _module_2_of_a3_4_3():
-    """Module j = 2 of A_3(4, 3), its generator e_1 and the generators of
-    J'R + (v) for a level-two member J'."""
+    """Module j = 2 of A_3(4, 3), its generator e_1 and J'R + (v) for a
+    level-two member J'."""
     member = family_member(3, 4, 3)
     ring = member.ideal.ring
     mod = central_simple_modules(member.ideal)[1]
 
     def lifted(below):
-        return extend_with_last_variable(below.ideal, ring).generators
+        return extend_with_last_variable(below.ideal, ring)
 
     return mod, sym_e(ring, mod.index - 1), lifted
+
+
+def _certify(mod, g, annihilator):
+    return cyclic_presentation(mod.numerator, mod.denominator, g, annihilator)
 
 
 def test_annihilator_certificate_needs_containment():
@@ -332,20 +336,23 @@ def test_annihilator_certificate_needs_containment():
     mod, g, lifted = _module_2_of_a3_4_3()
     right, wrong = family_member(2, 3, 1), family_member(2, 2, 2)
     assert hf_of(right.ideal) == hf_of(wrong.ideal) == (1, 2, 2, 1)
-    assert certify_annihilator(mod.denominator, g, mod.graded_dims,
-                               hf_of(right.ideal), lifted(right)) is None
-    assert certify_annihilator(mod.denominator, g, mod.graded_dims,
-                               hf_of(wrong.ideal), lifted(wrong)) == "containment"
+    assert _certify(mod, g, lifted(right))["passed"]
+    report = _certify(mod, g, lifted(wrong))
+    assert report["presentation_ok"] and report["dims_ok"]
+    assert report["failed_condition"] == "containment"
 
 
 def test_arrow_target_needs_the_module_hilbert_function():
-    # moving the module's graded dimensions up one degree keeps its total
-    # dimension, so only the Hilbert-function comparison rejects the target
+    # A_2(4, 1) lies inside the true annihilator A_2(3, 1) (p_4 = e_1 p_3 -
+    # e_2 p_2), so g*J inside den holds, and only the Hilbert-function
+    # comparison rejects the target
     mod, g, lifted = _module_2_of_a3_4_3()
-    right = family_member(2, 3, 1)
-    moved = (0,) + mod.graded_dims
-    assert certify_annihilator(mod.denominator, g, moved, hf_of(right.ideal),
-                               lifted(right)) == "hilbert_function"
+    smaller = lifted(family_member(2, 4, 1))
+    assert lifted(family_member(2, 3, 1)).contains_ideal(smaller)
+    assert all(mod.denominator.contains(g * h) for h in smaller.generators)
+    report = _certify(mod, g, smaller)
+    assert report["presentation_ok"] and not report["dims_ok"]
+    assert report["failed_condition"] == "hilbert_function"
 
 
 def test_no_predicted_target_beyond_the_level():
