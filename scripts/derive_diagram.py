@@ -20,6 +20,8 @@ derivation raised (one "internal error: ..." line).
 """
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -31,15 +33,27 @@ from citree.tree import csm_diagram, export_dot, export_json, family_member  # n
 
 
 def _member(text: str):
-    """argparse type for --member: three integers N,A,M naming a member."""
+    """argparse type for --member: three integers N,A,M; the member is
+    built (and certified) only after the output path is checked."""
     try:
         n, a, m = (int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected three integers N,A,M, got {text!r}") from None
-    try:
-        return family_member(n, a, m)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n, a, m
+
+
+def _check_writable(path: str):
+    """Raise the OSError that writing path would raise when its directory is
+    missing or not writable, or path is a directory; creates nothing, so a
+    refused output costs no derivation and leaves no file behind."""
+    target = Path(path)
+    directory = target.absolute().parent
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not directory.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(directory))
+    if not os.access(directory, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(directory))
 
 
 def main(argv=None) -> int:
@@ -50,7 +64,13 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--output", help="file path; stdout otherwise")
     args = parser.parse_args(argv)
     try:
-        graph = csm_diagram(args.member)
+        if args.output:
+            _check_writable(args.output)
+        try:
+            members = [family_member(*triple) for triple in args.member]
+        except ValueError as exc:
+            parser.error(f"argument --member: {exc}")
+        graph = csm_diagram(members)
         text = export_dot(graph) if args.format == "dot" else export_json(graph)
         if args.output:
             with open(args.output, "w") as handle:

@@ -320,7 +320,7 @@ def _build_parser():
         if fail_fast:
             p.add_argument("--fail-fast", action="store_true", help="stop at the first failure")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="seed of the candidate forms")
+            p.add_argument("--seed", type=int, help="seed of the candidate forms (default 0)")
 
     p = sub.add_parser("newton", help="power sum / elementary symmetric recurrences")
     p.add_argument("--n", type=_positive)
@@ -417,7 +417,7 @@ def _config_from_args(args) -> RunConfig:
         params=params,
         output=output,
         fail_fast=getattr(args, "fail_fast", False),
-        seed=getattr(args, "seed", 0),
+        seed=getattr(args, "seed", None) or 0,
     )
 
 
@@ -489,8 +489,10 @@ def main(argv=None) -> int:
         parser.error("tree --depth sets the depth of an exported tree, so it needs --ideal")
     if args.command in ("identity", "swap", "chain") and args.kind == "f" and args.b is not None:
         parser.error(f"{args.command} --kind f has no b parameter, so it takes no --b")
-    if args.command == "slp" and args.y and args.max_tries is not None:
-        parser.error("slp --y checks one linear form, so it takes no --max-tries")
+    if args.command == "slp" and args.y:
+        for flag, value in (("--max-tries", args.max_tries), ("--seed", args.seed)):
+            if value is not None:
+                parser.error(f"slp --y checks one linear form, so it takes no {flag}")
     cfg = _config_from_args(args)
     try:
         code, _, text = run(cfg)

@@ -11,7 +11,9 @@ by deg g (Harima-Watanabe).  The caller supplies the annihilator
 the algebra check of that quotient, and both run one rank loop.  For each
 source degree i the map of y^d is the degree-1 matrix from degree i+d-1
 times the map of y^(d-1), one exact product per (d, i), so every rank is
-exact.
+exact.  The degree-1 matrices of y come from quotient.mult_map_matrix,
+which sums the maps of the variables cached on the algebra: a search
+reduces x_v * m once per algebra, not y * m once per candidate.
 """
 
 from __future__ import annotations
@@ -173,7 +175,8 @@ def _search(ring, check, max_tries: int, seed: int):
 
 def find_lefschetz_element(A: QuotientAlgebra, max_tries: int = 24, seed: int = 0):
     """First linear form in the deterministic candidate list for which the
-    algebra check holds; None after max_tries failures."""
+    algebra check holds; None after max_tries failures.  Every candidate
+    reuses the monomial maps that the earlier ones cached on A."""
     return _search(A.ring, lambda y: slp_check_algebra(A, y), max_tries, seed)
 
 

@@ -475,6 +475,7 @@ def test_bounds_below_zero_exit_2(capsys, argv, flag):
     (["chain", "--kind", "f", "--n", "2", "--b", "1"], "chain --kind f has no b parameter"),
     (["tree", "--depth", "2"], "tree --depth sets the depth of an exported tree"),
     (["tree", "--family", "colon-closure", "--depth", "3"], "so it needs --ideal"),
+    (["slp", "--ideal", "unread.json", "--y", "x1", "--seed", "7"], "takes no --seed"),
 ])
 def test_flags_a_run_would_drop_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -614,13 +615,21 @@ def test_derive_diagram_rejects_bad_member(member):
     assert "Traceback" not in proc.stderr
 
 
-def test_derive_diagram_unwritable_output_is_bad_input(tmp_path, capsys):
+def test_derive_diagram_unwritable_output_is_bad_input(tmp_path, monkeypatch, capsys):
+    # the output path is refused before any member is built or derived
     script = _load_script("derive_diagram")
-    out = tmp_path / "missing" / "x.dot"
-    assert script.main(["--member", "2,3,2", "-o", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+
+    def derive(*args):
+        raise AssertionError("derived before the output path was checked")
+
+    monkeypatch.setattr(script, "family_member", derive)
+    monkeypatch.setattr(script, "csm_diagram", derive)
+    for out in (tmp_path / "missing" / "x.dot", tmp_path):
+        assert script.main(["--member", "2,3,2", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_derive_diagram_crash_is_internal_error(monkeypatch, capsys):
