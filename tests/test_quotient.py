@@ -200,7 +200,13 @@ def test_rank_examples():
     assert linalg.rank([[1, 0], [0, 1]]) == 2
     assert linalg.rank([[1, 2], [2, 4]]) == 1
     assert linalg.rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+
+
+def test_rank_with_modular_prefilter():
+    # the modular prefilter is gone; these ranks now come from exact
+    # fraction-free elimination alone
     assert linalg.rank([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == 3
+    assert linalg.rank([[1, 2], [2, 4]]) == 1
 
 
 def test_rank_bound_by_hilbert():
