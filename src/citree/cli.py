@@ -53,6 +53,8 @@ def parse_ideal_file(path: str) -> Ideal:
             data = json.load(handle)
         except UnicodeDecodeError as exc:
             raise InvalidInput(f"ideal file {path} is not UTF-8 text: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"ideal file {path} is not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidInput(f"ideal file {path} must hold a JSON object")
     for key in ("nvars", "generators"):

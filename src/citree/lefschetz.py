@@ -9,11 +9,17 @@ module g * (R/den) is, through r -> g*r, the algebra R/(den : g) moved up
 by deg g (Harima-Watanabe).  The caller supplies the annihilator
 (den : g), certified, so this module computes no colon: a module check is
 the algebra check of that quotient, and both run one rank loop.  For each
-source degree i the map of y^d is the degree-1 matrix from degree i+d-1
-times the map of y^(d-1), one exact product per (d, i), so every rank is
-exact.  The degree-1 matrices of y come from quotient.mult_map_matrix,
-which sums the maps of the variables cached on the algebra: a search
-reduces x_v * m once per algebra, not y * m once per candidate.
+source degree i the map of y^d is one exact product per (d, i), so every
+rank is exact: the degree-1 matrix from degree i+d-1 times the map of
+y^(d-1) from degree i (inner dimension h_(i+d-1)), or the map of y^(d-1)
+from degree i+1 times the degree-1 matrix from degree i (inner dimension
+h_(i+1)), whichever inner dimension is smaller.  Splitting y^d through
+A_k, i < k < i+d, costs h_(i+d) * h_k * h_i products; when h is unimodal,
+as for every family member, its least value on [i+1, i+d-1] lies at an
+end, so one of the two is the cheapest split.  The degree-1 matrices of
+y come from quotient.mult_map_matrix, which sums the maps of the
+variables cached on the algebra: a search reduces x_v * m once per
+algebra, not y * m once per candidate.
 """
 
 from __future__ import annotations
@@ -70,7 +76,11 @@ def slp_check_algebra(A: QuotientAlgebra, y: Polynomial) -> LefschetzReport:
     powers = mats  # powers[i]: multiplication by y^d from degree i
     for d in range(1, c + 1):
         if d > 1:
-            powers = [mats[i + d - 1] * powers[i] for i in range(c - d + 1)]
+            # y after y^(d-1) through A_(i+d-1), or y^(d-1) after y
+            # through A_(i+1): whichever inner dimension is smaller
+            powers = [mats[i + d - 1] * powers[i] if hf[i + d - 1] <= hf[i + 1]
+                      else powers[i + 1] * mats[i]
+                      for i in range(c - d + 1)]
         for i in range(0, c - d + 1):
             expected = min(hf[i], hf[i + d])
             r = linalg.rank(powers[i].entries)

@@ -324,6 +324,14 @@ def test_undecodable_file_exit_2(tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
+def test_non_json_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "notes.json"
+    path.write_text("x1^2, x2^2\n")
+    assert main(["hilbert", "--ideal", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: ideal file {path} is not JSON: Expecting value: line 1 column 1 (char 0)\n")
+
+
 def test_non_homogeneous_generator_exit_2(tmp_path, capsys):
     path = write_ideal(tmp_path, "mixed.json", 2, False, ["x1^2 + x2", "x2^2"])
     assert main(["hilbert", "--ideal", path]) == 2

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from citree import lefschetz, linalg
+from citree.csm import member_ideal
 from citree.ideals import Ideal, ideal_colon, normal_form, standard_monomials_of_degree
 from citree.lefschetz import (
     find_lefschetz_element,
@@ -19,13 +20,14 @@ from citree.lefschetz import (
     slp_check_module,
 )
 from citree.polyring import InvalidInput, Polynomial, RingSpec, parse_polynomial
-from citree.quotient import build_quotient, mult_map_matrix
+from citree.quotient import RationalMatrix, build_quotient, mult_map_matrix
 from citree.symfun import symmetric_generator
 
 R1 = RingSpec(1)
 R2 = RingSpec(2)
 R2Z = RingSpec(2, True)
 R3 = RingSpec(3)
+R4 = RingSpec(4)
 
 
 # --- oracle: monomial complete intersections without normal forms -----------------
@@ -99,6 +101,45 @@ def test_monomial_ci_oracle_matches_engine_ranks():
                 M = mats[j] * M
             oracle_rank, _, _ = monomial_ci_rank_oracle(caps, (1, 2, 3), d, i)
             assert linalg.rank(M.entries) == oracle_rank
+
+
+@pytest.mark.parametrize("ideal, hilbert", [
+    (lambda: member_ideal(3, 4, 3), (1, 3, 6, 10, 14, 17, 18, 17, 14, 10, 6, 3, 1)),
+    (lambda: Ideal.from_strings(R3, ["x1^2", "x2^3", "x3^4", "x1*x2*x3"]), (1, 3, 5, 5, 3, 1)),
+], ids=["A_3(4,3)", "non-symmetric"])
+def test_power_maps_take_the_smaller_inner_dimension(monkeypatch, ideal, hilbert):
+    # every y^d from degree i, d >= 2, is one product through A_(i+d-1)
+    # (y after y^(d-1)) or through A_(i+1) (y^(d-1) after y), whichever
+    # is smaller, so the Fraction products are
+    # sum of h_(i+d) * min(h_(i+d-1), h_(i+1)) * h_i
+    A = build_quotient(ideal())
+    hf = A.hilbert_function()
+    assert hf == hilbert
+    c = A.socle_degree
+    degree_one = []
+    built = lefschetz.mult_map_matrix
+
+    def record_map(*args):
+        degree_one.append(built(*args))
+        return degree_one[-1]
+
+    products, sides = [], set()
+    multiply = RationalMatrix.__mul__
+
+    def counting_mul(left, right):
+        products.append(left.rows * left.cols * right.cols)
+        left_one = any(left is m for m in degree_one)
+        right_one = any(right is m for m in degree_one)
+        if left_one != right_one:
+            sides.add("y after y^(d-1)" if left_one else "y^(d-1) after y")
+        return multiply(left, right)
+
+    monkeypatch.setattr(lefschetz, "mult_map_matrix", record_map)
+    monkeypatch.setattr(RationalMatrix, "__mul__", counting_mul)
+    slp_check_algebra(A, lefschetz_candidates(A.ring, 0, 1)[0])
+    assert sum(products) == sum(hf[i + d] * min(hf[i + d - 1], hf[i + 1]) * hf[i]
+                                for d in range(2, c + 1) for i in range(c - d + 1))
+    assert sides == {"y after y^(d-1)", "y^(d-1) after y"}
 
 
 # --- spec examples ------------------------------------------------------------------
@@ -304,6 +345,10 @@ def direct_power_witnesses(B, y, shift=0):
          parse_polynomial("x1", R3))
 @example(Ideal.from_strings(R2Z, ["x1^3", "x2^3", "z^2"]), parse_polynomial("x1 - x2", R2Z),
          parse_polynomial("x1 + x2 + z", R2Z))
+# h = (1, 4, 3, 4), not unimodal
+@example(Ideal.from_strings(R4, ["x3^2", "x3*x4", "x4^2", "x1*x3", "x1*x4", "x2*x3", "x2*x4",
+                                 "x1^4", "x1^3*x2", "x1^2*x2^2", "x1*x2^3", "x2^4"]),
+         parse_polynomial("x1", R4), parse_polynomial("x1 + x2 + x3 + x4", R4))
 def test_checks_match_direct_power_oracle(I, g, y):
     A = build_quotient(I)
     report = slp_check_algebra(A, y)
