@@ -28,7 +28,8 @@ from pathlib import Path
 # run from a plain checkout: this checkout's src/ comes first, as in perfbench
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from citree.polyring import InvalidInput  # noqa: E402
+# the command line's one exception rule maps a raise to exit 2 or 3
+from citree.cli import guarded  # noqa: E402
 from citree.tree import csm_diagram, export_dot, export_json, family_member  # noqa: E402
 
 
@@ -63,7 +64,8 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=["dot", "json"], default="dot")
     parser.add_argument("-o", "--output", help="file path; stdout otherwise")
     args = parser.parse_args(argv)
-    try:
+
+    def derive():
         if args.output:
             _check_writable(args.output)
         try:
@@ -77,16 +79,12 @@ def main(argv=None) -> int:
                 handle.write(text)
         else:
             sys.stdout.write(text)
-    except (InvalidInput, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
-        return 3
-    if not graph["passed"]:
-        print("warning: some arrows were not certified", file=sys.stderr)
-        return 1
-    return 0
+        if not graph["passed"]:
+            print("warning: some arrows were not certified", file=sys.stderr)
+            return 1
+        return 0
+
+    return guarded(derive)
 
 
 if __name__ == "__main__":

@@ -21,18 +21,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from citree import cli  # noqa: E402
 
-RUNS = [
-    ["newton"],
-    ["identity"],
-    ["thm31"],
-    ["thm41"],
-    ["swap"],
-    ["chain"],
-    ["colon-lemma"],
-    ["tree"],
-    ["tree", "--family", "colon-closure"],
-    ["thm53"],
-]
+# every grid subcommand, then the two tree families and thm53
+RUNS = [[name] for name, *_ in cli._GRIDS] + [
+    ["tree"], ["tree", "--family", "colon-closure"], ["thm53"]]
 STATUS = {0: "PASS", 1: "FAIL"}
 
 

@@ -1,7 +1,9 @@
 """Command line interface: verification suites and ad-hoc queries.
 
 Every run prints either a human-readable summary or a deterministic JSON
-report (sorted keys, seed recorded).  Exit status:
+report (sorted keys, seed recorded).  Each grid subcommand is one row of
+_GRIDS, and its flags are the parameters of its grid function.  Exit
+status, with guarded the one place that maps an exception to 2 or 3:
 
     0  every requested check passed
     1  a verification failed
@@ -14,16 +16,19 @@ report (sorted keys, seed recorded).  Exit status:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__, csm, symfun, tree
-from .ideals import Ideal
-from .lefschetz import (LefschetzReport, find_lefschetz_element, lefschetz_candidates,
-                        slp_check_algebra)
+from .ideals import Ideal, hf_of
+from .lefschetz import (MAX_TRIES, LefschetzReport, find_lefschetz_element,
+                        lefschetz_candidates, slp_check_algebra)
 from .polyring import InvalidInput, RingSpec, parse_polynomial
 from .quotient import build_quotient
+
+DEPTH = 3  # levels of an exported tree (tree --ideal) unless --depth is given
 
 
 @dataclass
@@ -33,15 +38,6 @@ class RunConfig:
     output: str = "text"  # text | json | dot
     fail_fast: bool = False
     seed: int = 0
-
-    def to_json(self):
-        return {
-            "command": self.command,
-            "params": {k: v for k, v in sorted(self.params.items())},
-            "output": self.output,
-            "fail_fast": self.fail_fast,
-            "seed": self.seed,
-        }
 
 
 def parse_ideal_file(path: str) -> Ideal:
@@ -173,14 +169,14 @@ def _identity_report(kind, n, b_values):
             "checks": checks, "passed": all(c["passed"] for c in checks)}
 
 
-def _grid_command(grid, verifier, *keys):
-    """Handler running verifier on each item of grid(*overrides), the
-    overrides being the run's params named by keys; --fail-fast stops at
-    the first failing report."""
+def _grid_command(grid, verifier):
+    """Handler running verifier on each item of grid(**params), the run's
+    params being the given flags; --fail-fast stops at the first failing
+    report."""
 
     def handler(cfg: RunConfig):
         reports = []
-        for item in grid(*(cfg.params.get(key) for key in keys)):
+        for item in grid(**cfg.params):
             reports.append(verifier(*item))
             if cfg.fail_fast and not reports[-1].get("passed", False):
                 break
@@ -192,28 +188,25 @@ def _grid_command(grid, verifier, *keys):
 def _cmd_slp(cfg: RunConfig):
     I = parse_ideal_file(cfg.params["ideal"])
     A = build_quotient(I)
-    if cfg.params.get("y"):
+    if cfg.params.get("y") is not None:
         y = parse_polynomial(cfg.params["y"], I.ring)
         rep = slp_check_algebra(A, y)
         rep.seed = cfg.seed
     else:
-        max_tries = cfg.params.get("max_tries", 24)
+        max_tries = cfg.params.get("max_tries", MAX_TRIES)
         found = find_lefschetz_element(A, max_tries=max_tries, seed=cfg.seed)
         # a failed search tried every candidate, which may be fewer than max_tries
         rep = found[1] if found else LefschetzReport(
             subject=str(I), linear_form=None, holds=False, witnesses=[],
             hilbert=A.hilbert_function(), seed=cfg.seed,
             tries=len(lefschetz_candidates(I.ring, cfg.seed, max_tries)))
-    out = rep.to_json()
-    out["verifier"] = "slp"
-    out["passed"] = bool(out["holds"])
-    return [out]
+    return [{**rep.to_json(), "verifier": "slp", "passed": bool(rep.holds)}]
 
 
 def _cmd_csm(cfg: RunConfig):
     I = parse_ideal_file(cfg.params["ideal"])
     chain = csm.csm_chain(I)
-    modules = csm.central_simple_modules(I, chain)
+    modules = csm.central_simple_modules(chain)
     report = {
         "verifier": "csm",
         "ideal": str(I),
@@ -221,19 +214,17 @@ def _cmd_csm(cfg: RunConfig):
         "chain": chain.to_json(),
         "modules": [{"index": m.index, "graded_dims": list(m.graded_dims),
                      "shift": m.shift} for m in modules],
+        "filtration": csm.filtration_check(I, chain),
+        "terminal": csm.verify_terminal_csm(I, chain),
     }
-    filt = csm.filtration_check(I, chain)
-    term = csm.verify_terminal_csm(I, chain)
-    report["filtration"] = filt
-    report["terminal"] = term
-    report["passed"] = filt["passed"] and term["passed"]
+    report["passed"] = report["filtration"]["passed"] and report["terminal"]["passed"]
     return [report]
 
 
 def _cmd_tree(cfg: RunConfig):
-    if cfg.params.get("ideal"):
+    if cfg.params.get("ideal") is not None:
         I = parse_ideal_file(cfg.params["ideal"])
-        graph = tree.tree_graph(I, cfg.params.get("depth", 3))
+        graph = tree.tree_graph(I, cfg.params.get("depth", DEPTH))
         return [{"verifier": "tree-export", "graph": graph, "passed": True}]
     p = cfg.params
     bounds = tree_bounds(p.get("family"), p.get("n_max"), p.get("bound"))
@@ -242,45 +233,43 @@ def _cmd_tree(cfg: RunConfig):
 
 def _cmd_thm53(cfg: RunConfig):
     n_max, a_max = thm53_bounds(cfg.params.get("n_max"), cfg.params.get("a_max"))
-    report = tree.verify_family_slp(n_max, a_max,
-                                    check_modules=cfg.params.get("check_modules", True),
-                                    seed=cfg.seed)
-    out = [report]
+    out = [tree.verify_family_slp(n_max, a_max, seed=cfg.seed,
+                                  check_modules=cfg.params.get("check_modules", True))]
     if cfg.params.get("diagram"):
-        roots = tree.family_members(n_max, a_max)
-        graph = tree.csm_diagram(roots)
-        out.append({"verifier": "csm-diagram", "graph": graph,
-                    "passed": graph["passed"]})
+        graph = tree.csm_diagram(tree.family_members(n_max, a_max))
+        out.append({"verifier": "csm-diagram", "graph": graph, "passed": graph["passed"]})
     return out
 
 
 def _cmd_hilbert(cfg: RunConfig):
     I = parse_ideal_file(cfg.params["ideal"])
-    A = build_quotient(I)
+    hf = hf_of(I)
     return [{
         "verifier": "hilbert",
         "ideal": str(I),
-        "hilbert": list(A.hilbert_function()),
-        "dimension": A.dimension(),
-        "socle_degree": A.socle_degree,
+        "hilbert": list(hf),
+        "dimension": sum(hf),
+        "socle_degree": len(hf) - 1,
         "passed": True,
     }]
 
 
-_HANDLERS = {
-    "newton": _grid_command(newton_grid, _newton_report, "n", "kmax"),
-    "identity": _grid_command(identity_grid, _identity_report, "kind", "n", "b"),
-    "thm31": _grid_command(power_grid, csm.verify_power_family, "n", "a"),
-    "thm41": _grid_command(mixed_grid, csm.verify_mixed_family, "n", "a", "b"),
-    "swap": _grid_command(kind_grid, csm.verify_generator_swap, "kind", "n", "a", "b"),
-    "chain": _grid_command(kind_grid, csm.verify_chain_blocks, "kind", "n", "a", "b"),
-    "colon-lemma": _grid_command(colon_grid, csm.verify_colon_identity, "n", "a", "s", "top"),
-    "slp": _cmd_slp,
-    "csm": _cmd_csm,
-    "tree": _cmd_tree,
-    "thm53": _cmd_thm53,
-    "hilbert": _cmd_hilbert,
-}
+# one row per grid subcommand: name, help, grid function, verifier
+_GRIDS = (
+    ("newton", "power sum / elementary symmetric recurrences", newton_grid, _newton_report),
+    ("identity", "triangular derivative identities", identity_grid, _identity_report),
+    ("thm31", "module decomposition of the pure power-sum family", power_grid,
+     csm.verify_power_family),
+    ("thm41", "module decomposition of the mixed family", mixed_grid, csm.verify_mixed_family),
+    ("swap", "generator replacement identities", kind_grid, csm.verify_generator_swap),
+    ("chain", "colon chain block boundaries", kind_grid, csm.verify_chain_blocks),
+    ("colon-lemma", "colon of chain blocks by elementary symmetric polynomials",
+     colon_grid, csm.verify_colon_identity),
+)
+
+_HANDLERS = {**{name: _grid_command(grid, verifier) for name, _, grid, verifier in _GRIDS},
+             "slp": _cmd_slp, "csm": _cmd_csm, "tree": _cmd_tree, "thm53": _cmd_thm53,
+             "hilbert": _cmd_hilbert}
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -299,10 +288,15 @@ def _at_least(low: int):
     return parse
 
 
-# argparse types: _positive for the bounds --n, --a, --kmax, --n-max,
-# --a-max, --bound and --max-tries; _nonnegative for --b, --s and --depth.
+# argparse types: _positive for the bounds, _nonnegative for --b, --s and --depth
 _positive = _at_least(1)
 _nonnegative = _at_least(0)
+
+# the flag of each grid function parameter; --s and --top exclude each other
+_FLAGS = {**dict.fromkeys(("n", "a", "kmax"), {"type": _positive}),
+          **dict.fromkeys(("b", "s"), {"type": _nonnegative}),
+          "kind": {"choices": ["f", "g"]},
+          "top": {"action": "store_true", "help": "only the top (e_n) case"}}
 
 
 def _build_parser():
@@ -324,50 +318,19 @@ def _build_parser():
         if seed:
             p.add_argument("--seed", type=int, help="seed of the candidate forms (default 0)")
 
-    p = sub.add_parser("newton", help="power sum / elementary symmetric recurrences")
-    p.add_argument("--n", type=_positive)
-    p.add_argument("--kmax", type=_positive)
-    common(p, fail_fast=True)
-
-    p = sub.add_parser("identity", help="triangular derivative identities")
-    p.add_argument("--kind", choices=["f", "g"])
-    p.add_argument("--n", type=_positive)
-    p.add_argument("--b", type=_nonnegative)
-    common(p, fail_fast=True)
-
-    p = sub.add_parser("thm31", help="module decomposition of the pure power-sum family")
-    p.add_argument("--n", type=_positive)
-    p.add_argument("--a", type=_positive)
-    common(p, fail_fast=True)
-
-    p = sub.add_parser("thm41", help="module decomposition of the mixed family")
-    p.add_argument("--n", type=_positive)
-    p.add_argument("--a", type=_positive)
-    p.add_argument("--b", type=_nonnegative)
-    common(p, fail_fast=True)
-
-    for name, text in (("swap", "generator replacement identities"),
-                       ("chain", "colon chain block boundaries")):
+    for name, text, grid, _ in _GRIDS:
         p = sub.add_parser(name, help=text)
-        p.add_argument("--kind", choices=["f", "g"])
-        p.add_argument("--n", type=_positive)
-        p.add_argument("--a", type=_positive)
-        p.add_argument("--b", type=_nonnegative)
+        keys = inspect.signature(grid).parameters
+        case = p.add_mutually_exclusive_group() if "top" in keys else p
+        for key in keys:
+            (case if key in ("s", "top") else p).add_argument(f"--{key}", **_FLAGS[key])
         common(p, fail_fast=True)
-
-    p = sub.add_parser("colon-lemma", help="colon of chain blocks by elementary symmetric polynomials")
-    p.add_argument("--n", type=_positive)
-    p.add_argument("--a", type=_positive)
-    case = p.add_mutually_exclusive_group()
-    case.add_argument("--s", type=_nonnegative)
-    case.add_argument("--top", action="store_true", help="only the top (e_n) case")
-    common(p, fail_fast=True)
 
     p = sub.add_parser("slp", help="strong Lefschetz check for an ideal file")
     p.add_argument("--ideal", required=True)
     p.add_argument("--y", help="linear form; omitted means search")
     p.add_argument("--max-tries", type=_positive,
-                   help="candidates a search tries (default 24); not with --y")
+                   help=f"candidates a search tries (default {MAX_TRIES}); not with --y")
     common(p, seed=True)
 
     p = sub.add_parser("csm", help="central simple module decomposition of an ideal file")
@@ -380,7 +343,7 @@ def _build_parser():
     p.add_argument("--bound", type=_positive)
     p.add_argument("--ideal", help="export the tree under this root instead")
     p.add_argument("--depth", type=_nonnegative,
-                   help="levels of the exported tree (default 3); only with --ideal")
+                   help=f"levels of the exported tree (default {DEPTH}); only with --ideal")
     p.add_argument("--dot", action="store_true")
     common(p)
 
@@ -399,28 +362,24 @@ def _build_parser():
     return parser
 
 
+# flags that shape the run rather than name what it checks
+_RUN_FLAGS = ("command", "json", "dot", "fail_fast", "seed", "skip_modules")
+
+
 def _config_from_args(args) -> RunConfig:
-    params = {}
-    for key in ("n", "a", "b", "s", "kind", "kmax", "ideal", "y", "top",
-                "family", "bound", "diagram", "n_max", "a_max"):
-        if getattr(args, key, None) is not None:
-            params[key] = getattr(args, key)
-    if hasattr(args, "max_tries"):
-        params["max_tries"] = 24 if args.max_tries is None else args.max_tries
-    if hasattr(args, "depth"):
-        params["depth"] = 3 if args.depth is None else args.depth
+    """Every other flag that is given is a param; slp records its search
+    budget and tree its export depth when they are defaulted too."""
+    params = {k: v for k, v in vars(args).items() if k not in _RUN_FLAGS and v is not None}
+    if args.command == "slp":
+        params.setdefault("max_tries", MAX_TRIES)
+    if args.command == "tree":
+        params.setdefault("depth", DEPTH)
     if getattr(args, "skip_modules", False):
         params["check_modules"] = False
-    output = "json" if args.json else "text"
-    if getattr(args, "dot", False):
-        output = "dot"
-    return RunConfig(
-        command=args.command,
-        params=params,
-        output=output,
-        fail_fast=getattr(args, "fail_fast", False),
-        seed=getattr(args, "seed", None) or 0,
-    )
+    output = "dot" if getattr(args, "dot", False) else "json" if args.json else "text"
+    return RunConfig(command=args.command, params=params, output=output,
+                     fail_fast=getattr(args, "fail_fast", False),
+                     seed=getattr(args, "seed", None) or 0)
 
 
 def _summarize(report, lines, indent="  "):
@@ -454,21 +413,17 @@ def _summarize(report, lines, indent="  "):
 
 def run(cfg: RunConfig):
     """Execute one configuration; returns (exit_code, envelope, text)."""
-    handler = _HANDLERS[cfg.command]
-    reports = handler(cfg)
+    reports = _HANDLERS[cfg.command](cfg)
     passed = all(r.get("passed", False) for r in reports)
     envelope = {
         "version": __version__,
-        "config": cfg.to_json(),
+        "config": asdict(cfg),
         "reports": reports,
         "passed": passed,
     }
     if cfg.output == "dot":
-        graph = None
-        for r in reports:
-            if "graph" in r:
-                graph = r["graph"]
-        text = tree.export_dot(graph) if graph else ""
+        graphs = [r["graph"] for r in reports if "graph" in r]
+        text = tree.export_dot(graphs[-1]) if graphs else ""
     elif cfg.output == "json":
         text = json.dumps(envelope, sort_keys=True, indent=2, default=str) + "\n"
     else:
@@ -480,32 +435,44 @@ def run(cfg: RunConfig):
     return (0 if passed else 1), envelope, text
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "dot", False) and not (args.ideal if args.command == "tree" else args.diagram):
-        parser.error("--dot draws a graph, so it needs tree --ideal or thm53 --diagram")
-    if args.command == "tree" and args.ideal and (args.family or args.n_max or args.bound):
-        parser.error("tree --ideal exports one tree, so it takes no --family, --n-max or --bound")
-    if args.command == "tree" and not args.ideal and args.depth is not None:
-        parser.error("tree --depth sets the depth of an exported tree, so it needs --ideal")
-    if args.command in ("identity", "swap", "chain") and args.kind == "f" and args.b is not None:
-        parser.error(f"{args.command} --kind f has no b parameter, so it takes no --b")
-    if args.command == "slp" and args.y:
-        for flag, value in (("--max-tries", args.max_tries), ("--seed", args.seed)):
-            if value is not None:
-                parser.error(f"slp --y checks one linear form, so it takes no {flag}")
-    cfg = _config_from_args(args)
+def guarded(work) -> int:
+    """work(), the exit code of a run, or the code of what it raised: 2 for
+    InvalidInput or OSError, with one "error: ..." line on stderr, and 3
+    for anything else, with one "internal error: ..." line."""
     try:
-        code, _, text = run(cfg)
-    except (InvalidInput, OSError, json.JSONDecodeError) as exc:
+        return work()
+    except (InvalidInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
         return 3
-    sys.stdout.write(text)
-    return code
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    export = args.command == "tree" and args.ideal is not None
+    if getattr(args, "dot", False) and not (export or getattr(args, "diagram", False)):
+        parser.error("--dot draws a graph, so it needs tree --ideal or thm53 --diagram")
+    if export and (args.family or args.n_max or args.bound):
+        parser.error("tree --ideal exports one tree, so it takes no --family, --n-max or --bound")
+    if args.command == "tree" and not export and args.depth is not None:
+        parser.error("tree --depth sets the depth of an exported tree, so it needs --ideal")
+    if args.command in ("identity", "swap", "chain") and args.kind == "f" and args.b is not None:
+        parser.error(f"{args.command} --kind f has no b parameter, so it takes no --b")
+    if args.command == "slp" and args.y is not None:
+        for flag, value in (("--max-tries", args.max_tries), ("--seed", args.seed)):
+            if value is not None:
+                parser.error(f"slp --y checks one linear form, so it takes no {flag}")
+    cfg = _config_from_args(args)
+
+    def work():
+        code, _, text = run(cfg)
+        sys.stdout.write(text)
+        return code
+
+    return guarded(work)
 
 
 if __name__ == "__main__":

@@ -247,10 +247,8 @@ def csm_chain(I: Ideal) -> CsmChain:
     return chain
 
 
-def central_simple_modules(I: Ideal, chain: CsmChain | None = None):
+def central_simple_modules(chain: CsmChain):
     """The nonzero successive quotients of the chain, top first."""
-    if chain is None:
-        chain = csm_chain(I)
     ideals = chain.distinct_ideals()
     hfs = chain.hilbert_functions
     out = []
@@ -370,7 +368,7 @@ def _verify_family(report, I, a, b):
     total = sum(chain.filtration_summands())
     _check(checks, "filtration_dimension", total == dim, total=total, dim=dim)
 
-    modules = central_simple_modules(I, chain)
+    modules = central_simple_modules(chain)
     _check(checks, "module_count", len(modules) == len(ranges) - 1,
            count=len(modules), expected=len(ranges) - 1)
 
@@ -554,13 +552,12 @@ def verify_terminal_csm(I: Ideal, chain: CsmChain | None = None) -> dict:
     if q is not None:
         _check(checks, "q_matches_chain", chain.entries[0][2] + 1 == q,
                chain_hi=chain.entries[0][2])
-        modules = central_simple_modules(I, chain)
+        modules = central_simple_modules(chain)
         last = modules[-1]
         _check(checks, "terminal_module",
                ideal_equal(last.numerator, chain.ideal_at(q))
                and ideal_equal(last.denominator, base))
-        full = colon_by_variable_power(I, q)
-        if full.is_unit():
+        if cur.is_unit():  # cur = (I : v^q)
             _check(checks, "single_module", len(modules) == 1)
             dims_match = last.graded_dims == chain.hilbert_functions[0]
             _check(checks, "module_is_quotient_by_variable", dims_match)

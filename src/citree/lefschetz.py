@@ -138,6 +138,10 @@ def slp_check_module(V: GradedModuleView, y: Polynomial) -> LefschetzReport:
     return report
 
 
+# candidates a search tries unless told otherwise (citree slp --max-tries)
+MAX_TRIES = 24
+
+
 def lefschetz_candidates(ring, seed: int, max_tries: int):
     """Deterministic candidate stream: all-ones, single variables, then
     seeded small random combinations, drawn until max_tries forms are
@@ -183,13 +187,13 @@ def _search(ring, check, max_tries: int, seed: int):
     return None
 
 
-def find_lefschetz_element(A: QuotientAlgebra, max_tries: int = 24, seed: int = 0):
+def find_lefschetz_element(A: QuotientAlgebra, max_tries: int = MAX_TRIES, seed: int = 0):
     """First linear form in the deterministic candidate list for which the
     algebra check holds; None after max_tries failures.  Every candidate
     reuses the monomial maps that the earlier ones cached on A."""
     return _search(A.ring, lambda y: slp_check_algebra(A, y), max_tries, seed)
 
 
-def module_slp_search(V: GradedModuleView, max_tries: int = 24, seed: int = 0):
+def module_slp_search(V: GradedModuleView, max_tries: int = MAX_TRIES, seed: int = 0):
     """find_lefschetz_element for a graded module view."""
     return _search(V.ambient.ring, lambda y: slp_check_module(V, y), max_tries, seed)

@@ -247,7 +247,7 @@ def member_csm_arrows(member: FamilyMember):
     arrows = []
     details = []
     passed = True
-    for mod in central_simple_modules(I, csm_chain(I)):
+    for mod in central_simple_modules(csm_chain(I)):
         j = mod.index
         key, _, sub = certify_module(I.ring, member.a, j, mod.numerator, mod.denominator)
         if key is None:

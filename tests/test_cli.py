@@ -528,6 +528,59 @@ def test_b_and_depth_where_read(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["params"]["depth"] == 1
 
 
+def test_empty_flag_value_is_given(tmp_path, capsys):
+    # an empty --y is a linear form to parse, not a search, and an empty
+    # --ideal is a file to read, not the tree-conditions run
+    path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
+    assert main(["slp", "--ideal", path, "--y", ""]) == 2
+    assert "column 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["slp", "--ideal", path, "--y", "", "--max-tries", "3", "--seed", "4"])
+    assert exc.value.code == 2
+    assert "takes no --max-tries" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["tree", "--ideal", "", "--n-max", "1"])
+    assert exc.value.code == 2
+    assert "tree --ideal exports one tree" in capsys.readouterr().err
+    assert main(["tree", "--ideal", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["newton", "--n", "2", "--kmax", "3"], {"n": 2, "kmax": 3}),
+    (["identity", "--kind", "g", "--n", "3", "--b", "1"], {"kind": "g", "n": 3, "b": 1}),
+    (["thm31", "--n", "1", "--a", "2"], {"n": 1, "a": 2}),
+    (["thm41", "--n", "1", "--a", "2", "--b", "0"], {"n": 1, "a": 2, "b": 0}),
+    (["swap", "--kind", "f", "--n", "2", "--a", "2"], {"kind": "f", "n": 2, "a": 2}),
+    (["chain", "--n", "2", "--a", "2", "--b", "1"], {"n": 2, "a": 2, "b": 1}),
+    (["colon-lemma", "--n", "2", "--a", "2"], {"n": 2, "a": 2, "top": False}),
+    (["colon-lemma", "--n", "2", "--a", "2", "--s", "0"], {"n": 2, "a": 2, "s": 0, "top": False}),
+    (["colon-lemma", "--n", "2", "--a", "2", "--top"], {"n": 2, "a": 2, "top": True}),
+    (["slp", "--ideal", "sq.json"], {"ideal": "sq.json", "max_tries": 24}),
+    (["slp", "--ideal", "sq.json", "--y", "x1+x2"],
+     {"ideal": "sq.json", "y": "x1+x2", "max_tries": 24}),
+    (["slp", "--ideal", "sq.json", "--max-tries", "2", "--seed", "1"],
+     {"ideal": "sq.json", "max_tries": 2}),
+    (["csm", "--ideal", "sq.json"], {"ideal": "sq.json"}),
+    (["hilbert", "--ideal", "sq.json"], {"ideal": "sq.json"}),
+    (["tree", "--n-max", "1"], {"n_max": 1, "depth": 3}),
+    (["tree", "--family", "colon-closure", "--n-max", "1", "--bound", "2"],
+     {"family": "colon-closure", "n_max": 1, "bound": 2, "depth": 3}),
+    (["tree", "--ideal", "sq.json"], {"ideal": "sq.json", "depth": 3}),
+    (["tree", "--ideal", "sq.json", "--depth", "1"], {"ideal": "sq.json", "depth": 1}),
+    (["thm53", "--n-max", "1", "--a-max", "2"], {"n_max": 1, "a_max": 2, "diagram": False}),
+    (["thm53", "--n-max", "1", "--a-max", "2", "--diagram", "--skip-modules"],
+     {"n_max": 1, "a_max": 2, "diagram": True, "check_modules": False}),
+])
+def test_json_config_params_pinned(tmp_path, monkeypatch, capsys, argv, params):
+    # the params a run records are read from its parsed flags: every flag
+    # that names what it checks, given, plus slp's budget and tree's depth
+    monkeypatch.chdir(tmp_path)
+    write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["params"] == params
+
+
 def test_seed_and_fail_fast_where_read(tmp_path, capsys):
     assert main(["newton", "--n", "1", "--kmax", "1", "--fail-fast", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["fail_fast"] is True

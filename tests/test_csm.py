@@ -130,13 +130,13 @@ def test_mixed_family_spelling():
 
 
 def test_module_counts():
-    assert len(central_simple_modules(power_family_ideal(2, 2))) == 3
-    assert len(central_simple_modules(power_family_ideal(2, 1))) == 1
-    assert len(central_simple_modules(mixed_family_ideal(2, 2, 1))) == 3
+    assert len(central_simple_modules(csm_chain(power_family_ideal(2, 2)))) == 3
+    assert len(central_simple_modules(csm_chain(power_family_ideal(2, 1)))) == 1
+    assert len(central_simple_modules(csm_chain(mixed_family_ideal(2, 2, 1)))) == 3
 
 
 def test_module_graded_dims():
-    mods = central_simple_modules(power_family_ideal(2, 2))
+    mods = central_simple_modules(csm_chain(power_family_ideal(2, 2)))
     # U_1 is the coinvariant quotient: dims (1, 1) starting at degree 0
     assert mods[0].graded_dims[:2] == (1, 1)
     assert mods[0].shift == 0
@@ -269,7 +269,7 @@ def test_power_family_a2_all_modules_are_coinvariants():
 def test_annihilator_contains_denominator():
     I = power_family_ideal(2, 3)
     chain = csm_chain(I)
-    for mod in central_simple_modules(I, chain):
+    for mod in central_simple_modules(chain):
         g = sym_e(I.ring, mod.index - 1)
         predicted = member_block(I.ring, 2, mod.index - 1)
         report = cyclic_presentation(mod.numerator, mod.denominator, g, predicted)
@@ -306,7 +306,7 @@ def _wrong_predictions(ring, a, m):
 def test_cyclic_presentation_names_failed_condition(monkeypatch):
     calls = _counting_colon(monkeypatch)
     I = power_family_ideal(2, 3)
-    mod = central_simple_modules(I)[1]
+    mod = central_simple_modules(csm_chain(I))[1]
     g = sym_e(I.ring, mod.index - 1)
     for wrong, condition in _wrong_predictions(I.ring, 3, mod.index - 1):
         report = cyclic_presentation(mod.numerator, mod.denominator, g, wrong)

@@ -10,6 +10,7 @@ import pytest
 from citree import cli, csm, ideals, linalg, tree
 from citree.csm import (
     central_simple_modules,
+    csm_chain,
     cyclic_presentation,
     member_ideal,
     predicted_member,
@@ -305,7 +306,7 @@ def test_certified_arrows_match_derived_colons():
         assert rep["passed"]
         I = member.ideal
         expected = []
-        for mod in central_simple_modules(I):
+        for mod in central_simple_modules(csm_chain(I)):
             g = sym_e(I.ring, mod.index - 1)
             contracted = contract_modulo_last(ideal_colon(mod.denominator, g))
             target = resolve_member_label(contracted, 2, max(member.a, 2))
@@ -318,7 +319,7 @@ def _module_2_of_a3_4_3():
     level-two member J'."""
     member = family_member(3, 4, 3)
     ring = member.ideal.ring
-    mod = central_simple_modules(member.ideal)[1]
+    mod = central_simple_modules(csm_chain(member.ideal))[1]
 
     def lifted(below):
         return extend_with_last_variable(below.ideal, ring)
@@ -560,7 +561,7 @@ def test_module_slp_is_the_target_members_verdict():
     checked = 0
     for member in family_members(2, 3):
         I = member.ideal
-        modules = central_simple_modules(I)
+        modules = central_simple_modules(csm_chain(I))
         for j, target in member_csm_arrows(member)[0]:
             view = module_view(build_quotient(modules[j - 1].denominator), sym_e(I.ring, j - 1),
                                csm.member_block(I.ring, target.a, target.m))
