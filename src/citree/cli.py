@@ -22,9 +22,9 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from . import __version__, csm, symfun, tree
+from .csm import _check, _finish
 from .ideals import Ideal, hf_of
-from .lefschetz import (MAX_TRIES, LefschetzReport, find_lefschetz_element,
-                        lefschetz_candidates, slp_check_algebra)
+from .lefschetz import MAX_TRIES, find_lefschetz_element, slp_check_algebra
 from .polyring import InvalidInput, RingSpec, parse_polynomial
 from .quotient import build_quotient
 
@@ -149,13 +149,10 @@ def _newton_report(n, kmax):
     checks = []
     for k in range(1, kmax + 1):
         ok, residual = symfun.newton_check(n, k)
-        checks.append({"name": f"newton_n{n}_k{k}", "passed": ok,
-                       "residual": str(residual)})
+        _check(checks, f"newton_n{n}_k{k}", ok, residual=str(residual))
     for m in range(n, 2 * n + 1):
-        res = symfun.vanishing_sum_residual(n, m)
-        checks.append({"name": f"vanishing_n{n}_m{m}", "passed": res.is_zero()})
-    return {"verifier": "newton", "params": {"n": n, "kmax": kmax},
-            "checks": checks, "passed": all(c["passed"] for c in checks)}
+        _check(checks, f"vanishing_n{n}_m{m}", symfun.vanishing_sum_residual(n, m).is_zero())
+    return _finish({"verifier": "newton", "params": {"n": n, "kmax": kmax}}, checks)
 
 
 def _identity_report(kind, n, b_values):
@@ -163,10 +160,9 @@ def _identity_report(kind, n, b_values):
     for b in b_values:
         for k in range(2, n if kind == "f" else b):
             name = f"f_n{n}_k{k}" if kind == "f" else f"g_n{n}_b{b}_k{k}"
-            checks.append({"name": name,
-                           "passed": symfun.derivative_identity_check(kind, n, b, k)})
-    return {"verifier": "derivative-identity", "params": {"kind": kind, "n": n},
-            "checks": checks, "passed": all(c["passed"] for c in checks)}
+            _check(checks, name, symfun.derivative_identity_check(kind, n, b, k))
+    return _finish({"verifier": "derivative-identity", "params": {"kind": kind, "n": n}},
+                   checks)
 
 
 def _grid_command(grid, verifier):
@@ -193,13 +189,8 @@ def _cmd_slp(cfg: RunConfig):
         rep = slp_check_algebra(A, y)
         rep.seed = cfg.seed
     else:
-        max_tries = cfg.params.get("max_tries", MAX_TRIES)
-        found = find_lefschetz_element(A, max_tries=max_tries, seed=cfg.seed)
-        # a failed search tried every candidate, which may be fewer than max_tries
-        rep = found[1] if found else LefschetzReport(
-            subject=str(I), linear_form=None, holds=False, witnesses=[],
-            hilbert=A.hilbert_function(), seed=cfg.seed,
-            tries=len(lefschetz_candidates(I.ring, cfg.seed, max_tries)))
+        _, rep = find_lefschetz_element(A, max_tries=cfg.params.get("max_tries", MAX_TRIES),
+                                        seed=cfg.seed)
     return [{**rep.to_json(), "verifier": "slp", "passed": bool(rep.holds)}]
 
 
@@ -455,6 +446,8 @@ def main(argv=None) -> int:
     export = args.command == "tree" and args.ideal is not None
     if getattr(args, "dot", False) and not (export or getattr(args, "diagram", False)):
         parser.error("--dot draws a graph, so it needs tree --ideal or thm53 --diagram")
+    if getattr(args, "dot", False) and args.json:
+        parser.error(f"{args.command} --dot prints graphviz, so it takes no --json")
     if export and (args.family or args.n_max or args.bound):
         parser.error("tree --ideal exports one tree, so it takes no --family, --n-max or --bound")
     if args.command == "tree" and not export and args.depth is not None:

@@ -43,7 +43,7 @@ from .ideals import (
     shifted_hf_matches,
 )
 from .polyring import InvalidInput, Polynomial, RingSpec
-from .symfun import boundary_polynomial, member_generators, symmetric_generator
+from .symfun import boundary_polynomial, member_generators, newton_sum, symmetric_generator
 
 
 # --- symmetric generators relative to the distinguished variable ------------
@@ -322,11 +322,8 @@ def certify_module(ring: RingSpec, a: int, j: int, num: Ideal, den: Ideal):
 
 
 def _check(checks, name, ok, **detail):
-    entry = {"name": name, "passed": bool(ok)}
-    if detail:
-        entry.update(detail)
-    checks.append(entry)
-    return bool(ok)
+    """Record one check entry: name, passed, then detail in the given order."""
+    checks.append({"name": name, "passed": bool(ok), **detail})
 
 
 def _finish(report, checks):
@@ -490,9 +487,7 @@ def verify_colon_identity(n: int, a: int, s: int | None = None) -> dict:
     _check(checks, "colon_equality", sub["passed"], **named, expected=expected.canonical_str())
 
     # the combination sum_{i=0}^{top+1} e_i p_(a+top-i) lies in (e_(top+2)..e_n)
-    acc = Polynomial.zero(RingSpec(n))
-    for i in range(top + 2):
-        acc = acc + symmetric_generator("e_signed", n, i) * symmetric_generator("p", n, a + top - i)
+    acc = newton_sum(n, a + top, top + 2)
     tail = Ideal(RingSpec(n), [symmetric_generator("e_signed", n, i) for i in range(top + 2, n + 1)])
     _check(checks, "newton_membership", normal_form(acc, tail).is_zero())
     return _finish(report, checks)

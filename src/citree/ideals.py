@@ -34,9 +34,11 @@ reduced basis against sympy.
 R/I is Artinian exactly when every variable has a pure power among the
 leading monomials of the reduced basis (the monomials outside in(I) are
 a basis of R/I, Macaulay), so artinian_caps decides it with no listing,
-and the standard monomials are listed, once per ideal, only for the
-readers that need them: hf_of, quotient_dimension, build_quotient, and
-extend_with_last_variable, which carries them to the lift.  The same
+and require_artinian lists the standard monomials, once per ideal, for
+the readers that need them: hf_of and its sum quotient_dimension,
+build_quotient, ideal_colon, and extend_with_last_variable, which carries
+them to the lift.  All but the last refuse a quotient that is not
+Artinian with NotArtinian; the lift of one lists none.  The same
 decision certifies a regular sequence: n homogeneous forms of positive
 degree in the Cohen-Macaulay ring K[x1..xn] form one exactly when R/I is
 Artinian (certify_regular_sequence).
@@ -581,9 +583,10 @@ def extend_with_last_variable(J: Ideal, ring: RingSpec) -> Ideal:
              for g in J._gb_elems()]
     if not J.is_unit():
         elems = sorted(elems + [_BasisElem(_poly_to_core(v))], key=lambda g: g.lm_key)
-    basis = artinian_monomial_basis(J)
-    if basis is not None:
-        basis = [[m + (0,) for m in monos] for monos in basis]
+    try:
+        basis = [[m + (0,) for m in monos] for monos in require_artinian(J)]
+    except NotArtinian:
+        basis = None
     return Ideal._from_reduced_basis(ring, [g.extend(ring) for g in J.generators] + [v],
                                      elems, basis)
 
@@ -707,20 +710,9 @@ def require_artinian(I: Ideal):
     return I._basis
 
 
-def artinian_monomial_basis(I: Ideal):
-    """require_artinian, or None when R/I is not Artinian."""
-    try:
-        return require_artinian(I)
-    except NotArtinian:
-        return None
-
-
-def quotient_dimension(I: Ideal):
-    """dim_K of R/I when Artinian, else None."""
-    basis = artinian_monomial_basis(I)
-    if basis is None:
-        return None
-    return sum(len(b) for b in basis)
+def quotient_dimension(I: Ideal) -> int:
+    """dim_K of R/I; raises NotArtinian when R/I is not Artinian."""
+    return sum(hf_of(I))
 
 
 def certify_regular_sequence(gens) -> bool:

@@ -176,20 +176,26 @@ def lefschetz_candidates(ring, seed: int, max_tries: int):
 
 
 def _search(ring, check, max_tries: int, seed: int):
-    """First candidate y (lefschetz_candidates) whose report check(y)
-    holds, with its seed and tries recorded; None after max_tries."""
+    """(y, report) for the first candidate y (lefschetz_candidates) whose
+    report check(y) holds, with its seed and tries recorded.  After the
+    last candidate, (None, report): the last report with no linear form,
+    holds False, no witnesses, and tries the number of candidates tried,
+    which may be fewer than max_tries."""
+    if max_tries < 1:
+        raise InvalidInput(f"a search needs max_tries >= 1, not {max_tries}")
     for tries, y in enumerate(lefschetz_candidates(ring, seed, max_tries), start=1):
         report = check(y)
+        report.seed, report.tries = seed, tries
         if report.holds:
-            report.seed = seed
-            report.tries = tries
             return y, report
-    return None
+    report.linear_form, report.witnesses = None, []
+    return None, report
 
 
 def find_lefschetz_element(A: QuotientAlgebra, max_tries: int = MAX_TRIES, seed: int = 0):
-    """First linear form in the deterministic candidate list for which the
-    algebra check holds; None after max_tries failures.  Every candidate
+    """(y, report) for the first linear form y in the deterministic
+    candidate list for which the algebra check holds, or (None, report)
+    with holds False after the last candidate (_search).  Every candidate
     reuses the monomial maps that the earlier ones cached on A."""
     return _search(A.ring, lambda y: slp_check_algebra(A, y), max_tries, seed)
 

@@ -116,6 +116,15 @@ def boundary_polynomial(kind: str, n: int, b: int | None, k: int) -> Polynomial:
     return acc
 
 
+def newton_sum(n: int, m: int, terms: int) -> Polynomial:
+    """sum_{i<terms} e_i p_(m-i) in K[x1..xn], for terms <= m + 1: the one
+    Newton sum, one product per term."""
+    acc = Polynomial.zero(RingSpec(n))
+    for i in range(terms):
+        acc = acc + symmetric_generator("e_signed", n, i) * symmetric_generator("p", n, m - i)
+    return acc
+
+
 def newton_check(n: int, k: int):
     """Whether k e_k + sum_{i=0}^{k-1} e_i p_{k-i} vanishes identically.
 
@@ -124,10 +133,7 @@ def newton_check(n: int, k: int):
     """
     if k < 1:
         raise InvalidInput("need k >= 1")
-    ring = RingSpec(n, has_z=False)
-    residual = symmetric_generator("e_signed", n, k) * k
-    for i in range(k):
-        residual = residual + symmetric_generator("e_signed", n, i) * symmetric_generator("p", n, k - i)
+    residual = symmetric_generator("e_signed", n, k) * k + newton_sum(n, k, k)
     return residual.is_zero(), residual
 
 
@@ -135,11 +141,7 @@ def vanishing_sum_residual(n: int, m: int) -> Polynomial:
     """sum_{i=0}^{n} e_i p_{m-i}; identically zero for every m >= n."""
     if m < n:
         raise InvalidInput("need m >= n")
-    ring = RingSpec(n, has_z=False)
-    acc = Polynomial.zero(ring)
-    for i in range(n + 1):
-        acc = acc + symmetric_generator("e_signed", n, i) * symmetric_generator("p", n, m - i)
-    return acc
+    return newton_sum(n, m, n + 1)
 
 
 # --- matrix identity for the derivative recursion ---------------------------

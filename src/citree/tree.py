@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .csm import central_simple_modules, certify_module, csm_chain, member_ideal
+from .csm import _check, _finish, central_simple_modules, certify_module, csm_chain, member_ideal
 from .ideals import (
     Ideal,
+    NotArtinian,
     add_last_variable,
     colon_by_variable_power,
     hf_difference,
@@ -135,8 +136,9 @@ def minimal_generator_degrees(I: Ideal):
 def certify_complete_intersection(I: Ideal) -> bool:
     """Artinian with exactly nvars minimal generators whose degree product
     is the quotient dimension."""
-    dim = quotient_dimension(I)
-    if dim is None:
+    try:
+        dim = quotient_dimension(I)
+    except NotArtinian:
         return False
     degs = minimal_generator_degrees(I)
     return len(degs) == I.ring.total_vars and prod(degs) == dim
@@ -198,23 +200,17 @@ def verify_tree_conditions(kind: str, n_max: int, bound: int) -> dict:
     for n in range(1, n_max + 1):
         for entry in families[n]:
             I = entry["ideal"]
-            name = f"n{n}:{entry}"
             ci_ok = certify_complete_intersection(I)
             exact_ok = exact_sequence_check(I)["passed"]
             left, right = children(I)
             left_ok = left is None or left in levels[n]
             right_ok = right is None or right in levels[n - 1]
-            ok = ci_ok and exact_ok and left_ok and right_ok
-            if not ok:
-                checks.append({
-                    "name": name, "passed": False, "ci": ci_ok,
-                    "exact_sequence": exact_ok, "left": left_ok, "right": right_ok,
-                })
-    checks.append({"name": "all_members", "passed": not any(not c["passed"] for c in checks),
-                   "members": sum(counts.values())})
-    report["checks"] = checks
-    report["passed"] = all(c["passed"] for c in checks)
-    return report
+            if not (ci_ok and exact_ok and left_ok and right_ok):
+                _check(checks, f"n{n}:{entry}", False, ci=ci_ok, exact_sequence=exact_ok,
+                       left=left_ok, right=right_ok)
+    # only failed members are recorded above
+    _check(checks, "all_members", not checks, members=sum(counts.values()))
+    return _finish(report, checks)
 
 
 # --- central simple module arrows -------------------------------------------------
@@ -222,7 +218,8 @@ def verify_tree_conditions(kind: str, n_max: int, bound: int) -> dict:
 
 def resolve_member_label(ideal: Ideal, n: int, a_bound: int):
     """The first of family_members(n, a_bound) equal to the ideal, or None;
-    members of another certified dimension are skipped unseen."""
+    members of another certified dimension are skipped unseen.  Raises
+    NotArtinian when R/ideal is not Artinian (quotient_dimension)."""
     dim = quotient_dimension(ideal)
     for cand in family_members(n, a_bound):
         if quotient_dimension(cand.ideal) == dim and ideal_equal(cand.ideal, ideal):
@@ -288,17 +285,16 @@ def verify_family_slp(n_max: int, a_max: int, check_modules: bool = True, seed: 
     for n in range(1, n_max + 1):
         for member in family_members(n, a_max):
             A = build_quotient(member.ideal)
-            found = find_lefschetz_element(A, seed=seed)
+            y, rep = find_lefschetz_element(A, seed=seed)
             entry = {
                 "label": member.label,
                 "n": n, "a": member.a, "m": member.m,
                 "dimension": A.dimension(),
                 "hilbert": list(A.hilbert_function()),
-                "slp": found is not None,
+                "slp": rep.holds,
             }
             slp[member.label] = entry["slp"]
-            if found is not None:
-                y, rep = found
+            if rep.holds:
                 entry["linear_form"] = str(y)
                 entry["tries"] = rep.tries
             arrows, arrow_report = member_csm_arrows(member)

@@ -484,6 +484,8 @@ def test_bounds_below_zero_exit_2(capsys, argv, flag):
     (["tree", "--depth", "2"], "tree --depth sets the depth of an exported tree"),
     (["tree", "--family", "colon-closure", "--depth", "3"], "so it needs --ideal"),
     (["slp", "--ideal", "unread.json", "--y", "x1", "--seed", "7"], "takes no --seed"),
+    (["tree", "--ideal", "unread.json", "--dot", "--json"], "tree --dot prints graphviz"),
+    (["thm53", "--diagram", "--dot", "--json"], "thm53 --dot prints graphviz"),
 ])
 def test_flags_a_run_would_drop_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -20,7 +20,6 @@ from citree.ideals import (
     _colon_artinian,
     _colon_by_last_variable,
     add_last_variable,
-    artinian_monomial_basis,
     certify_regular_sequence,
     colon_by_variable_power,
     extend_with_last_variable,
@@ -31,6 +30,7 @@ from citree.ideals import (
     ideal_sum,
     normal_form,
     quotient_dimension,
+    require_artinian,
     shifted_hf_matches,
     standard_monomials_of_degree,
 )
@@ -283,7 +283,7 @@ def test_oracle_member_zero_ideal():
 def test_hilbert_against_oracle():
     e_gens = [symmetric_generator("e_signed", 3, i) for i in (1, 2, 3)]
     I = Ideal(RingSpec(3), e_gens)
-    basis = artinian_monomial_basis(I)
+    basis = require_artinian(I)
     engine_hf = [len(b) for b in basis]
     assert engine_hf == [1, 2, 2, 1]
     assert oracle_hilbert(e_gens, RingSpec(3), 4) == [1, 2, 2, 1, 0]
@@ -348,20 +348,26 @@ def test_artinian_verdict_against_brute_force(case):
     caps = [min((e[v] for e in exps if e[v] == sum(e)), default=None) for v in range(width)]
     lifted = None if I.ring.has_z else extend_with_last_variable(I, RingSpec(I.ring.nvars, True))
     if None in caps:
-        assert artinian_monomial_basis(I) is None
+        with pytest.raises(NotArtinian):
+            quotient_dimension(I)
         with pytest.raises(NotArtinian) as err:
             hf_of(I)
         assert err.value.variable == I.ring.var_names[caps.index(None)]
     else:
         outside = [m for m in product(*(range(c) for c in caps))
                    if not any(all(x >= y for x, y in zip(m, e)) for e in exps)]
-        assert sorted(m for monos in artinian_monomial_basis(I) for m in monos) == sorted(outside)
+        assert sorted(m for monos in require_artinian(I) for m in monos) == sorted(outside)
         top = max(sum(m) for m in outside)
         assert hf_of(I) == tuple(sum(1 for m in outside if sum(m) == d) for d in range(top + 1))
     if lifted is not None:
         # the verdict carries over one variable up, as computed afresh
         fresh = Ideal(lifted.ring, lifted.generators)
-        assert artinian_monomial_basis(lifted) == artinian_monomial_basis(fresh)
+        if None in caps:
+            for J in (lifted, fresh):
+                with pytest.raises(NotArtinian):
+                    require_artinian(J)
+        else:
+            assert require_artinian(lifted) == require_artinian(fresh)
         assert lifted._basis == fresh._basis
 
 
@@ -631,13 +637,13 @@ def test_extend_with_last_variable_matches_buchberger(monkeypatch):
             patch.setattr(ideals, "_buchberger", lambda *a, **k: calls.append(a))
             lifted = extend_with_last_variable(J, ring)
             basis = lifted.groebner_basis()
-            monos = artinian_monomial_basis(lifted)
+            monos = require_artinian(lifted)
         assert calls == []
         v = Polynomial.variable(ring, ring.total_vars - 1)
         reference = Ideal(ring, [g.extend(ring) for g in J.generators] + [v])
         assert lifted.generators == reference.generators
         assert basis == reference.groebner_basis()
-        assert monos == artinian_monomial_basis(reference)
+        assert monos == require_artinian(reference)
 
 
 def monic_basis(I):
@@ -717,10 +723,13 @@ def test_regular_sequence_permutation_invariant():
 def count_certificate(gens):
     """The reference certificate: n forms of positive degree in n variables
     are a regular sequence exactly when dim R/I is the product of their
-    degrees (None, never equal, when R/I is not Artinian)."""
+    degrees (False when R/I is not Artinian)."""
     if any(g.is_zero() or not g.is_homogeneous() or g.degree() < 1 for g in gens):
         return False
-    return quotient_dimension(Ideal(gens[0].ring, gens)) == prod(g.degree() for g in gens)
+    try:
+        return quotient_dimension(Ideal(gens[0].ring, gens)) == prod(g.degree() for g in gens)
+    except NotArtinian:
+        return False
 
 
 def test_regular_sequence_certificate_matches_count_on_members():
@@ -799,7 +808,7 @@ def test_certify_colon_rejects_extra_generator(Ik, f, data):
     if f.is_zero():
         return
     C = _colon_artinian(I, f)
-    outside = [m for monos in artinian_monomial_basis(C) for m in monos]
+    outside = [m for monos in require_artinian(C) for m in monos]
     if not outside:  # (I : f) is the unit ideal
         return
     extra = Polynomial.monomial(R2Z, data.draw(st.sampled_from(outside)))

@@ -404,11 +404,23 @@ def test_find_univariate():
 def test_find_power_sum_member():
     gens = [symmetric_generator("p", 3, 3 + t) for t in range(3)]
     A = build_quotient(Ideal(RingSpec(3), gens))
-    found = find_lefschetz_element(A)
-    assert found is not None
-    y, rep = found
-    assert rep.holds
+    y, rep = find_lefschetz_element(A)
+    assert rep.holds and rep.linear_form == str(y)
     assert rep.tries >= 1 and rep.seed == 0
+
+
+def test_failed_search_reports_the_candidates_tried():
+    # 3 variables have 124 candidate forms (coefficients 0..4, not all 0),
+    # none a Lefschetz element of R/(x1^3, x2^3, x3^3, x1*x2*x3), HF 1,3,6,6,3
+    A = build_quotient(Ideal.from_strings(R3, ["x1^3", "x2^3", "x3^3", "x1*x2*x3"]))
+    for kw, tries in (({"max_tries": 200}, 124), ({}, 24)):
+        y, rep = find_lefschetz_element(A, seed=3, **kw)
+        assert y is None and not rep.holds
+        assert (rep.linear_form, rep.witnesses, rep.hilbert) == (None, [], (1, 3, 6, 6, 3))
+        assert (rep.seed, rep.tries) == (3, tries)
+        assert rep.subject == str(A.ideal)
+    with pytest.raises(InvalidInput):
+        find_lefschetz_element(A, max_tries=0)
 
 
 def test_candidates_deterministic():

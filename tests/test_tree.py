@@ -19,7 +19,6 @@ from citree.csm import (
 from citree.ideals import (
     Ideal,
     NotArtinian,
-    artinian_monomial_basis,
     extend_with_last_variable,
     hf_of,
     ideal_colon,
@@ -30,7 +29,7 @@ from citree.ideals import (
     require_artinian,
     standard_monomials_of_degree,
 )
-from citree.lefschetz import module_slp_search, module_view, slp_check_module
+from citree.lefschetz import LefschetzReport, module_slp_search, module_view, slp_check_module
 from citree.polyring import InvalidInput, Polynomial, RingSpec, parse_polynomial
 from citree.quotient import build_quotient
 from citree.symfun import symmetric_generator
@@ -180,7 +179,7 @@ def _rank_generator_degrees(I):
     """Reference: the number of degree-d minimal generators is dim I_d minus
     the rank of the variables times a basis of I_(d-1), read from the
     normal form of every monomial of degree d."""
-    basis = artinian_monomial_basis(I)
+    basis = require_artinian(I)
     ring = I.ring
     width = ring.total_vars
     degs = []
@@ -227,6 +226,8 @@ def test_minimal_generators_of_colon():
 def test_non_ci_detected():
     I = Ideal.from_strings(R2, ["x1^2", "x1*x2", "x2^2"])
     assert not certify_complete_intersection(I)
+    # not Artinian: quotient_dimension refuses it, and the certificate says no
+    assert not certify_complete_intersection(Ideal.from_strings(R2, ["x1^2"]))
 
 
 # --- family enumerations and conditions ------------------------------------------------
@@ -541,8 +542,14 @@ def test_module_slp_fails_with_its_target(monkeypatch):
     # with no Lefschetz element found for A_1(2, 1), the arrows into it
     # fail; skipping the module checks keeps them
     find = tree.find_lefschetz_element
-    monkeypatch.setattr(tree, "find_lefschetz_element", lambda A, **kw: None if (
-        A.ring.total_vars, A.dimension()) == (1, 2) else find(A, **kw))
+
+    def search(A, **kw):
+        if (A.ring.total_vars, A.dimension()) != (1, 2):
+            return find(A, **kw)
+        failed = LefschetzReport(str(A.ideal), None, False, [], A.hilbert_function(), 0, 1)
+        return None, failed
+
+    monkeypatch.setattr(tree, "find_lefschetz_element", search)
     for check_modules in (True, False):
         report = verify_family_slp(2, 3, check_modules=check_modules)
         entries = {m["label"]: m for m in report["members"]}
@@ -565,7 +572,7 @@ def test_module_slp_is_the_target_members_verdict():
         for j, target in member_csm_arrows(member)[0]:
             view = module_view(build_quotient(modules[j - 1].denominator), sym_e(I.ring, j - 1),
                                csm.member_block(I.ring, target.a, target.m))
-            assert (module_slp_search(view) is not None) == entries[target.label]["slp"]
+            assert module_slp_search(view)[1].holds == entries[target.label]["slp"]
             y = parse_polynomial(entries[target.label]["linear_form"], target.ideal.ring)
             assert slp_check_module(view, y.extend(I.ring)).holds
             checked += 1
