@@ -108,10 +108,10 @@ def mixed_grid(n=None, a=None, b=None):
 
 def kind_grid(kind=None, n=None, a=None, b=None):
     """(kind, n, a, b) for swap and chain: kind f over the power grid with
-    a >= 2 (b is None), then kind g over the mixed grid."""
+    a >= 2 by default (b is None), then kind g over the mixed grid."""
     out = []
     if kind in (None, "f"):
-        out += [("f", m, c, None) for m, c in power_grid(n, a) if c >= 2]
+        out += [("f", m, c, None) for m, c in power_grid(n, a) if a is not None or c >= 2]
     if kind in (None, "g"):
         out += [("g", *t) for t in mixed_grid(n, a, b)]
     return out
@@ -158,9 +158,10 @@ def _newton_report(n, kmax):
 def _identity_report(kind, n, b_values):
     checks = []
     for b in b_values:
-        for k in range(2, n if kind == "f" else b):
+        top = csm.boundary_top(kind, n, b)
+        for k in range(2, top):
             name = f"f_n{n}_k{k}" if kind == "f" else f"g_n{n}_b{b}_k{k}"
-            _check(checks, name, symfun.derivative_identity_check(kind, n, b, k))
+            _check(checks, name, symfun.derivative_identity_check(n, top, k))
     return _finish({"verifier": "derivative-identity", "params": {"kind": kind, "n": n}},
                    checks)
 
@@ -291,6 +292,7 @@ _FLAGS = {**dict.fromkeys(("n", "a", "kmax"), {"type": _positive}),
 
 
 def _build_parser():
+    """The parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="citree",
         description="Exact verification of Lefschetz properties and central "
@@ -350,7 +352,7 @@ def _build_parser():
     p.add_argument("--ideal", required=True)
     common(p)
 
-    return parser
+    return parser, sub.choices
 
 
 # flags that shape the run rather than name what it checks
@@ -441,23 +443,25 @@ def guarded(work) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    # a conflict is reported under the usage of the subcommand it is in
+    error = commands[args.command].error
     export = args.command == "tree" and args.ideal is not None
     if getattr(args, "dot", False) and not (export or getattr(args, "diagram", False)):
-        parser.error("--dot draws a graph, so it needs tree --ideal or thm53 --diagram")
+        error("--dot draws a graph, so it needs tree --ideal or thm53 --diagram")
     if getattr(args, "dot", False) and args.json:
-        parser.error(f"{args.command} --dot prints graphviz, so it takes no --json")
+        error(f"{args.command} --dot prints graphviz, so it takes no --json")
     if export and (args.family or args.n_max or args.bound):
-        parser.error("tree --ideal exports one tree, so it takes no --family, --n-max or --bound")
+        error("tree --ideal exports one tree, so it takes no --family, --n-max or --bound")
     if args.command == "tree" and not export and args.depth is not None:
-        parser.error("tree --depth sets the depth of an exported tree, so it needs --ideal")
+        error("tree --depth sets the depth of an exported tree, so it needs --ideal")
     if args.command in ("identity", "swap", "chain") and args.kind == "f" and args.b is not None:
-        parser.error(f"{args.command} --kind f has no b parameter, so it takes no --b")
+        error(f"{args.command} --kind f has no b parameter, so it takes no --b")
     if args.command == "slp" and args.y is not None:
         for flag, value in (("--max-tries", args.max_tries), ("--seed", args.seed)):
             if value is not None:
-                parser.error(f"slp --y checks one linear form, so it takes no {flag}")
+                error(f"slp --y checks one linear form, so it takes no {flag}")
     cfg = _config_from_args(args)
 
     def work():

@@ -13,9 +13,12 @@ a containment.  The family verifiers, the tree's arrows and the colon
 identities (module s+2 of the power family) all render its results.  One
 bounded table, member_ideal, builds and certifies each member A_n(a, m)
 once under its member_key.  The power and mixed families are
-A_(m+1)(a, b+1) with x_(m+1) read as v, and one chain_blocks predicts
-both chains.  No verifier derives a colon: a failed certificate is
-reported with the prediction and the condition that failed.
+A_(m+1)(a, b+1) with x_(m+1) read as v (tilde_generators), the power
+family at b = m, and one chain_blocks predicts both chains.  Kind f of
+the swap, chain and identity runs is kind g at b = n: boundary_top maps a
+(kind, n, b) to the one degree top the code below it carries.  No
+verifier derives a colon: a failed certificate is reported with the
+prediction and the condition that failed.
 
 Every verifier returns a structured report; a failing sub-check is recorded
 rather than raised, so a whole grid can run to completion.
@@ -43,7 +46,8 @@ from .ideals import (
     shifted_hf_matches,
 )
 from .polyring import InvalidInput, Polynomial, RingSpec
-from .symfun import boundary_polynomial, member_generators, newton_sum, symmetric_generator
+from .symfun import (boundary_polynomial, member_generators, newton_sum, symmetric_generator,
+                     tilde_generators)
 
 
 # --- symmetric generators relative to the distinguished variable ------------
@@ -64,8 +68,7 @@ def mixed_family_ideal(n: int, a: int, b: int) -> Ideal:
     """(p~_a..p~_(a+b), e~_(b+2)..e~_(n+1)) in K[x1..xn, z], with e~_i the
     signed e_i of x1..xn, z: the member A_(n+1)(a, b+1) with x_(n+1) read
     as z."""
-    ring = RingSpec(n, has_z=True)
-    return Ideal(ring, [Polynomial(ring, g.terms) for g in member_generators(n + 1, a, b + 1)])
+    return Ideal(RingSpec(n, has_z=True), tilde_generators(n, a, b + 1))
 
 
 def power_family_ideal(n: int, a: int) -> Ideal:
@@ -145,9 +148,9 @@ def chain_blocks(ring: RingSpec, a: int, b: int):
 
 def first_block_colon_holds(I: Ideal, a: int, b: int) -> bool:
     """I : v^(n-b) = (p~_a..p~_(a+b), e_(b+1)..e_n), the generators of I_1
-    (_swap_generators, kind g), for the mixed family I."""
+    (_swap_generators at top = b), for the mixed family I."""
     n = xpart(I.ring)
-    ptilde, rest = _swap_generators("g", n, a, b, 0)
+    ptilde, rest = _swap_generators(n, a, b, 0)
     return ideal_equal(colon_by_variable_power(I, n - b), Ideal(I.ring, ptilde + rest))
 
 
@@ -420,40 +423,47 @@ def verify_mixed_family(n: int, a: int, b: int) -> dict:
 # --- generator swaps --------------------------------------------------------------
 
 
-def _swap_generators(kind: str, n: int, a: int, b: int | None, r: int):
-    """The generators of I_k, with top = n (kind f, r = k) or top = b
-    (kind g, r = k-1): the power sums p~_a..p~_(a+top-r), then the rest,
-    the boundary polynomials of orders r-1 down to 0 and e_(top+1)..e_n."""
+def boundary_top(kind: str, n: int, b: int | None) -> int:
+    """The degree top of the boundary polynomials of a swap, chain or
+    identity run: n for kind f (b unread), b for kind g.  The one check of
+    a (kind, n, b): anything else, kind g with b outside 0..n-1 included,
+    is refused with one message."""
+    if kind == "f":
+        return n
+    if kind == "g" and b is not None and 0 <= b <= n - 1:
+        return b
+    raise InvalidInput(f"need kind f, or kind g with 0 <= b <= n-1 = {n - 1}; "
+                       f"not kind {kind} with b={b}")
+
+
+def _swap_generators(n: int, a: int, top: int, r: int):
+    """The generators of I_k, r = k (kind f, top = n) or r = k-1 (kind g,
+    top = b): the power sums p~_a..p~_(a+top-r), then the rest, the
+    boundary polynomials of orders r-1 down to 0 and e_(top+1)..e_n."""
     ring = RingSpec(n, has_z=True)
-    top = n if kind == "f" else b
-    return ([symmetric_generator("p_tilde", n, a + t) for t in range(top - r + 1)],
-            [boundary_polynomial(kind, n, b, t) for t in range(r - 1, -1, -1)]
+    m = top - r + 1
+    return (tilde_generators(n, a, m)[:m],
+            [boundary_polynomial(n, top, t) for t in range(r - 1, -1, -1)]
             + [sym_e(ring, j) for j in range(top + 1, n + 1)])
 
 
 def verify_generator_swap(kind: str, n: int, a: int, b: int | None = None) -> dict:
-    """Equality of the two presentations of every I_k (_swap_generators):
-    replacing the last power sum by z^a f^(k) (kind f) or z^a g^(k-1)
-    (kind g)."""
+    """Equality of the two presentations of every I_k (_swap_generators),
+    r = 0..top: replacing the last power sum by z^a f^(k) (kind f, k = r)
+    or z^a g^(k-1) (kind g, k = r+1)."""
     if a < 2:
         raise InvalidInput("need a >= 2")
+    top = boundary_top(kind, n, b)
     report = {"verifier": "generator-swap", "params": {"kind": kind, "n": n, "a": a, "b": b}}
     checks = []
-    if kind == "f":
-        ks, offset = range(0, n + 1), 0
-    elif kind == "g":
-        if b is None or not 0 <= b < n:
-            raise InvalidInput("kind g needs 0 <= b < n")
-        ks, offset = range(1, b + 2), 1
-    else:
-        raise InvalidInput(f"unknown swap kind {kind!r}")
     ring = RingSpec(n, has_z=True)
     z = Polynomial.variable(ring, "z")
-    for k in ks:
-        ptilde, rest = _swap_generators(kind, n, a, b, k - offset)
-        swapped = (z ** a) * boundary_polynomial(kind, n, b, k - offset)
-        _check(checks, f"k_{k}", ideal_equal(Ideal(ring, ptilde + rest),
-                                             Ideal(ring, ptilde[:-1] + [swapped] + rest)))
+    offset = 0 if kind == "f" else 1
+    for r in range(top + 1):
+        ptilde, rest = _swap_generators(n, a, top, r)
+        swapped = (z ** a) * boundary_polynomial(n, top, r)
+        _check(checks, f"k_{r + offset}", ideal_equal(Ideal(ring, ptilde + rest),
+                                                      Ideal(ring, ptilde[:-1] + [swapped] + rest)))
     return _finish(report, checks)
 
 
@@ -502,15 +512,11 @@ def verify_chain_blocks(kind: str, n: int, a: int, b: int | None = None) -> dict
     boundaries with a leading block of length n-b (kind g)."""
     if a < 2:
         raise InvalidInput("need a >= 2 for the block structure")
+    top = boundary_top(kind, n, b)
     report = {"verifier": "chain-blocks", "params": {"kind": kind, "n": n, "a": a, "b": b}}
     checks = []
-    if kind not in ("f", "g"):
-        raise InvalidInput(f"unknown chain kind {kind!r}")
-    if kind == "g" and (b is None or not 0 <= b <= n - 1):
-        raise InvalidInput("kind g needs 0 <= b <= n-1")
-    family_b = n if kind == "f" else b
-    I = mixed_family_ideal(n, a, family_b)
-    chain, ranges, blocks_ok, colon_ok = _family_chain(I, a, family_b)
+    I = mixed_family_ideal(n, a, top)
+    chain, ranges, blocks_ok, colon_ok = _family_chain(I, a, top)
     report["chain"] = chain.to_json()
     _check(checks, "blocks", blocks_ok, expected=ranges)
 

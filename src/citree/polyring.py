@@ -180,11 +180,6 @@ class Polynomial:
         degs = {mono_degree(m) for m, _ in self.terms}
         return len(degs) == 1
 
-    def leading_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
-
     # -- arithmetic ----------------------------------------------------------
     def _check_ring(self, other: "Polynomial"):
         if self.ring != other.ring:
@@ -238,18 +233,6 @@ class Polynomial:
             base = base * base if k > 1 else base
             k >>= 1
         return out
-
-    def partial_derivative(self, var: int | str) -> "Polynomial":
-        """Formal partial derivative with respect to one variable."""
-        i = self.ring.var_index(var) if isinstance(var, str) else var
-        if not 0 <= i < self.ring.total_vars:
-            raise ValueError(f"variable index {i} out of range for {self.ring}")
-        acc = {}
-        for m, c in self.terms:
-            e = m[i]
-            if e:
-                acc[m[:i] + (e - 1,) + m[i + 1:]] = c * e
-        return Polynomial(self.ring, acc)
 
     def extend(self, ring: RingSpec) -> "Polynomial":
         """Reinterpret in a larger ring via x_i -> x_i, z -> z."""

@@ -1,5 +1,12 @@
 """Symmetric polynomial generators and their derivative identities.
 
+The power family is the mixed family at b = n: both are read from one
+member list (tilde_generators), p~_i = p_i + z^i being the power sum p_i
+of the n+1 variables x1..xn, z.  The boundary polynomials f^(k) and
+g^(k) are the z-derivatives of one truncation of sum_i e_i z^(n-i), of
+degree top = n (kind f) or top = b (kind g); below the verifiers only top
+is passed.
+
 Conventions, fixed once for the whole package:
 
 * e_i is ALWAYS the signed elementary symmetric polynomial, so that
@@ -20,7 +27,7 @@ from itertools import combinations
 from .polyring import InvalidInput, Polynomial, RingSpec
 
 # Polynomials kept by symmetric_generator and by boundary_polynomial, each;
-# the full verification makes 97 and 38.
+# the full verification makes 79 and 38.
 GENERATOR_CACHE_SIZE = 512
 
 
@@ -34,11 +41,7 @@ def falling_factorial(m: int, k: int) -> int:
 
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def symmetric_generator(kind: str, n: int, i: int) -> Polynomial:
-    """The generators e_i, p_i and p~_i = p_i + z^i.
-
-    e_signed and p live in K[x1..xn]; p_tilde in K[x1..xn, z].  The e~_i
-    of the mixed families are e_signed of n+1 variables, x_(n+1) read as z.
-    """
+    """The generators e_i and p_i of K[x1..xn]."""
     if n < 1:
         raise ValueError("need n >= 1")
     if i < 0:
@@ -64,11 +67,6 @@ def symmetric_generator(kind: str, n: int, i: int) -> Polynomial:
                 exps = tuple(i if k == j else 0 for k in range(n))
                 acc[exps] = 1
             poly = Polynomial(ring, acc)
-    elif kind == "p_tilde":
-        ring = RingSpec(n, has_z=True)
-        p = symmetric_generator("p", n, i).extend(ring)
-        zpow = Polynomial.variable(ring, "z") ** i
-        poly = p + zpow
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
     return poly
@@ -84,27 +82,20 @@ def member_generators(n: int, a: int, m: int):
             + [symmetric_generator("e_signed", n, i) for i in range(m + 1, n + 1)])
 
 
-@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def boundary_polynomial(kind: str, n: int, b: int | None, k: int) -> Polynomial:
-    """The z-derivatives of sum_i e_i z^(n-i) (kind f) or its degree-b
-    truncation sum_{i<=b} e_i z^(b-i) (kind g).
-
-    Both live in K[x1..xn, z]; f needs 0 <= k <= n, g needs 0 <= b < n and
-    0 <= k <= b.
-    """
+def tilde_generators(n: int, a: int, m: int):
+    """member_generators(n + 1, a, m) read in K[x1..xn, z], x_(n+1) as z:
+    p~_a..p~_(a+m-1), then e~_(m+1)..e~_(n+1)."""
     ring = RingSpec(n, has_z=True)
-    if kind == "f":
-        top = n
-        if not 0 <= k <= n:
-            raise ValueError(f"k={k} out of range 0..{n}")
-    elif kind == "g":
-        if b is None or not 0 <= b < n:
-            raise ValueError(f"b={b} out of range 0..{n - 1}")
-        top = b
-        if not 0 <= k <= b:
-            raise ValueError(f"k={k} out of range 0..{b}")
-    else:
-        raise ValueError(f"unknown boundary kind {kind!r}")
+    return [Polynomial(ring, g.terms) for g in member_generators(n + 1, a, m)]
+
+
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
+def boundary_polynomial(n: int, top: int, k: int) -> Polynomial:
+    """The k-th z-derivative of sum_{i<=top} e_i z^(top-i) in K[x1..xn, z]:
+    f^(k) at top = n, g^(k) at top = b; needs 0 <= k <= top <= n."""
+    if not 0 <= k <= top <= n:
+        raise ValueError(f"need 0 <= k <= top <= n, not k={k}, top={top}, n={n}")
+    ring = RingSpec(n, has_z=True)
     z = Polynomial.variable(ring, "z")
     acc = Polynomial.zero(ring)
     for i in range(top + 1):
@@ -164,12 +155,12 @@ def _dot(row, col):
 
 
 def _triangular_data(n: int, size: int):
-    """The row [e_{size-1},..,e_0], the unipotent z-power matrix and z itself."""
+    """The row [e_{size-1},..,e_0] and the unipotent z-power matrix."""
     ring = RingSpec(n, has_z=True)
     z = Polynomial.variable(ring, "z")
     e_row = [symmetric_generator("e_signed", n, size - 1 - j).extend(ring) for j in range(size)]
     zmat = [[z ** (i - j) if i >= j else Polynomial.zero(ring) for j in range(size)] for i in range(size)]
-    return ring, z, e_row, zmat
+    return e_row, zmat
 
 
 def derivative_vector(n: int, size: int, k: int):
@@ -183,24 +174,14 @@ def derivative_vector(n: int, size: int, k: int):
     return out
 
 
-def derivative_identity_check(kind: str, n: int, b: int | None, k: int) -> bool:
-    """Check e . Z . u^(k) = f^(k+1)/(k+1) (kind f, matrices of size n) or
-    the size-b analogue ending in g^(k+1)/(k+1) (kind g), as exact
-    polynomial identities."""
-    if kind == "f":
-        if not 2 <= k <= n - 1:
-            raise InvalidInput(f"k={k} out of range 2..{n - 1}")
-        size = n
-    elif kind == "g":
-        if b is None or not 0 <= b < n:
-            raise InvalidInput(f"b={b} out of range 0..{n - 1}")
-        if not 2 <= k <= b - 1:
-            raise InvalidInput(f"k={k} out of range 2..{b - 1}")
-        size = b
-    else:
-        raise InvalidInput(f"unknown identity kind {kind!r}")
-    ring, _, e_row, zmat = _triangular_data(n, size)
-    u_k = derivative_vector(n, size, k)
+def derivative_identity_check(n: int, top: int, k: int) -> bool:
+    """Check e . Z . u^(k) = F^(k+1)/(k+1), F the boundary polynomial of
+    degree top (f at top = n, g at top = b) and the matrices of size top,
+    as exact polynomial identities."""
+    if not 2 <= k <= top - 1 or top > n:
+        raise InvalidInput(f"need 2 <= k <= top-1 and top <= n, not k={k}, top={top}, n={n}")
+    e_row, zmat = _triangular_data(n, top)
+    u_k = derivative_vector(n, top, k)
     lhs = _dot(_row_times_matrix(e_row, zmat), u_k)
-    rhs = boundary_polynomial(kind, n, b, k + 1) * Fraction(1, k + 1)
+    rhs = boundary_polynomial(n, top, k + 1) * Fraction(1, k + 1)
     return lhs == rhs

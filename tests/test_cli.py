@@ -291,12 +291,29 @@ def test_bare_value_error_exit_3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, named", [
     (["thm41", "--a", "1"], "a >= 2"),
+    (["swap", "--a", "1"], "a >= 2"),
+    (["swap", "--kind", "f", "--a", "1"], "a >= 2"),
+    (["chain", "--kind", "f", "--a", "1"], "a >= 2"),
     (["colon-lemma", "--n", "2", "--s", "5"], "s=5"),
 ])
 def test_parameter_out_of_range_exit_2(capsys, argv, named):
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and named in captured.err
+
+
+@pytest.mark.parametrize("n, b", [(1, 1), (2, 2), (2, 5), (3, 3)])
+def test_kind_g_b_out_of_range_one_message(capsys, n, b):
+    # swap, chain and identity check (kind, n, b) in one place, csm.boundary_top
+    errors = []
+    for command in ("swap", "chain", "identity"):
+        argv = [command, "--kind", "g", "--n", str(n), "--b", str(b)]
+        assert main(argv + (["--a", "2"] if command != "identity" else [])) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == [f"error: need kind f, or kind g with 0 <= b <= n-1 = {n - 1}; "
+                      f"not kind g with b={b}\n"] * 3
 
 
 @pytest.mark.parametrize("command", ["slp", "csm", "hilbert", "tree"])
@@ -493,6 +510,8 @@ def test_flags_a_run_would_drop_exit_2(capsys, argv, message):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+    # argparse's own errors and these conflicts print the subcommand's usage
+    assert captured.err.startswith(f"usage: citree {argv[0]} ")
 
 
 GRID_COMMANDS = ("newton", "identity", "thm31", "thm41", "swap", "chain", "colon-lemma")

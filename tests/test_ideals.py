@@ -36,7 +36,7 @@ from citree.ideals import (
 )
 from citree.polyring import (Polynomial, RingSpec, grevlex_key, mono_div, mono_divides,
                              parse_polynomial)
-from citree.symfun import member_generators, symmetric_generator
+from citree.symfun import member_generators, symmetric_generator, tilde_generators
 
 R1Z = RingSpec(1, True)
 R2 = RingSpec(2)
@@ -172,7 +172,7 @@ def test_ideal_sum_examples():
 
 
 def test_ideal_sum_power_family_with_z():
-    gens = [symmetric_generator("p_tilde", 2, i) for i in (2, 3, 4)]
+    gens = tilde_generators(2, 2, 3)
     I = Ideal(R2Z, gens)
     with_z = ideal_sum(I, Ideal.from_strings(R2Z, ["z"]))
     p2 = symmetric_generator("p", 2, 2).extend(R2Z)
@@ -211,7 +211,7 @@ def test_colon_by_variable_power_examples():
     I = Ideal.from_strings(R1Z, ["x1 + z", "x1^2 + z^2"])
     assert ideal_equal(colon_by_variable_power(I, 1), Ideal.from_strings(R1Z, ["x1", "z"]))
     assert colon_by_variable_power(I, 0) == I
-    gens = [symmetric_generator("p_tilde", 2, i) for i in (2, 3, 4)]
+    gens = tilde_generators(2, 2, 3)
     J = Ideal(R2Z, gens)
     assert colon_by_variable_power(J, 6).is_unit()
 
@@ -236,7 +236,7 @@ def test_certify_regular_sequence_examples():
     assert certify_regular_sequence([p2, p3])
     assert quotient_dimension(Ideal(R2, [p2, p3])) == 6
 
-    tildes = [symmetric_generator("p_tilde", 2, i) for i in (2, 3, 4)]
+    tildes = tilde_generators(2, 2, 3)
     assert certify_regular_sequence(tildes)
     assert quotient_dimension(Ideal(R2Z, tildes)) == 24
 
@@ -566,8 +566,9 @@ def assert_rewrite_matches_sum(I):
     if ring.total_vars >= 2:
         small = RingSpec(ring.nvars, False) if ring.has_z else RingSpec(ring.nvars - 1)
         slot = ring.total_vars - 1
+        # terms are sorted descending, so terms[0][0] is the leading monomial
         contracted = Ideal(small, [g.contract(small) for g in by_sum
-                                   if g.leading_monomial()[slot] == 0])
+                                   if g.terms[0][0][slot] == 0])
         assert add_last_variable(I, small).groebner_basis() == contracted.groebner_basis()
 
 
@@ -608,7 +609,7 @@ def test_rewrites_run_no_buchberger(monkeypatch):
     from citree.tree import children, contract_modulo_last, exact_sequence_check
 
     monkeypatch.setattr(ideals, "_GB_CACHE", {})
-    I = Ideal(R2Z, [symmetric_generator("p_tilde", 2, a) for a in (2, 3, 4)])
+    I = Ideal(R2Z, tilde_generators(2, 2, 3))
     I.groebner_basis()
     calls = []
     monkeypatch.setattr(ideals, "_buchberger", lambda *a, **k: calls.append(a))

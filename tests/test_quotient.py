@@ -16,7 +16,7 @@ from citree.quotient import (
     build_quotient,
     mult_map_matrix,
 )
-from citree.symfun import symmetric_generator
+from citree.symfun import symmetric_generator, tilde_generators
 from citree.tree import family_members
 
 R1 = RingSpec(1)
@@ -35,7 +35,7 @@ def test_build_quotient_squares():
 
 
 def test_build_quotient_power_family():
-    gens = [symmetric_generator("p_tilde", 2, i) for i in (2, 3, 4)]
+    gens = tilde_generators(2, 2, 3)
     A = build_quotient(Ideal(R2Z, gens))
     assert A.dimension() == 24
     assert A.socle_degree == 6
@@ -225,8 +225,7 @@ def test_dimension_product_and_symmetry_grid():
     cases = [
         [symmetric_generator("p", 2, 2), symmetric_generator("p", 2, 3)],
         [symmetric_generator("p", 3, 3), symmetric_generator("p", 3, 4), symmetric_generator("p", 3, 5)],
-        [symmetric_generator("p_tilde", 2, 2), symmetric_generator("p_tilde", 2, 3),
-         symmetric_generator("p_tilde", 2, 4)],
+        tilde_generators(2, 2, 3),
     ]
     for gens in cases:
         I = Ideal(gens[0].ring, gens)

@@ -13,8 +13,10 @@ from citree.symfun import (
     member_generators,
     newton_check,
     symmetric_generator,
+    tilde_generators,
     vanishing_sum_residual,
 )
+from test_polyring import partial_derivative
 
 
 def test_e_signed_small():
@@ -29,11 +31,20 @@ def test_e_signed_beyond_range_is_zero():
 
 
 def test_p_tilde():
-    assert symmetric_generator("p_tilde", 2, 2) == parse_polynomial(
-        "x1^2 + x2^2 + z^2", RingSpec(2, True)
-    )
-    # p_0 is the variable count, so p~_0 = n + 1
-    assert symmetric_generator("p_tilde", 2, 0) == Polynomial.constant(RingSpec(2, True), 3)
+    # p~_i = p_i + z^i is the power sum p_i of the n+1 variables x1..xn, z,
+    # renamed; tilde_generators(n, i, 1) reads it first
+    assert tilde_generators(2, 2, 1)[0] == parse_polynomial("x1^2 + x2^2 + z^2", RingSpec(2, True))
+    for n in range(1, 5):
+        ring = RingSpec(n, True)
+        z = Polynomial.variable(ring, "z")
+        for i in range(7):
+            renamed = Polynomial(ring, symmetric_generator("p", n + 1, i).terms)
+            assert renamed == symmetric_generator("p", n, i).extend(ring) + z ** i
+            if i:
+                assert tilde_generators(n, i, 1)[0] == renamed
+        # p_0 is the variable count, so p~_0 = n + 1
+        p0 = Polynomial(ring, symmetric_generator("p", n + 1, 0).terms)
+        assert p0 == Polynomial.constant(ring, n + 1)
 
 
 def _e_tilde(n, i):
@@ -122,56 +133,54 @@ def test_vanishing_sum_grid():
 
 
 def test_boundary_f_examples():
+    # kind f is the boundary polynomial of degree top = n
     ring = RingSpec(2, True)
-    f0 = boundary_polynomial("f", 2, None, 0)
+    f0 = boundary_polynomial(2, 2, 0)
     assert f0 == parse_polynomial("z^2 - x1*z - x2*z + x1*x2", ring)
-    f2 = boundary_polynomial("f", 2, None, 2)
+    f2 = boundary_polynomial(2, 2, 2)
     assert f2 == Polynomial.constant(ring, 2)
 
 
 def test_boundary_g_example():
+    # kind g is the boundary polynomial of degree top = b
     ring = RingSpec(3, True)
-    g0 = boundary_polynomial("g", 3, 1, 0)
+    g0 = boundary_polynomial(3, 1, 0)
     assert g0 == parse_polynomial("z - x1 - x2 - x3", ring)
 
 
 def test_boundary_matches_iterated_derivative():
     # construction by explicit falling-factorial coefficients vs repeated
-    # formal differentiation
+    # formal differentiation, for kind f (top = n) and kind g (top = b < n)
     for n in (2, 3, 4):
-        base = boundary_polynomial("f", n, None, 0)
-        expect = base
-        for k in range(0, n + 1):
-            assert boundary_polynomial("f", n, None, k) == expect
-            expect = expect.partial_derivative("z")
-        for b in range(n):
-            base = boundary_polynomial("g", n, b, 0)
-            expect = base
-            for k in range(0, b + 1):
-                assert boundary_polynomial("g", n, b, k) == expect
-                expect = expect.partial_derivative("z")
+        for top in range(n + 1):
+            expect = boundary_polynomial(n, top, 0)
+            for k in range(0, top + 1):
+                assert boundary_polynomial(n, top, k) == expect
+                expect = partial_derivative(expect, "z")
 
 
 def test_boundary_range_errors():
     with pytest.raises(ValueError):
-        boundary_polynomial("f", 2, None, 3)
+        boundary_polynomial(2, 2, 3)
     with pytest.raises(ValueError):
-        boundary_polynomial("g", 2, 2, 0)
+        boundary_polynomial(2, 3, 0)
     with pytest.raises(ValueError):
-        boundary_polynomial("g", 3, 1, 2)
+        boundary_polynomial(3, 1, 2)
 
 
 def test_derivative_identity_examples():
-    assert derivative_identity_check("f", 4, None, 2)
-    assert derivative_identity_check("f", 5, None, 3)
-    assert derivative_identity_check("g", 5, 4, 2)
+    assert derivative_identity_check(4, 4, 2)
+    assert derivative_identity_check(5, 5, 3)
+    assert derivative_identity_check(5, 4, 2)
 
 
 def test_derivative_identity_range_errors():
     with pytest.raises(ValueError):
-        derivative_identity_check("f", 3, None, 3)
+        derivative_identity_check(3, 3, 3)
     with pytest.raises(ValueError):
-        derivative_identity_check("g", 4, 3, 3)
+        derivative_identity_check(4, 3, 3)
+    with pytest.raises(ValueError):
+        derivative_identity_check(3, 4, 2)
 
 
 def test_derivative_vector_entries():
