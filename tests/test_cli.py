@@ -291,10 +291,10 @@ def test_bare_value_error_exit_3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, named", [
     (["thm41", "--a", "1"], "a >= 2"),
+    (["colon-lemma", "--n", "2", "--s", "5"], "s=5"),
     (["swap", "--a", "1"], "a >= 2"),
     (["swap", "--kind", "f", "--a", "1"], "a >= 2"),
     (["chain", "--kind", "f", "--a", "1"], "a >= 2"),
-    (["colon-lemma", "--n", "2", "--s", "5"], "s=5"),
 ])
 def test_parameter_out_of_range_exit_2(capsys, argv, named):
     assert main(argv) == 2
