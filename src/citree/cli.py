@@ -89,10 +89,12 @@ def newton_grid(n=None, kmax=None):
 
 
 def identity_grid(kind=None, n=None, b=None):
-    """(kind, n, b values): kinds f and g for n = 1..6; kind f has the one
-    b value None, kind g has b = 0..n-1."""
-    return [(kd, m, _given(b, range(m)) if kd == "g" else [None])
-            for kd in _given(kind, ("f", "g")) for m in _given(n, range(1, 7))]
+    """(kind, n, b values) with identities k = 2..top-1 to check, top = n
+    for kind f and b for kind g: kind f for n = 3..6 with the one b value
+    None, kind g for n = 4..6 with b = 3..n-1."""
+    return [(kd, m, _given(b, range(3, m)) if kd == "g" else [None])
+            for kd in _given(kind, ("f", "g"))
+            for m in _given(n, range(3 if kd == "f" else 4, 7))]
 
 
 def power_grid(n=None, a=None):
@@ -162,6 +164,10 @@ def _identity_report(kind, n, b_values):
         for k in range(2, top):
             name = f"f_n{n}_k{k}" if kind == "f" else f"g_n{n}_b{b}_k{k}"
             _check(checks, name, symfun.derivative_identity_check(n, top, k))
+    if not checks:
+        given = ", ".join([f"n={n}"] + [f"b={b}" for b in b_values if b is not None])
+        raise InvalidInput(f"kind {kind} with {given} has no identity to check: k = 2..top-1 "
+                           "is empty unless top >= 3 (top = n for kind f, b for kind g)")
     return _finish({"verifier": "derivative-identity", "params": {"kind": kind, "n": n}},
                    checks)
 

@@ -425,10 +425,12 @@ def verify_mixed_family(n: int, a: int, b: int) -> dict:
 
 def boundary_top(kind: str, n: int, b: int | None) -> int:
     """The degree top of the boundary polynomials of a swap, chain or
-    identity run: n for kind f (b unread), b for kind g.  The one check of
-    a (kind, n, b): anything else, kind g with b outside 0..n-1 included,
-    is refused with one message."""
+    identity run: n for kind f, b for kind g.  The one check of a
+    (kind, n, b): kind f with a b is refused, and anything else, kind g
+    with b outside 0..n-1 included, is refused with one message."""
     if kind == "f":
+        if b is not None:
+            raise InvalidInput(f"kind f has no b parameter, so it takes no b; not b={b}")
         return n
     if kind == "g" and b is not None and 0 <= b <= n - 1:
         return b

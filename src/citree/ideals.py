@@ -42,6 +42,13 @@ Artinian with NotArtinian; the lift of one lists none.  The same
 decision certifies a regular sequence: n homogeneous forms of positive
 degree in the Cohen-Macaulay ring K[x1..xn] form one exactly when R/I is
 Artinian (certify_regular_sequence).
+
+Reduced bases are cached by (ring, generators) in _GB_CACHE.  Cached bases
+share one tuple per monomial: each term key and leading exponent vector of
+a basis entering the cache goes through one table, _MONOMIALS, that maps a
+tuple to itself.  A full cache is emptied together with the table, one
+generation at a time, so both hold the monomials of at most GB_CACHE_SIZE
+bases.
 """
 
 from __future__ import annotations
@@ -367,9 +374,12 @@ def _interreduce(G):
 
 # --- public Ideal ------------------------------------------------------------
 
-# Reduced bases by (ring, generators), oldest dropped first; the full verification stores 301.
+# Reduced bases by (ring, generators), and their shared monomial tuples.  The
+# full verification caches 301 bases, 6 924 terms over 648 distinct monomials;
+# _MONOMIALS then holds 984 tuples (the keys and the leading exponents).
 GB_CACHE_SIZE = 1024
 _GB_CACHE: dict = {}
+_MONOMIALS: dict = {}
 
 
 def _poly_to_core_den(poly: Polynomial):
@@ -442,7 +452,13 @@ class Ideal:
             if hit is None:
                 hit = _buchberger([_poly_to_core(g) for g in self.generators])
                 if len(_GB_CACHE) >= GB_CACHE_SIZE:
-                    del _GB_CACHE[next(iter(_GB_CACHE))]
+                    _GB_CACHE.clear()
+                    _MONOMIALS.clear()
+                share = _MONOMIALS.setdefault
+                for g in hit:
+                    g.terms = [(share(k, k), c) for k, c in g.terms]
+                    g.lm_key = g.terms[0][0]
+                    g.lm_exps = share(g.lm_exps, g.lm_exps)
                 _GB_CACHE[cache_key] = hit
             object.__setattr__(self, "_elems", hit)
         return self._elems

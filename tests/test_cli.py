@@ -295,6 +295,10 @@ def test_bare_value_error_exit_3(monkeypatch, capsys):
     (["swap", "--a", "1"], "a >= 2"),
     (["swap", "--kind", "f", "--a", "1"], "a >= 2"),
     (["chain", "--kind", "f", "--a", "1"], "a >= 2"),
+    (["identity", "--kind", "f", "--n", "2"], "kind f with n=2 has no identity to check"),
+    (["identity", "--kind", "g", "--n", "5", "--b", "2"],
+     "kind g with n=5, b=2 has no identity to check"),
+    (["identity", "--kind", "g", "--n", "3"], "kind g with n=3 has no identity to check"),
 ])
 def test_parameter_out_of_range_exit_2(capsys, argv, named):
     assert main(argv) == 2
@@ -536,10 +540,11 @@ def test_flags_a_run_does_not_read_exit_2(capsys, argv, flag):
 def test_b_and_depth_where_read(tmp_path, capsys):
     # --b without --kind f still reaches the kind g runs, and every tree
     # run records the export depth, 3 unless --ideal is given with --depth
-    for argv in (["identity", "--n", "3"], ["identity", "--kind", "g", "--n", "3"],
-                 ["swap", "--n", "2", "--a", "2"], ["chain", "--kind", "g", "--n", "2", "--a", "2"]):
-        assert main(argv + ["--b", "1", "--json"]) == 0, argv
-        assert json.loads(capsys.readouterr().out)["config"]["params"]["b"] == 1
+    for argv, b in ((["identity", "--n", "4"], 3), (["identity", "--kind", "g", "--n", "4"], 3),
+                    (["swap", "--n", "2", "--a", "2"], 1),
+                    (["chain", "--kind", "g", "--n", "2", "--a", "2"], 1)):
+        assert main(argv + ["--b", str(b), "--json"]) == 0, argv
+        assert json.loads(capsys.readouterr().out)["config"]["params"]["b"] == b
     assert main(["tree", "--n-max", "1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["params"]["depth"] == 3
     path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
@@ -569,7 +574,7 @@ def test_empty_flag_value_is_given(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, params", [
     (["newton", "--n", "2", "--kmax", "3"], {"n": 2, "kmax": 3}),
-    (["identity", "--kind", "g", "--n", "3", "--b", "1"], {"kind": "g", "n": 3, "b": 1}),
+    (["identity", "--kind", "g", "--n", "4", "--b", "3"], {"kind": "g", "n": 4, "b": 3}),
     (["thm31", "--n", "1", "--a", "2"], {"n": 1, "a": 2}),
     (["thm41", "--n", "1", "--a", "2", "--b", "0"], {"n": 1, "a": 2, "b": 0}),
     (["swap", "--kind", "f", "--n", "2", "--a", "2"], {"kind": "f", "n": 2, "a": 2}),

@@ -21,7 +21,7 @@ from citree.csm import (
     verify_terminal_csm,
 )
 from citree.ideals import Ideal, ideal_equal, quotient_dimension
-from citree.polyring import Polynomial, RingSpec
+from citree.polyring import InvalidInput, Polynomial, RingSpec
 from citree.symfun import symmetric_generator
 from citree.tree import family_member, member_csm_arrows
 
@@ -378,6 +378,14 @@ def test_swap_g_3_2_2():
 def test_swap_requires_a_at_least_two():
     with pytest.raises(ValueError):
         verify_generator_swap("f", 2, 1)
+
+
+def test_kind_f_refuses_a_b():
+    # kind f has no b, so the library refuses one as the command line does
+    for verify in (verify_generator_swap, verify_chain_blocks):
+        with pytest.raises(InvalidInput, match="kind f has no b parameter"):
+            verify("f", 2, 2, 7)
+    assert csm.boundary_top("f", 3, None) == 3
 
 
 # --- colon identities -------------------------------------------------------------------

@@ -856,3 +856,58 @@ def test_certify_colon_examples():
     I = Ideal.from_strings(R2, ["x1^2", "x1*x2"])
     with pytest.raises(NotArtinian):
         certify(I, P("x1", R2), Ideal.from_strings(R2, ["x1", "x2"]))
+
+
+def _monomials(basis):
+    return {k for g in basis for k, _ in g.terms} | {g.lm_exps for g in basis}
+
+
+def test_cached_bases_share_monomial_tuples(monkeypatch):
+    # equal monomials of two cached bases are one tuple, the table's
+    monkeypatch.setattr(ideals, "_GB_CACHE", {})
+    monkeypatch.setattr(ideals, "_MONOMIALS", {})
+    first = Ideal.from_strings(R2, ["x1^2 - x1*x2", "x2^3"])._gb_elems()
+    second = Ideal.from_strings(R2, ["x1^2 + x2^2", "x1*x2"])._gb_elems()
+    keys = {k: k for g in first for k, _ in g.terms}
+    shared = [k for g in second for k, _ in g.terms if k in keys]
+    assert shared
+    assert all(k is keys[k] is ideals._MONOMIALS[k] for k in shared)
+    for g in first + second:
+        assert g.lm_key is g.terms[0][0]
+        assert g.lm_exps is ideals._MONOMIALS[g.lm_exps]
+
+
+def test_monomial_table_holds_only_cached_bases(monkeypatch):
+    # with room for two bases, the table never holds more than the
+    # monomials of the (at most two) bases in the cache
+    gens = [["x1^2", "x2^2"], ["x1^2", "x2^3"], ["x1*x2", "x1^2 + x2^2"],
+            ["x1^3", "x2^2 - x1*x2"], ["x1^2 - x2^2", "x1*x2^2"]]
+    monkeypatch.setattr(ideals, "_GB_CACHE", {})
+    monkeypatch.setattr(ideals, "_MONOMIALS", {})
+    monkeypatch.setattr(ideals, "GB_CACHE_SIZE", 2)
+    for g in gens + gens:
+        Ideal.from_strings(R2, g).groebner_basis()
+        assert len(ideals._GB_CACHE) <= 2
+        held = set().union(*map(_monomials, ideals._GB_CACHE.values()))
+        assert set(ideals._MONOMIALS) == held
+        assert all(k is v for k, v in ideals._MONOMIALS.items())
+
+
+def test_shared_monomials_keep_every_member_basis(monkeypatch):
+    # the thm53 default members and the depth-five roots, built one after
+    # another through one table, against a cold Buchberger run each
+    def parts(basis):
+        return [(g.terms, g.lm_key, g.lm_exps, g.lc) for g in basis]
+
+    n_max, a_max = cli.thm53_bounds()
+    members = [(n, 1, n) for n in range(1, n_max + 1)]
+    members += [(n, a, m) for n in range(1, n_max + 1) for a in range(2, a_max + 1)
+                for m in range(1, n + 1)]
+    members += [(5, 3, 3), (5, 8, 3)]
+    monkeypatch.setattr(ideals, "_GB_CACHE", {})
+    monkeypatch.setattr(ideals, "_MONOMIALS", {})
+    for n, a, m in members:
+        gens = member_generators(n, a, 0 if a == 1 else m)
+        cold = ideals._buchberger([ideals._poly_to_core(g) for g in gens])
+        assert parts(Ideal(RingSpec(n), gens)._gb_elems()) == parts(cold), (n, a, m)
+    assert len(ideals._GB_CACHE) == len(members)
