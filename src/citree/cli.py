@@ -42,8 +42,9 @@ class RunConfig:
 
 def parse_ideal_file(path: str) -> Ideal:
     """JSON schema: {"nvars": int >= 1, "has_z": bool (optional, default
-    false), "generators": [str, ...]}; an InvalidInput names the bad
-    field, or says R/I is zero when the generators give the unit ideal."""
+    false), "generators": [str, ...]} and no other field; an InvalidInput
+    names the bad field, or says R/I is zero when the generators give the
+    unit ideal."""
     with open(path) as handle:
         try:
             data = json.load(handle)
@@ -53,6 +54,10 @@ def parse_ideal_file(path: str) -> Ideal:
             raise InvalidInput(f"ideal file {path} is not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidInput(f"ideal file {path} must hold a JSON object")
+    for key in data:
+        if key not in ("nvars", "has_z", "generators"):
+            raise InvalidInput(f"ideal file {path} has an unknown field '{key}' "
+                               "(the fields are 'nvars', 'has_z' and 'generators')")
     for key in ("nvars", "generators"):
         if key not in data:
             raise InvalidInput(f"ideal file {path} is missing the '{key}' field")

@@ -26,7 +26,6 @@ rather than raised, so a whole grid can run to completion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
@@ -157,7 +156,6 @@ def first_block_colon_holds(I: Ideal, a: int, b: int) -> bool:
 # --- the chain ----------------------------------------------------------------
 
 
-@dataclass
 class CsmChain:
     """Deduplicated chain (I : v^i) + (v), i = 0..p, p the nilpotency index.
 
@@ -166,9 +164,12 @@ class CsmChain:
     hilbert_functions[t] is HF(R/ideal) of entries[t], recorded by csm_chain.
     """
 
-    p: int
-    entries: list
-    hilbert_functions: list
+    __slots__ = ("p", "entries", "hilbert_functions")
+
+    def __init__(self, p: int, entries: list, hilbert_functions: list):
+        self.p = p
+        self.entries = entries
+        self.hilbert_functions = hilbert_functions
 
     def ideal_at(self, i: int) -> Ideal:
         for ideal, lo, hi in self.entries:
@@ -200,16 +201,19 @@ class CsmChain:
                 for _ in range(lo, hi + 1)]
 
 
-@dataclass
 class CentralSimpleModule:
     """The j-th nonzero successive quotient numerator/denominator of the
     chain, with its graded dimensions and the least degree they occupy."""
 
-    index: int
-    numerator: Ideal
-    denominator: Ideal
-    graded_dims: tuple
-    shift: int
+    __slots__ = ("index", "numerator", "denominator", "graded_dims", "shift")
+
+    def __init__(self, index: int, numerator: Ideal, denominator: Ideal,
+                 graded_dims: tuple, shift: int):
+        self.index = index
+        self.numerator = numerator
+        self.denominator = denominator
+        self.graded_dims = graded_dims
+        self.shift = shift
 
 
 def csm_chain(I: Ideal) -> CsmChain:

@@ -25,7 +25,6 @@ algebra, not y * m once per candidate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from . import linalg
 from .ideals import Ideal
@@ -33,15 +32,18 @@ from .polyring import InvalidInput, Polynomial
 from .quotient import QuotientAlgebra, build_quotient, mult_map_matrix
 
 
-@dataclass
 class LefschetzReport:
-    subject: str
-    linear_form: str
-    holds: bool
-    witnesses: list  # (d, i, rank, expected) for every failing pair
-    hilbert: tuple
-    seed: int | None = None
-    tries: int | None = None
+    __slots__ = ("subject", "linear_form", "holds", "witnesses", "hilbert", "seed", "tries")
+
+    def __init__(self, subject: str, linear_form: str, holds: bool, witnesses: list,
+                 hilbert: tuple, seed: int | None = None, tries: int | None = None):
+        self.subject = subject
+        self.linear_form = linear_form
+        self.holds = holds
+        self.witnesses = witnesses  # (d, i, rank, expected) for every failing pair
+        self.hilbert = hilbert
+        self.seed = seed
+        self.tries = tries
 
     def to_json(self):
         return {
@@ -95,16 +97,19 @@ def slp_check_algebra(A: QuotientAlgebra, y: Polynomial) -> LefschetzReport:
     )
 
 
-@dataclass
 class GradedModuleView:
     """A cyclic graded submodule g * (R/den) of its ambient quotient R/den,
     held as the algebra R/(den : g) moved up by deg g: r -> g*r maps one
     onto the other degree by degree."""
 
-    ambient: QuotientAlgebra
-    generator: Polynomial
-    algebra: QuotientAlgebra  # R/(den : g)
-    shift: int  # deg g
+    __slots__ = ("ambient", "generator", "algebra", "shift")
+
+    def __init__(self, ambient: QuotientAlgebra, generator: Polynomial,
+                 algebra: QuotientAlgebra, shift: int):
+        self.ambient = ambient
+        self.generator = generator
+        self.algebra = algebra  # R/(den : g)
+        self.shift = shift  # deg g
 
     @property
     def degree_range(self):

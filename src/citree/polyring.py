@@ -8,11 +8,10 @@ in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
 
-Coeff = Union[int, Fraction]
+Coeff = int | Fraction
 
 
 class RingMismatch(ValueError):
@@ -32,20 +31,32 @@ class ParseError(InvalidInput):
         self.position = position
 
 
-@dataclass(frozen=True)
 class RingSpec:
     """A polynomial ring K[x1..xn] or K[x1..xn, z].
 
     The monomial order is graded reverse lexicographic with the variable
     order x1 > x2 > ... > xn > z; z, when present, is always cheapest.
+    Immutable, with value equality and hashing.
     """
 
-    nvars: int
-    has_z: bool = False
+    __slots__ = ("nvars", "has_z")
 
-    def __post_init__(self):
-        if self.nvars < 1:
+    def __init__(self, nvars: int, has_z: bool = False):
+        if nvars < 1:
             raise ValueError("ring needs at least one x-variable")
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "has_z", has_z)
+
+    def __setattr__(self, *a):
+        raise AttributeError("RingSpec is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.nvars, self.has_z) == (other.nvars, other.has_z)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nvars, self.has_z))
 
     @property
     def total_vars(self) -> int:

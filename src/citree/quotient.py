@@ -11,7 +11,6 @@ matrices are taken exactly by linalg.rank (fraction-free Bareiss).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -24,13 +23,18 @@ from .ideals import (
 from .polyring import Polynomial, mono_mul
 
 
-@dataclass(frozen=True)
 class RationalMatrix:
-    """Dense exact matrix: entries[r][c] is a Fraction."""
+    """Dense exact matrix: entries[r][c] is a Fraction.  Immutable."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, *a):
+        raise AttributeError("RationalMatrix is immutable")
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:

@@ -16,7 +16,6 @@ counts minimal generators by graded Nakayama, with no linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .csm import _check, _finish, central_simple_modules, certify_module, csm_chain, member_ideal
@@ -45,13 +44,20 @@ def member_label(n: int, a: int, m: int) -> str:
     return f"{n}".translate(_SUB) + str(a) + f"{m}".translate(_SUB)
 
 
-@dataclass(frozen=True)
 class FamilyMember:
-    n: int
-    a: int
-    m: int
-    label: str
-    ideal: Ideal
+    """A_n(a, m) with its label and ideal.  Immutable."""
+
+    __slots__ = ("n", "a", "m", "label", "ideal")
+
+    def __init__(self, n: int, a: int, m: int, label: str, ideal: Ideal):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "ideal", ideal)
+
+    def __setattr__(self, *a):
+        raise AttributeError("FamilyMember is immutable")
 
 
 def family_member(n: int, a: int, m: int) -> FamilyMember:

@@ -393,6 +393,8 @@ def test_missing_field_exit_2(tmp_path, capsys):
     ({"nvars": 2, "has_z": "no", "generators": ["x1"]}, "'has_z'"),
     ({"nvars": 2, "generators": 5}, "'generators'"),
     ({"nvars": 2, "generators": [5]}, "'generators'"),
+    # a misspelt optional field is refused, not silently defaulted
+    ({"nvars": 2, "has_Z": True, "generators": ["x1^2", "x2^2"]}, "'has_Z'"),
 ])
 def test_malformed_ideal_file_exit_2(tmp_path, capsys, content, named):
     path = tmp_path / "malformed.json"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from citree import cli, csm, ideals
+from citree import cli, csm, ideals, linalg
 from citree.csm import (
     central_simple_modules,
     chain_blocks,
@@ -20,10 +20,11 @@ from citree.csm import (
     verify_power_family,
     verify_terminal_csm,
 )
-from citree.ideals import Ideal, ideal_equal, quotient_dimension
+from citree.ideals import Ideal, colon_by_variable_power, hf_of, ideal_equal, quotient_dimension
 from citree.polyring import InvalidInput, Polynomial, RingSpec
+from citree.quotient import build_quotient, mult_map_matrix
 from citree.symfun import symmetric_generator
-from citree.tree import family_member, member_csm_arrows
+from citree.tree import family_member, family_members, member_csm_arrows
 
 R2Z = RingSpec(2, True)
 
@@ -463,3 +464,20 @@ def test_filtration_grid():
     for n, a, b in [(2, 2, 0), (2, 2, 1), (3, 2, 1)]:
         report = filtration_check(mixed_family_ideal(n, a, b))
         assert report["passed"], report
+
+
+def test_colon_chain_matches_the_jordan_type_of_the_last_variable():
+    # the kernel of x v^d on A_i is (I : v^d)_i / I_i, so its rank is
+    # HF(R/(I : v^d))_i: the colon chain read off the Jordan type of v,
+    # on every thm53 default member, including the maps into zero degrees
+    n_max, a_max = cli.thm53_bounds()
+    for n in range(1, n_max + 1):
+        for member in family_members(n, a_max):
+            A = build_quotient(member.ideal)
+            c = A.socle_degree
+            v = Polynomial.variable(A.ring, n - 1)
+            for d in range(1, c + 2):
+                hf = hf_of(colon_by_variable_power(member.ideal, d))
+                for i in range(c + 1):
+                    rank = linalg.rank(mult_map_matrix(A, v ** d, i).entries) if i + d <= c else 0
+                    assert rank == (hf[i] if i < len(hf) else 0), (member.label, d, i)

@@ -1,6 +1,10 @@
-"""Ring arithmetic, monomial order, parsing."""
+"""Ring arithmetic, monomial order, parsing, the library's records and
+what `import citree` loads."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +20,8 @@ from citree.polyring import (
     mono_mul,
     parse_polynomial,
 )
+from citree.quotient import RationalMatrix
+from citree.tree import family_member
 
 R2Z = RingSpec(2, has_z=True)
 R2 = RingSpec(2)
@@ -120,6 +126,45 @@ def test_polynomials_are_immutable():
         p.ring = R2
     with pytest.raises(AttributeError):
         p.terms = ()
+
+
+# --- records and import footprint -------------------------------------------------
+
+
+def test_ring_spec_value_semantics():
+    assert RingSpec(2, True) == R2Z and RingSpec(2) == R2 and R2 != R2Z
+    assert RingSpec(3) != RingSpec(2) and R2 != "K[x1, x2]"
+    assert hash(RingSpec(2, has_z=True)) == hash(R2Z)
+    assert {RingSpec(2): "a"}[RingSpec(2, False)] == "a"
+    assert str(R2Z) == "K[x1, x2, z]"
+    with pytest.raises(ValueError, match="at least one x-variable"):
+        RingSpec(0)
+
+
+@pytest.mark.parametrize("record, field", [
+    (R2, "nvars"),
+    (RationalMatrix(1, 1, ((Fraction(1),),)), "entries"),
+    (family_member(2, 2, 1), "ideal"),
+])
+def test_frozen_records_refuse_assignment(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert getattr(record, field) is before
+
+
+def test_import_loads_no_introspection_modules():
+    # -S: no site, which on some interpreters loads typing itself
+    src = Path(__file__).resolve().parents[1] / "src"
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import citree; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 # --- hypothesis strategies --------------------------------------------------------

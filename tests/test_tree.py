@@ -499,6 +499,21 @@ def test_member_table_is_certified():
                 assert quotient_dimension(ideal) == prod(g.degree() for g in ideal.generators)
 
 
+def test_member_hilbert_functions_have_closed_form():
+    # a complete intersection of degrees d_1..d_n has the Hilbert series
+    # prod_i (1 + t + ... + t^(d_i - 1)), degree by degree, not only in sum
+    for n in range(1, 4):
+        for a in range(1, 6):
+            for m in range(n + 1):
+                ideal = member_ideal(n, a, m)
+                series = [1]
+                for g in ideal.generators:
+                    d = g.degree()
+                    series = [sum(series[j - k] for k in range(d) if 0 <= j - k < len(series))
+                              for j in range(len(series) + d - 1)]
+                assert hf_of(ideal) == tuple(series), (n, a, m)
+
+
 def test_coinvariant_members_share_one_entry():
     # A_n(1, m) and A_n(a, 0) are (e_1..e_n) by Newton's identities
     for n in range(1, 4):
