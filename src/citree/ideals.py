@@ -7,7 +7,9 @@ two ideals are equal exactly when their reduced bases coincide.
 Buchberger's algorithm prunes S-pairs by the Gebauer-Moeller criteria only.
 Division keeps its remainder as a sparse accumulator, a dict of
 coefficients with its keys in one sorted list, so a reduction step costs
-the reducer's length, not the remainder's.
+the reducer's length, not the remainder's.  An S-polynomial is summed on
+the same kind of dict and sorted once, so the engine combines sparse
+polynomials in one way.
 
 Both children of the ring's cheapest variable v are rewrites of the
 reduced basis, with no Buchberger run: (I : v) divides v out of the
@@ -15,6 +17,7 @@ elements whose leading monomial it divides, and I + (v) keeps v and drops
 the v-terms of the other elements, because in grevlex with v cheapest
 in(I + (v)) = in(I) + (v) (Bayer-Stillman).  The way back up,
 extend_with_last_variable, is a rewrite too: JR + (v) from J's basis.
+ring_below states which ring is R without v, for both directions.
 
 Every colon a verifier needs is predicted, and one certificate,
 csm.cyclic_presentation, settles each prediction J of (I : f).  It reads
@@ -70,7 +73,6 @@ from .polyring import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 
@@ -133,39 +135,6 @@ def _normalize(terms):
     if g != 1:
         terms = [(k, c // g) for k, c in terms]
     return terms
-
-
-def _axpy_shift(a, p, i0, b, q, j0, shift):
-    """a*p[i0:] + b*(q[j0:] * monomial(shift)), merged descending."""
-    out = []
-    i, j = i0, j0
-    np_, nq = len(p), len(q)
-    qk = None
-    if j < nq:
-        qk = mono_mul(q[j][0], shift)
-    while i < np_ and j < nq:
-        ki, ci = p[i]
-        if ki == qk:
-            c = a * ci + b * q[j][1]
-            if c:
-                out.append((ki, c))
-            i += 1
-            j += 1
-            qk = mono_mul(q[j][0], shift) if j < nq else None
-        elif ki > qk:
-            out.append((ki, a * ci))
-            i += 1
-        else:
-            out.append((qk, b * q[j][1]))
-            j += 1
-            qk = mono_mul(q[j][0], shift) if j < nq else None
-    while i < np_:
-        out.append((p[i][0], a * p[i][1]))
-        i += 1
-    while j < nq:
-        out.append((mono_mul(q[j][0], shift), b * q[j][1]))
-        j += 1
-    return out
 
 
 def _reduce_core(p, basis):
@@ -238,15 +207,19 @@ def _reduce_to_primitive(p, basis):
 
 
 def _spoly(f, g):
+    """a*x^sf*f - b*x^sg*g with the heads cancelled, descending: the tails
+    summed on a dict key -> int, as _reduce_core keeps its remainder."""
     lk = grevlex_key(mono_lcm(f.lm_exps, g.lm_exps))
     sf = mono_div(lk, f.lm_key)
     sg = mono_div(lk, g.lm_key)
     d = gcd(f.lc, g.lc)
     a = g.lc // d
     b = f.lc // d
-    # a * x^sf * f - b * x^sg * g; the heads cancel by construction
-    return _axpy_shift(a, [(mono_mul(k, sf), c) for k, c in f.terms], 1,
-                       -b, g.terms, 1, sg)
+    acc = {tuple(map(add, k, sf)): a * c for k, c in islice(f.terms, 1, None)}
+    for k, c in islice(g.terms, 1, None):
+        k = tuple(map(add, k, sg))
+        acc[k] = acc.get(k, 0) - b * c
+    return sorted((kc for kc in acc.items() if kc[1]), reverse=True)
 
 
 # --- standard monomials ------------------------------------------------------
@@ -287,21 +260,17 @@ def standard_monomials_of_degree(lms, width, d):
 # --- Buchberger ---------------------------------------------------------------
 
 
-class _GBState:
-    __slots__ = ("G", "pairs", "heap", "seq")
-
-    def __init__(self):
-        self.G = []
-        self.pairs = {}
-        self.heap = []
-        self.seq = 0
+# S-pair reductions after which _buchberger gives up with RuntimeError.
+MAX_BUCHBERGER_STEPS = 500000
 
 
-def _add_element(st: _GBState, terms):
-    """Gebauer-Moeller pair update for one new basis element."""
+def _add_element(G, pairs, heap, terms):
+    """Gebauer-Moeller pair update for one new basis element, appended to
+    G: pairs maps each pending index pair (i, j) to its lcm, and heap
+    holds (lcm key, j, i) for each, left in place once the pair leaves
+    pairs (lazy deletion)."""
     h = _BasisElem(terms)
-    t = len(st.G)
-    G = st.G
+    t = len(G)
     lcms = {i: mono_lcm(G[i].lm_exps, h.lm_exps) for i in range(t)}
 
     remaining = sorted(range(t), key=lambda i: grevlex_key(lcms[i]))
@@ -318,43 +287,41 @@ def _add_element(st: _GBState, terms):
 
     # Buchberger's chain criterion against pending pairs
     hlm = h.lm_exps
-    for (i, j), l in list(st.pairs.items()):
+    for (i, j), l in list(pairs.items()):
         if (
             mono_divides(hlm, l)
             and mono_lcm(G[i].lm_exps, hlm) != l
             and mono_lcm(G[j].lm_exps, hlm) != l
         ):
-            del st.pairs[(i, j)]
+            del pairs[(i, j)]
 
-    st.G.append(h)
+    G.append(h)
     for i in new_pairs:
-        st.pairs[(i, t)] = lcms[i]
-        st.seq += 1
-        heapq.heappush(st.heap, (grevlex_key(lcms[i]), st.seq, i, t))
+        pairs[(i, t)] = lcms[i]
+        heapq.heappush(heap, (grevlex_key(lcms[i]), t, i))
 
 
-def _buchberger(cores, max_steps=500000):
-    st = _GBState()
+def _buchberger(cores):
+    G, pairs, heap = [], {}, []
     seeds = [c for c in cores if c]
     seeds.sort(key=lambda c: c[0][0])
     for core in seeds:
-        r = _reduce_to_primitive(core, st.G)
+        r = _reduce_to_primitive(core, G)
         if r:
-            _add_element(st, r)
+            _add_element(G, pairs, heap, r)
 
     steps = 0
-    while st.heap:
-        _, _, i, j = heapq.heappop(st.heap)
-        if st.pairs.pop((i, j), None) is None:
+    while heap:
+        _, j, i = heapq.heappop(heap)
+        if pairs.pop((i, j), None) is None:
             continue
-        s = _spoly(st.G[i], st.G[j])
-        r = _reduce_to_primitive(s, st.G)
+        r = _reduce_to_primitive(_spoly(G[i], G[j]), G)
         if r:
-            _add_element(st, r)
+            _add_element(G, pairs, heap, r)
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_BUCHBERGER_STEPS:
             raise RuntimeError("Groebner computation exceeded the step budget")
-    return _interreduce(st.G)
+    return _interreduce(G)
 
 
 def _interreduce(G):
@@ -530,6 +497,17 @@ def _last_variable(ring: RingSpec) -> int:
     return ring.total_vars - 1
 
 
+def ring_below(ring: RingSpec) -> RingSpec:
+    """The ring without ring's cheapest variable: K[x1..xn] below
+    K[x1..xn, z], K[x1..x(n-1)] below K[x1..xn], and none (ValueError)
+    below one variable."""
+    if ring.has_z:
+        return RingSpec(ring.nvars)
+    if ring.nvars < 2:
+        raise ValueError("no smaller ring below one variable")
+    return RingSpec(ring.nvars - 1)
+
+
 def _from_basis(ring: RingSpec, elems) -> Ideal:
     """The ideal whose reduced Groebner basis is elems, generated by it."""
     return Ideal._from_reduced_basis(ring, [_core_to_poly(g.terms, ring) for g in elems], elems)
@@ -556,9 +534,9 @@ def _colon_by_last_variable(I: Ideal) -> Ideal:
     return _from_basis(I.ring, _interreduce(elems))
 
 
-def add_last_variable(I: Ideal, smaller: RingSpec | None = None) -> Ideal:
+def add_last_variable(I: Ideal, contract: bool = False) -> Ideal:
     """I + (v) for the cheapest variable v, by rewriting the reduced basis;
-    given the ring without v as smaller, its contraction to that ring.
+    with contract, its contraction to ring_below(I.ring).
 
     For a homogeneous ideal in grevlex with v cheapest, in(I + (v)) =
     in(I) + (v) (Bayer-Stillman), so v together with each g whose leading
@@ -571,8 +549,8 @@ def add_last_variable(I: Ideal, smaller: RingSpec | None = None) -> Ideal:
     slot = _last_variable(I.ring)
     rest = [_BasisElem(_normalize([(k, c) for k, c in g.terms if not k[1]]))
             for g in I._gb_elems() if not g.lm_exps[slot]]
-    if smaller is not None:
-        return _from_basis(smaller, [_BasisElem([(k[:1] + k[2:], c) for k, c in g.terms])
+    if contract:
+        return _from_basis(ring_below(I.ring), [_BasisElem([(k[:1] + k[2:], c) for k, c in g.terms])
                                      for g in rest])
     if I.is_unit():
         return I
@@ -581,8 +559,9 @@ def add_last_variable(I: Ideal, smaller: RingSpec | None = None) -> Ideal:
 
 
 def extend_with_last_variable(J: Ideal, ring: RingSpec) -> Ideal:
-    """JR + (v) for J in the ring without v, the cheapest variable of ring,
-    by rewriting J's reduced basis (the inverse of add_last_variable).
+    """JR + (v) for J in ring_below(ring), v the cheapest variable of ring,
+    by rewriting J's reduced basis (the inverse of add_last_variable); any
+    other ring of J is refused with RingMismatch.
 
     A zero v-exponent inserted at component 1 of a grevlex key gives the
     key in ring, and every S-pair with v has coprime leading monomials, so
@@ -592,7 +571,7 @@ def extend_with_last_variable(J: Ideal, ring: RingSpec) -> Ideal:
     and carry over with v-exponent 0: a lift always has them.  When J is
     not Artinian, neither is JR + (v), for the same variable.
     """
-    if ring.total_vars != J.ring.total_vars + 1 or not J.ring.embeds_in(ring):
+    if ring.total_vars < 2 or J.ring != ring_below(ring):
         raise RingMismatch(f"{J.ring} is not {ring} without its cheapest variable")
     v = Polynomial.variable(ring, _last_variable(ring))
     elems = [_BasisElem([(k[:1] + (0,) + k[1:], c) for k, c in g.terms])

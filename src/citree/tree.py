@@ -83,17 +83,10 @@ def family_members(n: int, a_max: int):
 # --- children ------------------------------------------------------------------
 
 
-def _smaller_ring(ring: RingSpec) -> RingSpec:
-    if ring.has_z:
-        return RingSpec(ring.nvars, has_z=False)
-    if ring.nvars < 2:
-        raise ValueError("no smaller ring below one variable")
-    return RingSpec(ring.nvars - 1, has_z=False)
-
-
 def contract_modulo_last(I: Ideal) -> Ideal:
-    """Contraction of I + (v) to the ring without the cheapest variable v."""
-    return add_last_variable(I, _smaller_ring(I.ring))
+    """Contraction of I + (v) to ideals.ring_below(I.ring), the ring without
+    the cheapest variable v."""
+    return add_last_variable(I, contract=True)
 
 
 def children(I: Ideal):

@@ -34,8 +34,8 @@ from citree.ideals import (
     shifted_hf_matches,
     standard_monomials_of_degree,
 )
-from citree.polyring import (Polynomial, RingSpec, grevlex_key, mono_div, mono_divides,
-                             parse_polynomial)
+from citree.polyring import (Polynomial, RingMismatch, RingSpec, grevlex_key, mono_div,
+                             mono_divides, mono_lcm, mono_mul, parse_polynomial)
 from citree.symfun import member_generators, symmetric_generator, tilde_generators
 
 R1Z = RingSpec(1, True)
@@ -427,6 +427,23 @@ def test_colon_artinian_against_oracle(Ik, f):
     assert_colon_matches_oracle(_colon_artinian(I, f), list(I.generators), f, 3 * k - 2)
 
 
+@settings(max_examples=40, deadline=None)
+@given(artinian_ideals().filter(lambda Ik: any(len(g.terms) > 1 for g in Ik[0].generators)))
+def test_colon_chain_matches_the_jordan_type_of_z(Ik):
+    # the kernel of x z^d on A_i is (I : z^d)_i / I_i, so its rank from
+    # the Lefschetz layer is HF(R/(I : z^d))_i from the colon chain, for
+    # every d = 1..c+1 and i = 0..c, the maps into zero degrees of rank 0
+    I, _ = Ik
+    A = quotient.build_quotient(I)
+    c = A.socle_degree
+    z = Polynomial.variable(R2Z, "z")
+    for d in range(1, c + 2):
+        hf = hf_of(colon_by_variable_power(I, d))
+        for i in range(c + 1):
+            rank = linalg.rank(quotient.mult_map_matrix(A, z ** d, i).entries) if i + d <= c else 0
+            assert rank == (hf[i] if i < len(hf) else 0), (str(I), d, i)
+
+
 CRITERION_EXAMPLE = [P("x1^2 + x2*z", R2Z), P("x1*x2 - z^2", R2Z), P("x2^3", R2Z)]
 
 
@@ -453,9 +470,10 @@ def test_buchberger_criterion_on_output(Ik):
 
 def oracle_reduce_core(p, basis):
     """Full division remainder by re-merging the whole unprocessed remainder
-    at every step (ideals._axpy_shift): the same reducer choice, the same
-    fraction-free scaling and the same content reduction every 16 steps as
-    ideals._reduce_core, at the cost of the remainder's length per step."""
+    at every step (a dict sum, sorted again): the same reducer choice, the
+    same fraction-free scaling and the same content reduction every 16
+    steps as ideals._reduce_core, at the cost of the remainder's length per
+    step."""
     out = []
     work = list(p)
     start = 0
@@ -473,7 +491,11 @@ def oracle_reduce_core(p, basis):
         g = gcd(clead, hit.lc)
         a = hit.lc // g
         b = clead // g
-        work = ideals._axpy_shift(a, work, start + 1, -b, hit.terms, 1, shift)
+        merged = {k: a * c for k, c in work[start + 1:]}
+        for k, c in hit.terms[1:]:
+            k = mono_mul(k, shift)
+            merged[k] = merged.get(k, 0) - b * c
+        work = sorted((kc for kc in merged.items() if kc[1]), reverse=True)
         start = 0
         scale *= a
         steps += 1
@@ -520,6 +542,33 @@ def test_reduce_core_matches_merge_oracle(case):
     assert_reduction_matches_oracle(*case)
 
 
+@st.composite
+def spoly_cases(draw):
+    """Two primitive cores with positive leading coefficients, as basis
+    elements of a ring in 1-3 variables."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    f, g = (draw(core_polys(width, range(1, 4), min_size=1)) for _ in range(2))
+    return RingSpec(width), ideals._BasisElem(ideals._normalize(f)), \
+        ideals._BasisElem(ideals._normalize(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spoly_cases())
+def test_spoly_matches_polynomial_arithmetic(case):
+    # (lc g/d)*(L/lm f)*F - (lc f/d)*(L/lm g)*G with d = gcd(lc f, lc g)
+    # and L = lcm(lm f, lm g), by Polynomial arithmetic: the heads cancel,
+    # and the rest is _spoly's core
+    ring, f, g = case
+    F, G = (Polynomial(ring, {ideals._decode(k): c for k, c in e.terms}) for e in (f, g))
+    L = mono_lcm(f.lm_exps, g.lm_exps)
+    d = gcd(f.lc, g.lc)
+    S = (Polynomial.monomial(ring, mono_div(L, f.lm_exps), g.lc // d) * F
+         - Polynomial.monomial(ring, mono_div(L, g.lm_exps), f.lc // d) * G)
+    assert all(m != L for m, _ in S.terms)
+    expected = sorted(((grevlex_key(m), int(c)) for m, c in S.terms), reverse=True)
+    assert ideals._spoly(f, g) == expected
+
+
 def test_reduce_core_scales_and_divides_content():
     # leading coefficients 2 and 3 scale the remainder at most steps, and a
     # sixth power of a trinomial takes more than 16 steps to reduce, so the
@@ -564,12 +613,12 @@ def assert_rewrite_matches_sum(I):
     by_sum = sum_by_buchberger(I).groebner_basis()
     assert add_last_variable(I).groebner_basis() == by_sum
     if ring.total_vars >= 2:
-        small = RingSpec(ring.nvars, False) if ring.has_z else RingSpec(ring.nvars - 1)
+        small = ideals.ring_below(ring)
         slot = ring.total_vars - 1
         # terms are sorted descending, so terms[0][0] is the leading monomial
         contracted = Ideal(small, [g.contract(small) for g in by_sum
                                    if g.terms[0][0][slot] == 0])
-        assert add_last_variable(I, small).groebner_basis() == contracted.groebner_basis()
+        assert add_last_variable(I, contract=True).groebner_basis() == contracted.groebner_basis()
 
 
 @settings(max_examples=40, deadline=None)
@@ -645,6 +694,23 @@ def test_extend_with_last_variable_matches_buchberger(monkeypatch):
         assert lifted.generators == reference.generators
         assert basis == reference.groebner_basis()
         assert monos == require_artinian(reference)
+
+
+def test_lift_and_contraction_rings_follow_ring_below():
+    # J = (x1^2, z^3) in K[x1, z] is not in the ring below K[x1, x2, z]:
+    # read there it would move z's slot, so the lift refuses it
+    J = Ideal.from_strings(R1Z, ["x1^2", "z^3"])
+    with pytest.raises(RingMismatch):
+        extend_with_last_variable(J, RingSpec(2, True))
+    for bad in (RingSpec(1), RingSpec(3)):
+        with pytest.raises(RingMismatch):
+            extend_with_last_variable(Ideal.from_strings(RingSpec(1), ["x1^2"]), bad)
+    assert [ideals.ring_below(r) for r in (R1Z, R2, R2Z, RingSpec(3))] == \
+        [RingSpec(1), RingSpec(1), R2, R2]
+    with pytest.raises(ValueError):
+        ideals.ring_below(RingSpec(1))
+    I = Ideal.from_strings(R2Z, ["x1^2 - x2*z", "x2^2 + z^2", "z^3"])
+    assert add_last_variable(I, contract=True).ring == R2
 
 
 def monic_basis(I):
