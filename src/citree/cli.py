@@ -25,7 +25,7 @@ from . import __version__, csm, symfun, tree
 from .csm import _check, _finish
 from .ideals import Ideal, hf_of
 from .lefschetz import MAX_TRIES, find_lefschetz_element, slp_check_algebra
-from .polyring import InvalidInput, RingSpec, parse_polynomial
+from .polyring import InvalidInput, ParseError, RingSpec, parse_polynomial
 from .quotient import build_quotient
 
 DEPTH = 3  # levels of an exported tree (tree --ideal) unless --depth is given
@@ -43,8 +43,9 @@ class RunConfig:
 def parse_ideal_file(path: str) -> Ideal:
     """JSON schema: {"nvars": int >= 1, "has_z": bool (optional, default
     false), "generators": [str, ...]} and no other field; an InvalidInput
-    names the bad field, or says R/I is zero when the generators give the
-    unit ideal."""
+    names the bad field, the generator (counted from 1, with its text) that
+    does not parse or is not homogeneous, or says R/I is zero when the
+    generators give the unit ideal."""
     with open(path) as handle:
         try:
             data = json.load(handle)
@@ -71,7 +72,16 @@ def parse_ideal_file(path: str) -> Ideal:
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise InvalidInput(f"ideal file {path}: 'generators' must be a list of strings")
     ring = RingSpec(nvars, has_z)
-    ideal = Ideal(ring, [parse_polynomial(text, ring) for text in gens])
+    polys = []
+    for i, text in enumerate(gens, 1):
+        where = f"ideal file {path}: generator {i} '{text}'"
+        try:
+            polys.append(parse_polynomial(text, ring))
+        except ParseError as exc:
+            raise InvalidInput(f"{where}: {exc}") from None
+        if not polys[-1].is_homogeneous():
+            raise InvalidInput(f"{where}: not homogeneous")
+    ideal = Ideal(ring, polys)
     if ideal.is_unit():
         raise InvalidInput(f"ideal file {path}: the generators give the unit ideal, "
                          "so R/I is zero")
@@ -197,7 +207,10 @@ def _cmd_slp(cfg: RunConfig):
     I = parse_ideal_file(cfg.params["ideal"])
     A = build_quotient(I)
     if cfg.params.get("y") is not None:
-        y = parse_polynomial(cfg.params["y"], I.ring)
+        try:
+            y = parse_polynomial(cfg.params["y"], I.ring)
+        except ParseError as exc:
+            raise InvalidInput(f"--y '{cfg.params['y']}': {exc}") from None
         rep = slp_check_algebra(A, y)
         rep.seed = cfg.seed
     else:

@@ -45,8 +45,8 @@ from .ideals import (
     shifted_hf_matches,
 )
 from .polyring import InvalidInput, Polynomial, RingSpec
-from .symfun import (boundary_polynomial, member_generators, newton_sum, symmetric_generator,
-                     tilde_generators)
+from .symfun import (boundary_polynomial, member_generators, newton_sum, sym_e,
+                     symmetric_generator, tilde_generators)
 
 
 # --- symmetric generators relative to the distinguished variable ------------
@@ -55,12 +55,6 @@ from .symfun import (boundary_polynomial, member_generators, newton_sum, symmetr
 def xpart(ring: RingSpec) -> int:
     """Number of leading variables (everything except the cheapest one)."""
     return ring.total_vars - 1
-
-
-def sym_e(ring: RingSpec, i: int) -> Polynomial:
-    """Signed elementary symmetric e_i in the leading variables, inside ring."""
-    m = xpart(ring)
-    return symmetric_generator("e_signed", m, i).extend(ring)
 
 
 def mixed_family_ideal(n: int, a: int, b: int) -> Ideal:

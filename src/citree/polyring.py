@@ -253,15 +253,9 @@ class Polynomial:
         if not old.embeds_in(ring):
             raise RingMismatch(f"{old} does not embed in {ring}")
         pad = (0,) * (ring.nvars - old.nvars)
-        acc = {}
-        for m, c in self.terms:
-            xs = m[: old.nvars]
-            ztail = m[old.nvars:]
-            new = xs + pad + (ztail if ring.has_z else ())
-            if ring.has_z and not old.has_z:
-                new = xs + pad + (0,)
-            acc[new] = c
-        return Polynomial(ring, acc)
+        ztail = (0,) * (ring.has_z - old.has_z)
+        return Polynomial(ring, {m[:old.nvars] + pad + m[old.nvars:] + ztail: c
+                                 for m, c in self.terms})
 
     def contract(self, ring: RingSpec) -> "Polynomial":
         """Reinterpret in a smaller ring; the dropped variables must be unused."""

@@ -5,7 +5,9 @@ member list (tilde_generators), p~_i = p_i + z^i being the power sum p_i
 of the n+1 variables x1..xn, z.  The boundary polynomials f^(k) and
 g^(k) are the z-derivatives of one truncation of sum_i e_i z^(n-i), of
 degree top = n (kind f) or top = b (kind g); below the verifiers only top
-is passed.
+is passed.  Both they and the derivative identity e.Z.u^(k) =
+F^(k+1)/(k+1) are sums over one column, derivative_vector's u^(k) of k-th
+z-derivatives of 1, z, z^2, ..., with e_i read in K[x1..xn, z] by sym_e.
 
 Conventions, fixed once for the whole package:
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import perm
 
 from .polyring import InvalidInput, Polynomial, RingSpec
 
@@ -31,45 +34,22 @@ from .polyring import InvalidInput, Polynomial, RingSpec
 GENERATOR_CACHE_SIZE = 512
 
 
-def falling_factorial(m: int, k: int) -> int:
-    """m (m-1) ... (m-k+1), with the empty product equal to 1."""
-    out = 1
-    for j in range(k):
-        out *= m - j
-    return out
-
-
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def symmetric_generator(kind: str, n: int, i: int) -> Polynomial:
-    """The generators e_i and p_i of K[x1..xn]."""
+    """The generators e_i and p_i of K[x1..xn]; e_i = 0 for i > n."""
     if n < 1:
         raise ValueError("need n >= 1")
     if i < 0:
         raise ValueError("need i >= 0")
+    ring = RingSpec(n)
     if kind == "e_signed":
-        ring = RingSpec(n, has_z=False)
-        if i > n:
-            poly = Polynomial.zero(ring)
-        else:
-            sign = (-1) ** i
-            acc = {}
-            for combo in combinations(range(n), i):
-                exps = tuple(1 if j in combo else 0 for j in range(n))
-                acc[exps] = sign
-            poly = Polynomial(ring, acc)
-    elif kind == "p":
-        ring = RingSpec(n, has_z=False)
-        if i == 0:
-            poly = Polynomial.constant(ring, n)
-        else:
-            acc = {}
-            for j in range(n):
-                exps = tuple(i if k == j else 0 for k in range(n))
-                acc[exps] = 1
-            poly = Polynomial(ring, acc)
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    return poly
+        return Polynomial(ring, {tuple(int(j in combo) for j in range(n)): (-1) ** i
+                                 for combo in combinations(range(n), i)})
+    if kind == "p":
+        # sum_j x_j^i, added term by term, so p_0 = n
+        return Polynomial(ring, ((tuple(i if k == j else 0 for k in range(n)), 1)
+                                 for j in range(n)))
+    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def member_generators(n: int, a: int, m: int):
@@ -89,21 +69,32 @@ def tilde_generators(n: int, a: int, m: int):
     return [Polynomial(ring, g.terms) for g in member_generators(n + 1, a, m)]
 
 
+def sym_e(ring: RingSpec, i: int) -> Polynomial:
+    """Signed e_i of the leading variables (all but the cheapest one) read
+    in ring: e_i of x1..xn in K[x1..xn, z]."""
+    return symmetric_generator("e_signed", ring.total_vars - 1, i).extend(ring)
+
+
+def derivative_vector(n: int, size: int, k: int):
+    """u^(k) in K[x1..xn, z]: the column of k-th z-derivatives of 1, z, ...,
+    z^(size-1), entry j being perm(j, k) z^(j-k), zero for j < k."""
+    ring = RingSpec(n, has_z=True)
+    z = Polynomial.variable(ring, "z")
+    return [z ** (j - k) * perm(j, k) if j >= k else Polynomial.zero(ring) for j in range(size)]
+
+
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def boundary_polynomial(n: int, top: int, k: int) -> Polynomial:
-    """The k-th z-derivative of sum_{i<=top} e_i z^(top-i) in K[x1..xn, z]:
-    f^(k) at top = n, g^(k) at top = b; needs 0 <= k <= top <= n."""
+    """The k-th z-derivative of sum_{i<=top} e_i z^(top-i) in K[x1..xn, z],
+    sum_i e_i u^(k)[top-i]: f^(k) at top = n, g^(k) at top = b; needs
+    0 <= k <= top <= n."""
     if not 0 <= k <= top <= n:
         raise ValueError(f"need 0 <= k <= top <= n, not k={k}, top={top}, n={n}")
     ring = RingSpec(n, has_z=True)
-    z = Polynomial.variable(ring, "z")
+    u = derivative_vector(n, top + 1, k)
     acc = Polynomial.zero(ring)
     for i in range(top + 1):
-        coeff = falling_factorial(top - i, k)
-        if coeff == 0:
-            continue
-        e_i = symmetric_generator("e_signed", n, i).extend(ring)
-        acc = acc + e_i * (z ** (top - i - k)) * coeff
+        acc = acc + sym_e(ring, i) * u[top - i]
     return acc
 
 
@@ -135,53 +126,19 @@ def vanishing_sum_residual(n: int, m: int) -> Polynomial:
     return newton_sum(n, m, n + 1)
 
 
-# --- matrix identity for the derivative recursion ---------------------------
-
-def _row_times_matrix(row, matrix):
-    out = []
-    for j in range(len(matrix[0])):
-        acc = row[0] * matrix[0][j]
-        for i in range(1, len(row)):
-            acc = acc + row[i] * matrix[i][j]
-        out.append(acc)
-    return out
-
-
-def _dot(row, col):
-    acc = row[0] * col[0]
-    for i in range(1, len(row)):
-        acc = acc + row[i] * col[i]
-    return acc
-
-
-def _triangular_data(n: int, size: int):
-    """The row [e_{size-1},..,e_0] and the unipotent z-power matrix."""
-    ring = RingSpec(n, has_z=True)
-    z = Polynomial.variable(ring, "z")
-    e_row = [symmetric_generator("e_signed", n, size - 1 - j).extend(ring) for j in range(size)]
-    zmat = [[z ** (i - j) if i >= j else Polynomial.zero(ring) for j in range(size)] for i in range(size)]
-    return e_row, zmat
-
-
-def derivative_vector(n: int, size: int, k: int):
-    """Column of k-th z-derivatives of 1, z, ..., z^(size-1)."""
-    ring = RingSpec(n, has_z=True)
-    z = Polynomial.variable(ring, "z")
-    out = []
-    for j in range(size):
-        c = falling_factorial(j, k)
-        out.append(z ** (j - k) * c if c else Polynomial.zero(ring))
-    return out
-
-
 def derivative_identity_check(n: int, top: int, k: int) -> bool:
     """Check e . Z . u^(k) = F^(k+1)/(k+1), F the boundary polynomial of
-    degree top (f at top = n, g at top = b) and the matrices of size top,
-    as exact polynomial identities."""
+    degree top (f at top = n, g at top = b), e = [e_(top-1), .., e_0] and
+    Z the unipotent matrix of z^(i-j), i >= j, both of size top, as an
+    exact polynomial identity: the sum of e_(top-1-i) z^(i-j) u^(k)[j]
+    over j <= i < top."""
     if not 2 <= k <= top - 1 or top > n:
         raise InvalidInput(f"need 2 <= k <= top-1 and top <= n, not k={k}, top={top}, n={n}")
-    e_row, zmat = _triangular_data(n, top)
-    u_k = derivative_vector(n, top, k)
-    lhs = _dot(_row_times_matrix(e_row, zmat), u_k)
-    rhs = boundary_polynomial(n, top, k + 1) * Fraction(1, k + 1)
-    return lhs == rhs
+    ring = RingSpec(n, has_z=True)
+    z = Polynomial.variable(ring, "z")
+    u = derivative_vector(n, top, k)
+    lhs = Polynomial.zero(ring)
+    for i in range(top):
+        for j in range(i + 1):
+            lhs = lhs + sym_e(ring, top - 1 - i) * z ** (i - j) * u[j]
+    return lhs == boundary_polynomial(n, top, k + 1) * Fraction(1, k + 1)

@@ -190,10 +190,18 @@ def test_thm53_small(capsys):
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):
+    # a parse error names the file, the generator and its text, or --y
     path = write_ideal(tmp_path, "bad.json", 2, False, ["x1 + "])
     assert main(["slp", "--ideal", path, "--y", "x1"]) == 2
     err = capsys.readouterr().err
-    assert "column 6" in err
+    assert f"ideal file {path}: generator 1 'x1 + ': " in err and "column 6" in err
+    path = write_ideal(tmp_path, "bad2.json", 2, False, ["x1^2", "x2^"])
+    assert main(["hilbert", "--ideal", path]) == 2
+    assert capsys.readouterr().err == (f"error: ideal file {path}: generator 2 'x2^': "
+                                       "expected integer exponent at column 4\n")
+    path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
+    assert main(["slp", "--ideal", path, "--y", "x1 +"]) == 2
+    assert capsys.readouterr().err.startswith("error: --y 'x1 +': ")
 
 
 # `slp --max-tries 1 --json` on a search that fails: the report has the
@@ -356,7 +364,7 @@ def test_non_json_file_exit_2(tmp_path, capsys):
 def test_non_homogeneous_generator_exit_2(tmp_path, capsys):
     path = write_ideal(tmp_path, "mixed.json", 2, False, ["x1^2 + x2", "x2^2"])
     assert main(["hilbert", "--ideal", path]) == 2
-    assert "not homogeneous" in capsys.readouterr().err
+    assert "generator 1 'x1^2 + x2': not homogeneous" in capsys.readouterr().err
 
 
 def test_non_linear_form_exit_2(tmp_path, capsys):
@@ -373,9 +381,10 @@ def test_non_homogeneous_linear_form_exit_2(tmp_path, capsys):
 
 
 def test_unknown_variable_in_file(tmp_path, capsys):
-    path = write_ideal(tmp_path, "bad.json", 2, False, ["z"])
+    path = write_ideal(tmp_path, "bad.json", 2, False, ["x1^2", "x2^2", "z"])
     assert main(["hilbert", "--ideal", path]) == 2
-    assert "unknown variable" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"ideal file {path}: generator 3 'z': unknown variable" in err
 
 
 def test_missing_field_exit_2(tmp_path, capsys):
@@ -627,6 +636,26 @@ def test_readme_csm_example(tmp_path, capsys):
     path.write_text(ideal)
     assert main(["csm", "--ideal", str(path)]) == 0
     assert capsys.readouterr().out == example
+
+
+# sha256 of the --json reports of each command on the README's ideal file;
+# slp searches, so its report carries the Lefschetz element it found
+README_REPORT_DIGESTS = {
+    "hilbert": "2869fac4c694bbc4e6c08570d72378504f3615b31d92308ac5c8e2c83ef49543",
+    "csm": "0787fb25b41f4288cd5120d8bfbb3feb50bc25f3f83c91724153d5be2d576ac9",
+    "slp": "7b2c489a2259e50c57e8f46dfce60a0eb538696e62606fb5cddb7232663119bb",
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_REPORT_DIGESTS))
+def test_readme_ideal_json_reports_pinned(tmp_path, capsys, command):
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    path = tmp_path / "ideal.json"
+    path.write_text(readme.split("Ideal files are JSON:\n\n```json\n", 1)[1].split("```", 1)[0])
+    assert main([command, "--ideal", str(path), "--json"]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == README_REPORT_DIGESTS[command]
 
 
 @pytest.mark.parametrize("script, argv, code", [

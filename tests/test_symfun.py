@@ -3,13 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citree import cli
+from citree import cli, symfun
 from citree.polyring import Polynomial, RingSpec, parse_polynomial
 from citree.symfun import (
     boundary_polynomial,
     derivative_identity_check,
     derivative_vector,
-    falling_factorial,
     member_generators,
     newton_check,
     symmetric_generator,
@@ -149,8 +148,8 @@ def test_boundary_g_example():
 
 
 def test_boundary_matches_iterated_derivative():
-    # construction by explicit falling-factorial coefficients vs repeated
-    # formal differentiation, for kind f (top = n) and kind g (top = b < n)
+    # construction from the derivative vector u^(k) vs repeated formal
+    # differentiation, for kind f (top = n) and kind g (top = b < n)
     for n in (2, 3, 4):
         for top in range(n + 1):
             expect = boundary_polynomial(n, top, 0)
@@ -174,6 +173,14 @@ def test_derivative_identity_examples():
     assert derivative_identity_check(5, 4, 2)
 
 
+def test_derivative_identity_check_can_fail(monkeypatch):
+    # F^(k) in place of F^(k+1) on the right-hand side breaks every identity
+    real = symfun.boundary_polynomial
+    monkeypatch.setattr(symfun, "boundary_polynomial", lambda n, top, k: real(n, top, k - 1))
+    assert not derivative_identity_check(4, 4, 2)
+    assert not derivative_identity_check(5, 4, 2)
+
+
 def test_derivative_identity_range_errors():
     with pytest.raises(ValueError):
         derivative_identity_check(3, 3, 3)
@@ -190,12 +197,9 @@ def test_derivative_vector_entries():
     assert vec[0].is_zero()
     assert vec[1] == Polynomial.one(ring)
     assert vec[2] == 2 * z
-
-
-def test_falling_factorial():
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(2, 3) == 0
+    # entry j is j (j-1) .. (j-k+1) z^(j-k), zero below k
+    assert derivative_vector(3, 5, 2) == [Polynomial.zero(ring)] * 2 + [
+        Polynomial.constant(ring, 2), 6 * z, 12 * z ** 2]
 
 
 @settings(max_examples=20, deadline=None)
