@@ -110,8 +110,8 @@ def member_ideal(n: int, a: int, m: int) -> Ideal:
 def member_block(ring: RingSpec, a: int, m: int) -> Ideal:
     """A_n(a, m)R + (v): the family member in the leading variables of
     ring, extended to ring, plus the cheapest variable v: the member's
-    reduced basis and standard monomials, rewritten
-    (extend_with_last_variable lists the member's once)."""
+    reduced basis, rewritten, and its Hilbert function, carried
+    (extend_with_last_variable counts the member's once)."""
     return extend_with_last_variable(member_ideal(xpart(ring), a, m), ring)
 
 

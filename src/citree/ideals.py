@@ -36,19 +36,27 @@ reduced basis against sympy.
 
 R/I is Artinian exactly when every variable has a pure power among the
 leading monomials of the reduced basis (the monomials outside in(I) are
-a basis of R/I, Macaulay), so artinian_caps decides it with no listing,
-and require_artinian lists the standard monomials, once per ideal, for
-the readers that need them: hf_of and its sum quotient_dimension,
-build_quotient, ideal_colon, and extend_with_last_variable, which carries
-them to the lift.  All but the last refuse a quotient that is not
-Artinian with NotArtinian; the lift of one lists none.  The same
-decision certifies a regular sequence: n homogeneous forms of positive
-degree in the Cohen-Macaulay ring K[x1..xn] form one exactly when R/I is
-Artinian (certify_regular_sequence).
+a basis of R/I, Macaulay), so artinian_caps decides it with no listing.
+An ideal keeps no standard monomial.  What it keeps is the Hilbert
+function of R/I: hf_of counts it once per ideal, degree by degree, and
+caches it, and quotient_dimension sums it.  extend_with_last_variable
+hands the lift the Hilbert function of the ideal below, so a lift lists
+nothing.  require_artinian lists the monomials themselves anew on each
+call, for the readers that index them: build_quotient and
+_colon_artinian.  Both hf_of and require_artinian refuse a quotient that
+is not Artinian with NotArtinian; the lift of one carries no Hilbert
+function.  The same decision certifies a regular sequence: n homogeneous
+forms of positive degree in the Cohen-Macaulay ring K[x1..xn] form one
+exactly when R/I is Artinian (certify_regular_sequence).
 
-Reduced bases are cached by (ring, generators) in _GB_CACHE.  Cached bases
-share one tuple per monomial: each term key and leading exponent vector of
-a basis entering the cache goes through one table, _MONOMIALS, that maps a
+Reduced bases are cached in _GB_CACHE, keyed by the ring and one flat
+tuple of ints: for each generator its term count, then each term's grevlex
+key and coefficient in the integer core den * g that Buchberger reads.  So
+a key holds no Polynomial or Fraction, and two generator lists share an
+entry only when they give Buchberger the same input, which needs them to
+agree up to a positive rational factor per generator.  Cached bases share
+one tuple per monomial: each term key and leading exponent vector of a
+basis entering the cache goes through one table, _MONOMIALS, that maps a
 tuple to itself.  A full cache is emptied together with the table, one
 generation at a time, so both hold the monomials of at most GB_CACHE_SIZE
 bases.
@@ -237,22 +245,23 @@ def _pure_power_caps(lm_exps_list, width):
     return caps
 
 
+def _standard_monomials_into(out, width, pos, remaining, prefix, alive):
+    """Append to out each monomial prefix + (e_pos, ..) of degree
+    sum(prefix) + remaining that no exponent vector in alive divides;
+    alive holds those whose first pos exponents prefix reaches."""
+    if pos == width - 1:
+        if all(l[pos] > remaining for l in alive):
+            out.append(prefix + (remaining,))
+        return
+    for e in range(remaining, -1, -1):
+        _standard_monomials_into(out, width, pos + 1, remaining - e, prefix + (e,),
+                                 [l for l in alive if l[pos] <= e])
+
+
 def standard_monomials_of_degree(lms, width, d):
     """Degree-d monomials outside the monomial ideal, descending grevlex."""
-    cand = [l for l in lms if sum(l) <= d]
     out = []
-
-    def rec(pos, remaining, prefix, alive):
-        if pos == width - 1:
-            m = prefix + (remaining,)
-            if all(l[pos] > remaining for l in alive):
-                out.append(m)
-            return
-        for e in range(remaining, -1, -1):
-            na = [l for l in alive if l[pos] <= e]
-            rec(pos + 1, remaining - e, prefix + (e,), na)
-
-    rec(0, d, (), cand)
+    _standard_monomials_into(out, width, 0, d, (), [l for l in lms if sum(l) <= d])
     out.sort(key=grevlex_key, reverse=True)
     return out
 
@@ -341,9 +350,10 @@ def _interreduce(G):
 
 # --- public Ideal ------------------------------------------------------------
 
-# Reduced bases by (ring, generators), and their shared monomial tuples.  The
-# full verification caches 301 bases, 6 924 terms over 648 distinct monomials;
-# _MONOMIALS then holds 984 tuples (the keys and the leading exponents).
+# Reduced bases by (ring, generators' integer cores), and their shared monomial
+# tuples.  The full verification caches 301 bases, 6 924 terms over 648
+# distinct monomials; _MONOMIALS then holds 984 tuples (the keys and the
+# leading exponents).
 GB_CACHE_SIZE = 1024
 _GB_CACHE: dict = {}
 _MONOMIALS: dict = {}
@@ -372,9 +382,9 @@ def _core_to_poly(terms, ring: RingSpec):
 
 class Ideal:
     """A homogeneous ideal with cached reduced Groebner basis and, once
-    require_artinian has listed them, its standard monomials in _basis."""
+    hf_of has counted it, the Hilbert function of R/I in _hf."""
 
-    __slots__ = ("ring", "generators", "_elems", "_gb_polys", "_basis")
+    __slots__ = ("ring", "generators", "_elems", "_gb_polys", "_hf")
 
     def __init__(self, ring: RingSpec, generators):
         gens = []
@@ -392,18 +402,18 @@ class Ideal:
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "_elems", None)
         object.__setattr__(self, "_gb_polys", None)
-        object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_hf", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Ideal is immutable")
 
     @classmethod
-    def _from_reduced_basis(cls, ring: RingSpec, generators, elems, basis=None) -> "Ideal":
+    def _from_reduced_basis(cls, ring: RingSpec, generators, elems, hf=None) -> "Ideal":
         """Ideal(ring, generators) with its reduced basis elems and, when
-        known, its standard monomials per degree set without relisting."""
+        known, the Hilbert function hf of its quotient set without a count."""
         out = cls(ring, generators)
         object.__setattr__(out, "_elems", elems)
-        object.__setattr__(out, "_basis", basis)
+        object.__setattr__(out, "_hf", hf)
         return out
 
     @classmethod
@@ -414,10 +424,17 @@ class Ideal:
 
     def _gb_elems(self):
         if self._elems is None:
-            cache_key = (self.ring, tuple(g.terms for g in self.generators))
+            cores = [_poly_to_core(g) for g in self.generators]
+            flat = []
+            for core in cores:
+                flat.append(len(core))
+                for k, c in core:
+                    flat.extend(k)
+                    flat.append(c)
+            cache_key = (self.ring, tuple(flat))
             hit = _GB_CACHE.get(cache_key)
             if hit is None:
-                hit = _buchberger([_poly_to_core(g) for g in self.generators])
+                hit = _buchberger(cores)
                 if len(_GB_CACHE) >= GB_CACHE_SIZE:
                     _GB_CACHE.clear()
                     _MONOMIALS.clear()
@@ -567,9 +584,10 @@ def extend_with_last_variable(J: Ideal, ring: RingSpec) -> Ideal:
     key in ring, and every S-pair with v has coprime leading monomials, so
     J's reduced basis plus v is the reduced basis of JR + (v).  The
     generators are J's, extended, then v.  R/(JR + (v)) is R'/J with R'
-    the ring without v, so J's standard monomials are listed here, once,
-    and carry over with v-exponent 0: a lift always has them.  When J is
-    not Artinian, neither is JR + (v), for the same variable.
+    the ring without v, so the lift carries hf_of(J), counted here if J
+    has none yet, and never lists.  When J is not Artinian, neither is
+    JR + (v), for the same variable, and the lift carries no Hilbert
+    function.
     """
     if ring.total_vars < 2 or J.ring != ring_below(ring):
         raise RingMismatch(f"{J.ring} is not {ring} without its cheapest variable")
@@ -579,11 +597,11 @@ def extend_with_last_variable(J: Ideal, ring: RingSpec) -> Ideal:
     if not J.is_unit():
         elems = sorted(elems + [_BasisElem(_poly_to_core(v))], key=lambda g: g.lm_key)
     try:
-        basis = [[m + (0,) for m in monos] for monos in require_artinian(J)]
+        hf = hf_of(J)
     except NotArtinian:
-        basis = None
+        hf = None
     return Ideal._from_reduced_basis(ring, [g.extend(ring) for g in J.generators] + [v],
-                                     elems, basis)
+                                     elems, hf)
 
 
 def _colon_artinian(I: Ideal, f: Polynomial) -> Ideal:
@@ -639,9 +657,12 @@ def ideal_colon(I: Ideal, f: Polynomial) -> Ideal:
 
 
 def hf_of(I: Ideal):
-    """HF of R/I in degrees 0..socle (empty for the unit ideal); raises
-    NotArtinian when R/I is not Artinian."""
-    return tuple(len(b) for b in require_artinian(I))
+    """HF of R/I in degrees 0..socle (empty for the unit ideal), counted
+    once and cached on the ideal; raises NotArtinian when R/I is not
+    Artinian."""
+    if I._hf is None:
+        object.__setattr__(I, "_hf", tuple(map(len, _standard_monomials_by_degree(I))))
+    return I._hf
 
 
 def hf_difference(den_hf, num_hf):
@@ -686,23 +707,27 @@ def artinian_caps(I: Ideal):
     return caps
 
 
+def _standard_monomials_by_degree(I: Ideal):
+    """The standard monomials of an Artinian R/I, one non-empty list per
+    degree 0..socle, listed as they are read; NotArtinian (artinian_caps)
+    otherwise."""
+    caps = artinian_caps(I)
+    lms = I.leading_exponents()
+    width = I.ring.total_vars
+    for d in range(sum(c - 1 for c in caps) + 2 if caps else 0):
+        monos = standard_monomials_of_degree(lms, width, d)
+        if not monos:
+            return
+        yield monos
+
+
 def require_artinian(I: Ideal):
     """Standard monomials per degree 0..socle of an Artinian R/I, listed
-    once and cached on the ideal; every entry is non-empty.  The one
-    refusal of a quotient that is not Artinian: NotArtinian (artinian_caps).
+    anew on every call and kept by no cache; every entry is non-empty.
+    Refuses a quotient that is not Artinian with NotArtinian, as hf_of
+    does (artinian_caps).
     """
-    if I._basis is None:
-        caps = artinian_caps(I)
-        lms = I.leading_exponents()
-        width = I.ring.total_vars
-        basis = []
-        for d in range(sum(c - 1 for c in caps) + 2 if caps else 0):
-            monos = standard_monomials_of_degree(lms, width, d)
-            if not monos:
-                break
-            basis.append(monos)
-        object.__setattr__(I, "_basis", basis)
-    return I._basis
+    return list(_standard_monomials_by_degree(I))
 
 
 def quotient_dimension(I: Ideal) -> int:

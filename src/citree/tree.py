@@ -16,6 +16,7 @@ counts minimal generators by graded Nakayama, with no linear algebra.
 
 from __future__ import annotations
 
+from itertools import product
 from math import prod
 
 from .csm import _check, _finish, central_simple_modules, certify_module, csm_chain, member_ideal
@@ -149,18 +150,9 @@ def certify_complete_intersection(I: Ideal) -> bool:
 def monomial_ci_family(n: int, exp_max: int):
     """All (x1^a1, ..., xn^an) with 1 <= ai <= exp_max."""
     ring = RingSpec(n, has_z=False)
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            gens = [Polynomial.variable(ring, i) ** e for i, e in enumerate(prefix)]
-            out.append({"ideal": Ideal(ring, gens), "exponents": tuple(prefix)})
-            return
-        for e in range(1, exp_max + 1):
-            rec(prefix + [e])
-
-    rec([])
-    return out
+    return [{"ideal": Ideal(ring, [Polynomial.variable(ring, i) ** e for i, e in enumerate(exps)]),
+             "exponents": exps}
+            for exps in product(range(1, exp_max + 1), repeat=n)]
 
 
 def colon_closure_family(n: int, a_max: int):

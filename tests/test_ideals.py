@@ -366,9 +366,12 @@ def test_artinian_verdict_against_brute_force(case):
             for J in (lifted, fresh):
                 with pytest.raises(NotArtinian):
                     require_artinian(J)
+                with pytest.raises(NotArtinian):
+                    hf_of(J)
         else:
             assert require_artinian(lifted) == require_artinian(fresh)
-        assert lifted._basis == fresh._basis
+            # the Hilbert function the lift carries, against a fresh count
+            assert hf_of(lifted) == hf_of(fresh)
 
 
 @settings(max_examples=25, deadline=None)
@@ -652,6 +655,46 @@ def test_gb_cache_drops_its_oldest_entries(monkeypatch):
     assert len(ideals._GB_CACHE) <= 2
     assert [Ideal.from_strings(R2, g).groebner_basis() for g in gens] == expected
     assert len(ideals._GB_CACHE) <= 2
+
+
+def test_gb_cache_keyed_by_integer_cores(monkeypatch):
+    # generator lists equal up to a positive rational factor per generator
+    # have the same integer cores, the one input of Buchberger, so they
+    # share one entry; a key holds the ring and ints, no polynomial
+    monkeypatch.setattr(ideals, "_GB_CACHE", {})
+    fresh = Ideal.from_strings(R2, ["x1", "x2^2"]).groebner_basis()
+    monkeypatch.setattr(ideals, "_GB_CACHE", {})
+    assert Ideal.from_strings(R2, ["1/2*x1", "x2^2"]).groebner_basis() == fresh
+    assert Ideal.from_strings(R2, ["x1", "x2^2"]).groebner_basis() == fresh
+    assert len(ideals._GB_CACHE) == 1
+    Ideal.from_strings(R2, ["x1^2 - 3/4*x1*x2", "x2^3"]).groebner_basis()
+    for ring, flat in ideals._GB_CACHE:
+        assert type(ring) is RingSpec
+        assert type(flat) is tuple and all(type(x) is int for x in flat)
+
+
+def test_hilbert_function_counted_once_listings_kept_by_none(monkeypatch):
+    # hf_of lists once per ideal and keeps the count; require_artinian
+    # lists on every call and hands out new lists
+    calls = []
+    original = ideals.standard_monomials_of_degree
+
+    def counting(lms, width, d):
+        calls.append(d)
+        return original(lms, width, d)
+
+    monkeypatch.setattr(ideals, "standard_monomials_of_degree", counting)
+    I = Ideal.from_strings(R2, ["x1^2", "x2^3"])
+    assert hf_of(I) == (1, 2, 2, 1)
+    assert calls == [0, 1, 2, 3, 4]
+    calls.clear()
+    assert hf_of(I) == (1, 2, 2, 1)
+    assert quotient_dimension(I) == 6
+    assert calls == []
+    first, second = require_artinian(I), require_artinian(I)
+    assert calls == [0, 1, 2, 3, 4] * 2
+    assert first == second
+    assert first is not second and all(a is not b for a, b in zip(first, second))
 
 
 def test_rewrites_run_no_buchberger(monkeypatch):

@@ -1,5 +1,6 @@
 """Family constructors, children, tree conditions, arrows, export."""
 
+import gc
 import json
 import re
 from fractions import Fraction
@@ -459,6 +460,21 @@ def test_members_list_standard_monomials_only_for_readers(monkeypatch):
     assert str(chain_refusal.value) == str(refusal.value)
     assert chain_refusal.value.variable == refusal.value.variable == "x2"
     assert calls == []
+
+
+def test_enumerations_leave_no_reference_cycles():
+    # a listing and the monomial CI family recurse through module-level
+    # helpers, so with the cyclic collector off their output is freed by
+    # reference counts alone
+    gc.collect()
+    gc.disable()
+    try:
+        assert standard_monomials_of_degree([(2, 0), (1, 2)], 2, 3) == [(0, 3)]
+        assert gc.collect() == 0
+        assert len(tree.monomial_ci_family(2, 3)) == 9
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_member_table_builds_each_member_once(monkeypatch):
