@@ -43,7 +43,9 @@ caches it, and quotient_dimension sums it.  extend_with_last_variable
 hands the lift the Hilbert function of the ideal below, so a lift lists
 nothing.  require_artinian lists the monomials themselves anew on each
 call, for the readers that index them: build_quotient and
-_colon_artinian.  Both hf_of and require_artinian refuse a quotient that
+_colon_artinian; when the ideal has no Hilbert function yet, the counts
+of that listing become it, so hf_of never lists a quotient that was
+built.  Both hf_of and require_artinian refuse a quotient that
 is not Artinian with NotArtinian; the lift of one carries no Hilbert
 function.  The same decision certifies a regular sequence: n homogeneous
 forms of positive degree in the Cohen-Macaulay ring K[x1..xn] form one
@@ -511,6 +513,8 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 
 
 def _last_variable(ring: RingSpec) -> int:
+    """The index of the cheapest variable, which is the number of variables
+    before it (n in K[x1..xn, z])."""
     return ring.total_vars - 1
 
 
@@ -551,28 +555,40 @@ def _colon_by_last_variable(I: Ideal) -> Ideal:
     return _from_basis(I.ring, _interreduce(elems))
 
 
-def add_last_variable(I: Ideal, contract: bool = False) -> Ideal:
-    """I + (v) for the cheapest variable v, by rewriting the reduced basis;
-    with contract, its contraction to ring_below(I.ring).
+def _rest_modulo_last(I: Ideal):
+    """The elements of I's reduced basis whose leading monomial the
+    cheapest variable v does not divide, their v-terms dropped and made
+    primitive."""
+    slot = _last_variable(I.ring)
+    return [_BasisElem(_normalize([(k, c) for k, c in g.terms if not k[1]]))
+            for g in I._gb_elems() if not g.lm_exps[slot]]
+
+
+def add_last_variable(I: Ideal) -> Ideal:
+    """I + (v) for the cheapest variable v, by rewriting the reduced basis.
 
     For a homogeneous ideal in grevlex with v cheapest, in(I + (v)) =
-    in(I) + (v) (Bayer-Stillman), so v together with each g whose leading
-    monomial v does not divide, its v-terms dropped and made primitive, is
-    the reduced Groebner basis of I + (v).  Apart from v no element
-    involves v, and dropping component 1 of a grevlex key (v's exponent)
-    gives the key in the smaller ring, so the contraction is those
-    elements read there.
+    in(I) + (v) (Bayer-Stillman), so v together with _rest_modulo_last(I)
+    is the reduced Groebner basis of I + (v).
     """
-    slot = _last_variable(I.ring)
-    rest = [_BasisElem(_normalize([(k, c) for k, c in g.terms if not k[1]]))
-            for g in I._gb_elems() if not g.lm_exps[slot]]
-    if contract:
-        return _from_basis(ring_below(I.ring), [_BasisElem([(k[:1] + k[2:], c) for k, c in g.terms])
-                                     for g in rest])
     if I.is_unit():
         return I
+    slot = _last_variable(I.ring)
     v = tuple(1 if i == slot else 0 for i in range(I.ring.total_vars))
-    return _from_basis(I.ring, [_BasisElem([(grevlex_key(v), 1)])] + rest)
+    return _from_basis(I.ring, [_BasisElem([(grevlex_key(v), 1)])] + _rest_modulo_last(I))
+
+
+def contract_modulo_last(I: Ideal) -> Ideal:
+    """The contraction of I + (v) to ring_below(I.ring), v the cheapest
+    variable, by rewriting the reduced basis.
+
+    Apart from v no element of the reduced basis of I + (v) involves v
+    (add_last_variable), and dropping component 1 of a grevlex key (v's
+    exponent) gives the key in the smaller ring, so the contraction is
+    _rest_modulo_last(I) read there.
+    """
+    return _from_basis(ring_below(I.ring), [_BasisElem([(k[:1] + k[2:], c) for k, c in g.terms])
+                                            for g in _rest_modulo_last(I)])
 
 
 def extend_with_last_variable(J: Ideal, ring: RingSpec) -> Ideal:
@@ -724,10 +740,14 @@ def _standard_monomials_by_degree(I: Ideal):
 def require_artinian(I: Ideal):
     """Standard monomials per degree 0..socle of an Artinian R/I, listed
     anew on every call and kept by no cache; every entry is non-empty.
-    Refuses a quotient that is not Artinian with NotArtinian, as hf_of
-    does (artinian_caps).
+    The listing gives I its Hilbert function (hf_of) when it has none yet,
+    so a later hf_of lists nothing.  Refuses a quotient that is not
+    Artinian with NotArtinian, as hf_of does (artinian_caps).
     """
-    return list(_standard_monomials_by_degree(I))
+    monos = list(_standard_monomials_by_degree(I))
+    if I._hf is None:
+        object.__setattr__(I, "_hf", tuple(map(len, monos)))
+    return monos
 
 
 def quotient_dimension(I: Ideal) -> int:

@@ -25,6 +25,7 @@ algebra, not y * m once per candidate.
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from . import linalg
 from .ideals import Ideal
@@ -148,36 +149,26 @@ MAX_TRIES = 24
 
 
 def lefschetz_candidates(ring, seed: int, max_tries: int):
-    """Deterministic candidate stream: all-ones, single variables, then
-    seeded small random combinations, drawn until max_tries forms are
-    listed, every one of the 5^width - 1 nonzero coefficient vectors in
-    0..4 is, or 50 * max_tries draws are spent."""
+    """Deterministic candidate stream, each form built only when it is
+    asked for: all-ones, single variables, then seeded small random
+    combinations, until max_tries forms are yielded, every one of the
+    5^width - 1 nonzero coefficient vectors in 0..4 is, or 50 * max_tries
+    draws are spent.  It holds the forms yielded so far and no others."""
     width = ring.total_vars
     wanted = min(max_tries, 5 ** width - 1)
-    ones = Polynomial(ring, {tuple(1 if j == i else 0 for j in range(width)): 1 for i in range(width)})
-    seen = set()
-    out = []
-
-    def push(p):
-        if p not in seen and not p.is_zero():
-            seen.add(p)
-            out.append(p)
-
-    push(ones)
-    for i in range(width):
-        push(Polynomial.variable(ring, i))
+    units = [tuple(1 if j == i else 0 for j in range(width)) for i in range(width)]
     rng = random.Random(seed)
-    attempts = 0
-    while len(out) < wanted and attempts < 50 * max_tries:
-        attempts += 1
-        coeffs = [rng.randint(0, 4) for _ in range(width)]
-        if not any(coeffs):
-            continue
-        push(Polynomial(ring, {
-            tuple(1 if j == i else 0 for j in range(width)): c
-            for i, c in enumerate(coeffs) if c
-        }))
-    return out[:max_tries]
+    draws = ([rng.randint(0, 4) for _ in units] for _ in range(50 * max_tries))
+    forms = chain([dict.fromkeys(units, 1)], ({u: 1} for u in units),
+                  ({u: c for u, c in zip(units, coeffs) if c} for coeffs in draws if any(coeffs)))
+    seen = set()
+    for terms in forms:
+        if len(seen) >= wanted:
+            return
+        p = Polynomial(ring, terms)
+        if p not in seen:
+            seen.add(p)
+            yield p
 
 
 def _search(ring, check, max_tries: int, seed: int):
@@ -199,7 +190,7 @@ def _search(ring, check, max_tries: int, seed: int):
 
 def find_lefschetz_element(A: QuotientAlgebra, max_tries: int = MAX_TRIES, seed: int = 0):
     """(y, report) for the first linear form y in the deterministic
-    candidate list for which the algebra check holds, or (None, report)
+    candidate stream for which the algebra check holds, or (None, report)
     with holds False after the last candidate (_search).  Every candidate
     reuses the monomial maps that the earlier ones cached on A."""
     return _search(A.ring, lambda y: slp_check_algebra(A, y), max_tries, seed)

@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals: rank, kernel, row reduction.
 
-Both paths work on integer rows; rational input is cleared row by row
-first.  The rank is fraction-free (Bareiss), and it is the only
-elimination a verifier runs.  Row reduction (rref, and kernel_basis on top
-of it) is integer Gauss-Jordan that divides out each row's content and
-forms Fractions only when the pivot rows are divided by their pivots at
-the end; it serves ideals.ideal_colon, which no verifier calls.
+Rational input is cleared row by row to integer rows first, and one
+elimination serves every job: Bareiss's fraction-free elimination to an
+echelon form (Bareiss, Sylvester's identity and multistep
+integer-preserving Gaussian elimination, Math. Comp. 22, 1968).  The rank
+is its number of pivots, and it is the only elimination a verifier runs.
+Row reduction (rref, and kernel_basis on top of it) continues from the
+echelon form by back-substitution with integer row combinations and forms
+Fractions only when the pivot rows are divided by their pivots at the end;
+it serves ideals.ideal_colon, which no verifier calls.
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ def _int_rows(rows):
     return out
 
 
-def bareiss_rank(rows) -> int:
-    """Exact rank of an integer matrix via fraction-free elimination."""
-    m = [list(r) for r in rows]
+def _echelon(m):
+    """Bareiss's fraction-free elimination of the integer rows m, in place:
+    row k of the result starts with its pivot in column pivots[k], and the
+    rows past the pivots are zero.  Returns the pivot columns."""
+    pivots = []
     if not m or not m[0]:
-        return 0
+        return pivots
     nrows, ncols = len(m), len(m[0])
-    rank = 0
     prev = 1
     row = 0
     for col in range(ncols):
@@ -55,67 +59,40 @@ def bareiss_rank(rows) -> int:
                 m[r][c] = (m[r][c] * pv - factor * m[row][c]) // prev
             m[r][col] = 0
         prev = pv
-        rank += 1
+        pivots.append(col)
         row += 1
         if row == nrows:
             break
-    return rank
+    return pivots
 
 
 def rank(rows) -> int:
-    """Exact rank over the rationals."""
-    return bareiss_rank(_int_rows(rows))
+    """Exact rank over the rationals: the pivots of one Bareiss elimination."""
+    return len(_echelon(_int_rows(rows)))
 
 
 def rref(rows):
     """Reduced row echelon form over the rationals; returns (rows, pivots).
 
-    Integer Gauss-Jordan: denominators are cleared row by row, each
-    elimination step is an integer row combination whose content is then
-    divided out, and Fractions are formed only when the pivot rows are
-    divided by their pivots at the end.  The reduced form is unique, so the
-    result equals that of elimination in Fraction arithmetic.
+    The Bareiss echelon form, then back-substitution from the bottom up:
+    each pivot column is cleared from the rows above its pivot row by
+    integer row combinations, and Fractions are formed only when the pivot
+    rows are divided by their pivots at the end.  The reduced form is
+    unique, so the result equals that of elimination in Fraction
+    arithmetic.
     """
     m = _int_rows(rows)
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        prow = m[row]
-        g = gcd(*prow)
-        if g > 1:
-            prow = m[row] = [x // g for x in prow]
-        pv = prow[col]
-        support = [c for c in range(col, ncols) if prow[c]]
-        for r in range(nrows):
-            b = m[r][col]
-            if r == row or not b:
-                continue
-            g = gcd(pv, b)
-            a, b = pv // g, b // g
-            cur = m[r] if a == 1 else [a * x for x in m[r]]
-            for c in support:
-                cur[c] -= b * prow[c]
-            g = gcd(*cur)
-            m[r] = [x // g for x in cur] if g > 1 else cur
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    out = []
-    for r, pc in zip(m, pivots):
-        pv = r[pc]
-        out.append([Fraction(x, pv) if x else _ZERO for x in r])
+    pivots = _echelon(m)
+    for k in range(len(pivots) - 1, 0, -1):
+        prow, pc = m[k], pivots[k]
+        pv = prow[pc]
+        for r in range(k):
+            b = m[r][pc]
+            if b:
+                g = gcd(pv, b)
+                a, b = pv // g, b // g
+                m[r] = [a * x - b * y for x, y in zip(m[r], prow)]
+    out = [[Fraction(x, r[pc]) if x else _ZERO for x in r] for r, pc in zip(m, pivots)]
     return out, pivots
 
 

@@ -25,6 +25,7 @@ from .ideals import (
     NotArtinian,
     add_last_variable,
     colon_by_variable_power,
+    contract_modulo_last,
     hf_difference,
     hf_of,
     ideal_equal,
@@ -82,12 +83,6 @@ def family_members(n: int, a_max: int):
 
 
 # --- children ------------------------------------------------------------------
-
-
-def contract_modulo_last(I: Ideal) -> Ideal:
-    """Contraction of I + (v) to ideals.ring_below(I.ring), the ring without
-    the cheapest variable v."""
-    return add_last_variable(I, contract=True)
 
 
 def children(I: Ideal):
@@ -280,8 +275,8 @@ def verify_family_slp(n_max: int, a_max: int, check_modules: bool = True, seed: 
             entry = {
                 "label": member.label,
                 "n": n, "a": member.a, "m": member.m,
-                "dimension": A.dimension(),
-                "hilbert": list(A.hilbert_function()),
+                "dimension": quotient_dimension(member.ideal),
+                "hilbert": list(hf_of(member.ideal)),
                 "slp": rep.holds,
             }
             slp[member.label] = entry["slp"]

@@ -4,7 +4,7 @@ complete intersections that bypasses the Groebner machinery entirely."""
 import hashlib
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -136,7 +136,7 @@ def test_power_maps_take_the_smaller_inner_dimension(monkeypatch, ideal, hilbert
 
     monkeypatch.setattr(lefschetz, "mult_map_matrix", record_map)
     monkeypatch.setattr(RationalMatrix, "__mul__", counting_mul)
-    slp_check_algebra(A, lefschetz_candidates(A.ring, 0, 1)[0])
+    slp_check_algebra(A, next(lefschetz_candidates(A.ring, 0, 1)))
     assert sum(products) == sum(hf[i + d] * min(hf[i + d - 1], hf[i + 1]) * hf[i]
                                 for d in range(2, c + 1) for i in range(c - d + 1))
     assert sides == {"y after y^(d-1)", "y^(d-1) after y"}
@@ -424,10 +424,10 @@ def test_failed_search_reports_the_candidates_tried():
 
 
 def test_candidates_deterministic():
-    a = lefschetz_candidates(R3, seed=5, max_tries=12)
-    b = lefschetz_candidates(R3, seed=5, max_tries=12)
+    a = list(lefschetz_candidates(R3, seed=5, max_tries=12))
+    b = list(lefschetz_candidates(R3, seed=5, max_tries=12))
     assert a == b
-    c = lefschetz_candidates(R3, seed=6, max_tries=12)
+    c = list(lefschetz_candidates(R3, seed=6, max_tries=12))
     assert a[:4] == c[:4]  # fixed prefix: all-ones then single variables
 
 
@@ -453,7 +453,7 @@ CANDIDATE_PINS = {
 @pytest.mark.parametrize("ring, seed", list(CANDIDATE_PINS))
 def test_candidate_lists_pinned(ring, seed):
     for max_tries, length, digest in CANDIDATE_PINS[ring, seed]:
-        forms = lefschetz_candidates(ring, seed, max_tries)
+        forms = list(lefschetz_candidates(ring, seed, max_tries))
         assert len(forms) == length
         text = "\n".join(str(p) for p in forms)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
@@ -468,11 +468,27 @@ def test_candidates_stop_drawing_at_exhaustion(monkeypatch):
             return super().randint(a, b)
 
     monkeypatch.setattr(lefschetz.random, "Random", CountingRandom)
-    forms = lefschetz_candidates(R1, 0, 1000)
+    forms = list(lefschetz_candidates(R1, 0, 1000))
     assert [str(p) for p in forms] == ["x1", "3*x1", "2*x1", "4*x1"]
     # the four nonzero multiples of x1 are listed after a few draws, not
     # after the 50 * max_tries = 50000 the attempt cap allows
     assert len(draws) < 50
+
+
+def test_candidates_built_when_asked_for(monkeypatch):
+    # the all-ones form and the single variables come before any draw, and
+    # no later form is drawn until it is asked for
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randint(self, a, b):
+            draws.append(1)
+            return super().randint(a, b)
+
+    monkeypatch.setattr(lefschetz.random, "Random", CountingRandom)
+    forms = list(islice(lefschetz_candidates(R4, 0, 624), 5))
+    assert [str(p) for p in forms] == ["x1 + x2 + x3 + x4", "x1", "x2", "x3", "x4"]
+    assert draws == []
 
 
 def test_report_json_schema():

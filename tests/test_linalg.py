@@ -63,6 +63,11 @@ def _times(rows, v):
 @example(([[1, 2, 3], [4, 5, 6], [7, 8, 10]], 3))
 @example(([[1, 2], [2, 4]], 2))
 @example(([[Fraction(1, 2), 1], [1, 2]], 2))
+@example(([[2, 3, 5], [4, 9, 7], [6, 3, 11]], 3))  # a pivot other than 1 on every row
+@example(([[2, 3, 5, 7, 11], [4, 1, 6, 8, 3]], 5))  # wide
+@example(([[2, 4], [3, 6], [0, 0], [5, 10]], 2))  # tall and rank-deficient
+@example(([[10**12 + 1, 10**12 - 3, 7], [10**12 - 1, 10**12 + 5, 3],
+           [3, 10**12, 10**12 + 7]], 3))
 def test_rref_matches_fraction_oracle(case):
     rows, ncols = case
     reduced, pivots = linalg.rref(rows)
