@@ -30,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 # the command line's one exception rule maps a raise to exit 2 or 3
 from citree.cli import guarded  # noqa: E402
+from citree.polyring import InvalidInput  # noqa: E402
 from citree.tree import csm_diagram, export_dot, export_json, family_member  # noqa: E402
 
 
@@ -68,9 +69,10 @@ def main(argv=None) -> int:
     def derive():
         if args.output:
             _check_writable(args.output)
+        # a triple outside the family is bad input; any other raise is a bug
         try:
             members = [family_member(*triple) for triple in args.member]
-        except ValueError as exc:
+        except InvalidInput as exc:
             parser.error(f"argument --member: {exc}")
         graph = csm_diagram(members)
         text = export_dot(graph) if args.format == "dot" else export_json(graph)

@@ -1,9 +1,11 @@
-"""Command line interface: verification suites and ad-hoc queries.
+"""Command line interface: verification suites, ad-hoc queries on an ideal
+file, and tree-export, the one subcommand that draws rather than verifies.
 
 Every run prints either a human-readable summary or a deterministic JSON
-report (sorted keys, seed recorded).  Each grid subcommand is one row of
-_GRIDS, and its flags are the parameters of its grid function.  Exit
-status, with guarded the one place that maps an exception to 2 or 3:
+report (sorted keys, seed recorded); tree-export --dot prints graphviz.
+Each grid subcommand is one row of _GRIDS, and its flags are the
+parameters of its grid function.  Exit status, with guarded the one place
+that maps an exception to 2 or 3:
 
     0  every requested check passed
     1  a verification failed
@@ -28,7 +30,7 @@ from .lefschetz import MAX_TRIES, find_lefschetz_element, slp_check_algebra
 from .polyring import InvalidInput, ParseError, RingSpec, parse_polynomial
 from .quotient import build_quotient
 
-DEPTH = 3  # levels of an exported tree (tree --ideal) unless --depth is given
+DEPTH = 3  # levels of a tree-export tree unless --depth is given
 
 
 @dataclass
@@ -238,23 +240,20 @@ def _cmd_csm(cfg: RunConfig):
 
 
 def _cmd_tree(cfg: RunConfig):
-    if cfg.params.get("ideal") is not None:
-        I = parse_ideal_file(cfg.params["ideal"])
-        graph = tree.tree_graph(I, cfg.params.get("depth", DEPTH))
-        return [{"verifier": "tree-export", "graph": graph, "passed": True}]
     p = cfg.params
     bounds = tree_bounds(p.get("family"), p.get("n_max"), p.get("bound"))
     return [tree.verify_tree_conditions(*bounds)]
 
 
+def _cmd_tree_export(cfg: RunConfig):
+    I = parse_ideal_file(cfg.params["ideal"])
+    graph = tree.tree_graph(I, cfg.params["depth"])
+    return [{"verifier": "tree-export", "graph": graph, "passed": True}]
+
+
 def _cmd_thm53(cfg: RunConfig):
     n_max, a_max = thm53_bounds(cfg.params.get("n_max"), cfg.params.get("a_max"))
-    out = [tree.verify_family_slp(n_max, a_max, seed=cfg.seed,
-                                  check_modules=cfg.params.get("check_modules", True))]
-    if cfg.params.get("diagram"):
-        graph = tree.csm_diagram(tree.family_members(n_max, a_max))
-        out.append({"verifier": "csm-diagram", "graph": graph, "passed": graph["passed"]})
-    return out
+    return [tree.verify_family_slp(n_max, a_max, seed=cfg.seed)]
 
 
 def _cmd_hilbert(cfg: RunConfig):
@@ -284,8 +283,8 @@ _GRIDS = (
 )
 
 _HANDLERS = {**{name: _grid_command(grid, verifier) for name, _, grid, verifier in _GRIDS},
-             "slp": _cmd_slp, "csm": _cmd_csm, "tree": _cmd_tree, "thm53": _cmd_thm53,
-             "hilbert": _cmd_hilbert}
+             "slp": _cmd_slp, "csm": _cmd_csm, "tree": _cmd_tree,
+             "tree-export": _cmd_tree_export, "thm53": _cmd_thm53, "hilbert": _cmd_hilbert}
 
 
 # --- argument parsing -----------------------------------------------------------
@@ -354,22 +353,22 @@ def _build_parser():
     p.add_argument("--ideal", required=True)
     common(p)
 
-    p = sub.add_parser("tree", help="binary tree conditions or tree export")
+    p = sub.add_parser("tree", help="binary tree closure conditions of a bounded family")
     p.add_argument("--family", choices=["monomial", "colon-closure"])
     p.add_argument("--n-max", type=_positive)
     p.add_argument("--bound", type=_positive)
-    p.add_argument("--ideal", help="export the tree under this root instead")
-    p.add_argument("--depth", type=_nonnegative,
-                   help=f"levels of the exported tree (default {DEPTH}); only with --ideal")
-    p.add_argument("--dot", action="store_true")
     common(p)
+
+    p = sub.add_parser("tree-export", help="the binary tree under the root of an ideal file")
+    p.add_argument("--ideal", required=True)
+    p.add_argument("--depth", type=_nonnegative, help=f"levels of the tree (default {DEPTH})")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--dot", action="store_true", help="graphviz output")
+    output.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("thm53", help="Lefschetz elements and module arrows for the whole family")
     p.add_argument("--n-max", type=_positive)
     p.add_argument("--a-max", type=_positive)
-    p.add_argument("--skip-modules", action="store_true")
-    p.add_argument("--diagram", action="store_true")
-    p.add_argument("--dot", action="store_true")
     common(p, seed=True)
 
     p = sub.add_parser("hilbert", help="Hilbert function of an ideal file")
@@ -380,19 +379,17 @@ def _build_parser():
 
 
 # flags that shape the run rather than name what it checks
-_RUN_FLAGS = ("command", "json", "dot", "fail_fast", "seed", "skip_modules")
+_RUN_FLAGS = ("command", "json", "dot", "fail_fast", "seed")
 
 
 def _config_from_args(args) -> RunConfig:
     """Every other flag that is given is a param; slp records its search
-    budget and tree its export depth when they are defaulted too."""
+    budget and tree-export its depth when they are defaulted too."""
     params = {k: v for k, v in vars(args).items() if k not in _RUN_FLAGS and v is not None}
     if args.command == "slp":
         params.setdefault("max_tries", MAX_TRIES)
-    if args.command == "tree":
+    if args.command == "tree-export":
         params.setdefault("depth", DEPTH)
-    if getattr(args, "skip_modules", False):
-        params["check_modules"] = False
     output = "dot" if getattr(args, "dot", False) else "json" if args.json else "text"
     return RunConfig(command=args.command, params=params, output=output,
                      fail_fast=getattr(args, "fail_fast", False),
@@ -439,8 +436,7 @@ def run(cfg: RunConfig):
         "passed": passed,
     }
     if cfg.output == "dot":
-        graphs = [r["graph"] for r in reports if "graph" in r]
-        text = tree.export_dot(graphs[-1]) if graphs else ""
+        text = tree.export_dot(reports[0]["graph"])
     elif cfg.output == "json":
         text = json.dumps(envelope, sort_keys=True, indent=2, default=str) + "\n"
     else:
@@ -468,18 +464,12 @@ def guarded(work) -> int:
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
-    args = parser.parse_args(argv)
-    # a conflict is reported under the usage of the subcommand it is in
+    args, unknown = parser.parse_known_args(argv)
+    # a flag the subcommand does not take, or a conflict, is reported under
+    # the usage of the subcommand it is in
     error = commands[args.command].error
-    export = args.command == "tree" and args.ideal is not None
-    if getattr(args, "dot", False) and not (export or getattr(args, "diagram", False)):
-        error("--dot draws a graph, so it needs tree --ideal or thm53 --diagram")
-    if getattr(args, "dot", False) and args.json:
-        error(f"{args.command} --dot prints graphviz, so it takes no --json")
-    if export and (args.family or args.n_max or args.bound):
-        error("tree --ideal exports one tree, so it takes no --family, --n-max or --bound")
-    if args.command == "tree" and not export and args.depth is not None:
-        error("tree --depth sets the depth of an exported tree, so it needs --ideal")
+    if unknown:
+        error(f"unrecognized arguments: {' '.join(unknown)}")
     if args.command in ("identity", "swap", "chain") and args.kind == "f" and args.b is not None:
         error(f"{args.command} --kind f has no b parameter, so it takes no --b")
     if args.command == "slp" and args.y is not None:

@@ -112,13 +112,6 @@ class GradedModuleView:
         self.algebra = algebra  # R/(den : g)
         self.shift = shift  # deg g
 
-    @property
-    def degree_range(self):
-        return self.shift, self.shift + self.algebra.socle_degree
-
-    def dims(self):
-        return self.algebra.hilbert_function()
-
 
 def module_view(ambient: QuotientAlgebra, generator: Polynomial,
                 annihilator: Ideal) -> GradedModuleView:

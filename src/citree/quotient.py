@@ -66,9 +66,6 @@ class QuotientAlgebra:
     def ring(self):
         return self.ideal.ring
 
-    def dimension(self) -> int:
-        return sum(len(b) for b in self.basis_by_degree)
-
     def hilbert_function(self):
         return tuple(len(b) for b in self.basis_by_degree)
 

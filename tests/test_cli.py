@@ -144,17 +144,18 @@ def test_tree_conditions_command(capsys):
 
 def test_tree_export_dot(tmp_path, capsys):
     path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
-    assert main(["tree", "--ideal", path, "--depth", "2", "--dot"]) == 0
+    assert main(["tree-export", "--ideal", path, "--depth", "2", "--dot"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("digraph")
 
 
 def test_tree_export_bytes_pinned(tmp_path):
-    # reports of tree --ideal {x1^3, x2^4} --depth 4; left edges are colons
-    # by one power of v, right edges contractions
+    # reports of tree-export --ideal {x1^3, x2^4} --depth 4; left edges are
+    # colons by one power of v, right edges contractions
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"nvars": 2, "generators": ["x1^3", "x2^4"]}))
-    code, envelope, _ = run(RunConfig(command="tree", params={"ideal": str(path), "depth": 4}))
+    code, envelope, _ = run(RunConfig(command="tree-export",
+                                      params={"ideal": str(path), "depth": 4}))
     reports = envelope["reports"]
     digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
     assert code == 0
@@ -171,6 +172,7 @@ def test_tree_export_bytes_pinned(tmp_path):
     ["thm53", "--n-max", "1", "--a-max", "2", "--dot", "--json"],
 ])
 def test_dot_without_graph_exit_2(capsys, argv):
+    # only tree-export draws; the verifying subcommands take no --dot
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -178,13 +180,8 @@ def test_dot_without_graph_exit_2(capsys, argv):
     assert captured.out == "" and "--dot" in captured.err
 
 
-def test_thm53_diagram_dot(capsys):
-    assert main(["thm53", "--n-max", "1", "--a-max", "2", "--diagram", "--dot"]) == 0
-    assert capsys.readouterr().out.startswith("digraph")
-
-
 def test_thm53_small(capsys):
-    assert main(["thm53", "--n-max", "2", "--a-max", "2", "--skip-modules"]) == 0
+    assert main(["thm53", "--n-max", "2", "--a-max", "2"]) == 0
     out = capsys.readouterr().out
     assert "family-slp" in out
 
@@ -328,7 +325,7 @@ def test_kind_g_b_out_of_range_one_message(capsys, n, b):
                       f"not kind g with b={b}\n"] * 3
 
 
-@pytest.mark.parametrize("command", ["slp", "csm", "hilbert", "tree"])
+@pytest.mark.parametrize("command", ["slp", "csm", "hilbert", "tree-export"])
 def test_non_artinian_file_exit_2(tmp_path, capsys, command):
     path = write_ideal(tmp_path, "line.json", 2, False, ["x1^2"])
     assert main([command, "--ideal", path]) == 2
@@ -339,7 +336,7 @@ def test_non_artinian_file_exit_2(tmp_path, capsys, command):
 def test_non_artinian_file_one_refusal(tmp_path, capsys):
     # every command that needs an Artinian quotient refuses it the same way
     path = write_ideal(tmp_path, "line.json", 2, False, ["x1^2"])
-    for command in ("hilbert", "slp", "csm", "tree"):
+    for command in ("hilbert", "slp", "csm", "tree-export"):
         assert main([command, "--ideal", path]) == 2, command
         assert capsys.readouterr().err == (
             "error: quotient by (x1^2) is not Artinian: no pure power of x2 among the "
@@ -413,7 +410,7 @@ def test_malformed_ideal_file_exit_2(tmp_path, capsys, content, named):
     assert err.startswith("error: ") and named in err
 
 
-@pytest.mark.parametrize("command", ["slp", "csm", "hilbert", "tree"])
+@pytest.mark.parametrize("command", ["slp", "csm", "hilbert", "tree-export"])
 def test_unit_ideal_file_exit_2(tmp_path, capsys, command):
     path = write_ideal(tmp_path, "unit.json", 2, False, ["x1^2", "x2^2", "1"])
     assert main([command, "--ideal", path]) == 2
@@ -494,7 +491,7 @@ def test_bounds_below_one_exit_2(capsys, argv, flag):
     (["swap", "--kind", "g", "--b", "-1"], "--b"),
     (["chain", "--b", "-1"], "--b"),
     (["colon-lemma", "--s", "-1"], "--s"),
-    (["tree", "--ideal", "unread.json", "--depth", "-1"], "--depth"),
+    (["tree-export", "--ideal", "unread.json", "--depth", "-1"], "--depth"),
     (["thm41", "--b", "x"], "--b"),
 ])
 def test_bounds_below_zero_exit_2(capsys, argv, flag):
@@ -506,18 +503,19 @@ def test_bounds_below_zero_exit_2(capsys, argv, flag):
 
 @pytest.mark.parametrize("argv, message", [
     (["colon-lemma", "--n", "3", "--a", "2", "--s", "0", "--top"], "not allowed with argument"),
-    (["tree", "--ideal", "unread.json", "--family", "monomial"], "tree --ideal exports one tree"),
-    (["tree", "--ideal", "unread.json", "--n-max", "2"], "tree --ideal exports one tree"),
-    (["tree", "--ideal", "unread.json", "--bound", "2"], "tree --ideal exports one tree"),
+    (["tree-export", "--ideal", "unread.json", "--family", "monomial"],
+     "unrecognized arguments: --family monomial"),
+    (["tree-export", "--ideal", "unread.json", "--n-max", "2"], "unrecognized arguments: --n-max 2"),
+    (["tree-export", "--ideal", "unread.json", "--bound", "2"], "unrecognized arguments: --bound 2"),
     (["slp", "--ideal", "unread.json", "--y", "x1", "--max-tries", "3"], "takes no --max-tries"),
     (["identity", "--kind", "f", "--b", "1"], "identity --kind f has no b parameter"),
     (["swap", "--kind", "f", "--b", "0"], "swap --kind f has no b parameter"),
     (["chain", "--kind", "f", "--n", "2", "--b", "1"], "chain --kind f has no b parameter"),
-    (["tree", "--depth", "2"], "tree --depth sets the depth of an exported tree"),
-    (["tree", "--family", "colon-closure", "--depth", "3"], "so it needs --ideal"),
+    (["tree", "--depth", "2"], "unrecognized arguments: --depth 2"),
+    (["tree", "--family", "colon-closure", "--depth", "3"], "unrecognized arguments: --depth 3"),
     (["slp", "--ideal", "unread.json", "--y", "x1", "--seed", "7"], "takes no --seed"),
-    (["tree", "--ideal", "unread.json", "--dot", "--json"], "tree --dot prints graphviz"),
-    (["thm53", "--diagram", "--dot", "--json"], "thm53 --dot prints graphviz"),
+    (["tree-export", "--ideal", "unread.json", "--dot", "--json"], "not allowed with argument --dot"),
+    (["thm53", "--diagram", "--dot", "--json"], "unrecognized arguments: --diagram --dot"),
 ])
 def test_flags_a_run_would_drop_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -525,7 +523,8 @@ def test_flags_a_run_would_drop_exit_2(capsys, argv, message):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
-    # argparse's own errors and these conflicts print the subcommand's usage
+    # argparse's own errors, unrecognized flags and these conflicts print
+    # the subcommand's usage
     assert captured.err.startswith(f"usage: citree {argv[0]} ")
 
 
@@ -538,36 +537,41 @@ GRID_COMMANDS = ("newton", "identity", "thm31", "thm41", "swap", "chain", "colon
       (["hilbert", "--ideal", "unread.json"], "--seed")],
     *[([c], "--fail-fast") for c in ("tree", "thm53")],
     *[([c, "--ideal", "unread.json"], "--fail-fast") for c in ("slp", "csm", "hilbert")],
+    # drawing is tree-export's one job: tree and thm53 only verify
+    *[(["tree"], flag) for flag in ("--ideal", "--depth")],
+    *[(["thm53"], flag) for flag in ("--diagram", "--dot", "--skip-modules")],
+    *[(["tree-export", "--ideal", "unread.json"], flag) for flag in ("--seed", "--fail-fast")],
 ])
 def test_flags_a_run_does_not_read_exit_2(capsys, argv, flag):
     # --seed is read only by slp and thm53, --fail-fast only by the grids
     with pytest.raises(SystemExit) as exc:
-        main(argv + [flag] + (["1"] if flag == "--seed" else []))
+        main(argv + [flag] + (["1"] if flag in ("--seed", "--ideal", "--depth") else []))
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"unrecognized arguments: {flag}" in captured.err
+    assert captured.err.startswith(f"usage: citree {argv[0]} ")
 
 
 def test_b_and_depth_where_read(tmp_path, capsys):
-    # --b without --kind f still reaches the kind g runs, and every tree
-    # run records the export depth, 3 unless --ideal is given with --depth
+    # --b without --kind f still reaches the kind g runs, and tree-export
+    # records its depth, 3 unless --depth is given; tree records none
     for argv, b in ((["identity", "--n", "4"], 3), (["identity", "--kind", "g", "--n", "4"], 3),
                     (["swap", "--n", "2", "--a", "2"], 1),
                     (["chain", "--kind", "g", "--n", "2", "--a", "2"], 1)):
         assert main(argv + ["--b", str(b), "--json"]) == 0, argv
         assert json.loads(capsys.readouterr().out)["config"]["params"]["b"] == b
     assert main(["tree", "--n-max", "1", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["params"]["depth"] == 3
+    assert "depth" not in json.loads(capsys.readouterr().out)["config"]["params"]
     path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
-    assert main(["tree", "--ideal", path, "--json"]) == 0
+    assert main(["tree-export", "--ideal", path, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["params"]["depth"] == 3
-    assert main(["tree", "--ideal", path, "--depth", "1", "--json"]) == 0
+    assert main(["tree-export", "--ideal", path, "--depth", "1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["params"]["depth"] == 1
 
 
 def test_empty_flag_value_is_given(tmp_path, capsys):
     # an empty --y is a linear form to parse, not a search, and an empty
-    # --ideal is a file to read, not the tree-conditions run
+    # --ideal is a file to read
     path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
     assert main(["slp", "--ideal", path, "--y", ""]) == 2
     assert "column 1" in capsys.readouterr().err
@@ -575,11 +579,7 @@ def test_empty_flag_value_is_given(tmp_path, capsys):
         main(["slp", "--ideal", path, "--y", "", "--max-tries", "3", "--seed", "4"])
     assert exc.value.code == 2
     assert "takes no --max-tries" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["tree", "--ideal", "", "--n-max", "1"])
-    assert exc.value.code == 2
-    assert "tree --ideal exports one tree" in capsys.readouterr().err
-    assert main(["tree", "--ideal", ""]) == 2
+    assert main(["tree-export", "--ideal", ""]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -600,18 +600,17 @@ def test_empty_flag_value_is_given(tmp_path, capsys):
      {"ideal": "sq.json", "max_tries": 2}),
     (["csm", "--ideal", "sq.json"], {"ideal": "sq.json"}),
     (["hilbert", "--ideal", "sq.json"], {"ideal": "sq.json"}),
-    (["tree", "--n-max", "1"], {"n_max": 1, "depth": 3}),
+    (["tree", "--n-max", "1"], {"n_max": 1}),
     (["tree", "--family", "colon-closure", "--n-max", "1", "--bound", "2"],
-     {"family": "colon-closure", "n_max": 1, "bound": 2, "depth": 3}),
-    (["tree", "--ideal", "sq.json"], {"ideal": "sq.json", "depth": 3}),
-    (["tree", "--ideal", "sq.json", "--depth", "1"], {"ideal": "sq.json", "depth": 1}),
-    (["thm53", "--n-max", "1", "--a-max", "2"], {"n_max": 1, "a_max": 2, "diagram": False}),
-    (["thm53", "--n-max", "1", "--a-max", "2", "--diagram", "--skip-modules"],
-     {"n_max": 1, "a_max": 2, "diagram": True, "check_modules": False}),
+     {"family": "colon-closure", "n_max": 1, "bound": 2}),
+    (["tree-export", "--ideal", "sq.json"], {"ideal": "sq.json", "depth": 3}),
+    (["tree-export", "--ideal", "sq.json", "--depth", "1"], {"ideal": "sq.json", "depth": 1}),
+    (["thm53", "--n-max", "1", "--a-max", "2"], {"n_max": 1, "a_max": 2}),
+    (["thm53", "--n-max", "1", "--a-max", "2", "--seed", "3"], {"n_max": 1, "a_max": 2}),
 ])
 def test_json_config_params_pinned(tmp_path, monkeypatch, capsys, argv, params):
     # the params a run records are read from its parsed flags: every flag
-    # that names what it checks, given, plus slp's budget and tree's depth
+    # that names what it checks, given, plus slp's budget and tree-export's depth
     monkeypatch.chdir(tmp_path)
     write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
     assert main(argv + ["--json"]) == 0
@@ -678,7 +677,7 @@ def test_zero_b_s_depth_accepted(tmp_path, capsys):
     assert main(["colon-lemma", "--n", "2", "--a", "2", "--s", "0"]) == 0
     path = write_ideal(tmp_path, "sq.json", 2, False, ["x1^2", "x2^2"])
     capsys.readouterr()
-    assert main(["tree", "--ideal", path, "--depth", "0", "--json"]) == 0
+    assert main(["tree-export", "--ideal", path, "--depth", "0", "--json"]) == 0
     graph = json.loads(capsys.readouterr().out)["reports"][0]["graph"]
     assert len(graph["nodes"]) == 1 and graph["edges"] == []
 
@@ -692,7 +691,7 @@ def _load_script(name):
 
 def test_full_verification_runs_every_grid_subcommand():
     script = _load_script("run_full_verification")
-    needs_an_ideal_file = {"slp", "csm", "hilbert"}
+    needs_an_ideal_file = {"slp", "csm", "hilbert", "tree-export"}
     assert {run[0] for run in script.RUNS} == set(cli._HANDLERS) - needs_an_ideal_file
 
 
@@ -748,6 +747,28 @@ def test_derive_diagram_unwritable_output_is_bad_input(tmp_path, monkeypatch, ca
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_derive_diagram_dot(capsys):
+    # the arrow diagram of the level-one members, as graphviz
+    script = _load_script("derive_diagram")
+    assert script.main(["--member", "1,1,1", "--member", "1,2,1", "--format", "dot"]) == 0
+    assert capsys.readouterr().out.startswith("digraph")
+
+
+def test_derive_diagram_member_build_bug_is_internal_error(monkeypatch, capsys):
+    # only InvalidInput from a member build is a bad --member; a bare
+    # ValueError is a bug
+    script = _load_script("derive_diagram")
+
+    def build(*triple):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(script, "family_member", build)
+    assert script.main(["--member", "2,3,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: boom\n"
 
 
 def test_derive_diagram_crash_is_internal_error(monkeypatch, capsys):

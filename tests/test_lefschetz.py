@@ -198,7 +198,7 @@ def test_module_of_whole_algebra_is_the_algebra():
     I = Ideal.from_strings(R2, ["x1^2", "x2^2"])
     A = build_quotient(I)
     V = module_view(A, Polynomial.one(R2), ideal_colon(I, Polynomial.one(R2)))
-    assert V.degree_range == (0, 2)
+    assert (V.shift, V.shift + V.algebra.socle_degree) == (0, 2)
     for text, holds in (("x1", False), ("x1 + x2", True)):
         y = parse_polynomial(text, R2)
         module, algebra = slp_check_module(V, y), slp_check_algebra(A, y)
@@ -210,7 +210,7 @@ def test_module_one_dimensional_vacuous():
     A = build_quotient(Ideal.from_strings(R2, ["x1", "x2^2"]))
     g = parse_polynomial("x2", R2)
     V = module_view(A, g, ideal_colon(A.ideal, g))
-    assert V.degree_range == (1, 1)
+    assert (V.shift, V.shift + V.algebra.socle_degree) == (1, 1)
     assert slp_check_module(V, parse_polynomial("x2", R2)).holds
 
 
@@ -223,7 +223,7 @@ def test_module_first_csm_of_linear_family():
     z = Polynomial.variable(ring, "z")
     A = build_quotient(Ideal(ring, [e1, e2, z]))
     V = module_view(A, Polynomial.one(ring), ideal_colon(A.ideal, Polynomial.one(ring)))
-    assert V.dims() == (1, 1)
+    assert V.algebra.hilbert_function() == (1, 1)
     rep = slp_check_module(V, parse_polynomial("x1", ring))
     assert rep.holds
 
@@ -310,8 +310,8 @@ def test_module_check_matches_ambient_span_oracle(I, g, ys):
         return
     V = module_view(A, g, ideal_colon(A.ideal, g))
     degree_range, dims, _ = expected
-    assert V.degree_range == degree_range
-    assert V.dims() == dims
+    assert (V.shift, V.shift + V.algebra.socle_degree) == degree_range
+    assert V.algebra.hilbert_function() == dims
     for y in ys:
         _, _, witnesses = module_rank_oracle(A, g, y)
         report = slp_check_module(V, y)

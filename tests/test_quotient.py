@@ -37,7 +37,7 @@ def test_build_quotient_squares():
 def test_build_quotient_power_family():
     gens = tilde_generators(2, 2, 3)
     A = build_quotient(Ideal(R2Z, gens))
-    assert A.dimension() == 24
+    assert sum(A.hilbert_function()) == 24
     assert A.socle_degree == 6
     hf = A.hilbert_function()
     assert sum(hf) == 24
