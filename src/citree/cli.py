@@ -25,12 +25,17 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__, csm, symfun, tree
 from .csm import _check, _finish
-from .ideals import Ideal, hf_of
+from .ideals import Ideal, NotArtinian, artinian_caps, hf_of
 from .lefschetz import MAX_TRIES, find_lefschetz_element, slp_check_algebra
 from .polyring import InvalidInput, ParseError, RingSpec, parse_polynomial
 from .quotient import build_quotient
 
 DEPTH = 3  # levels of a tree-export tree unless --depth is given
+# Largest sum(c_j - 1) over the pure-power caps c_j of an ideal file's
+# leading terms: a standard monomial has degree at most that sum, and a
+# listing over that many degrees costs time quadratic in it.  Every member
+# A_n(a, m) with n <= 6 and a <= 4 needs at most 78.
+DEGREE_LIMIT = 1000
 
 
 @dataclass
@@ -47,7 +52,8 @@ def parse_ideal_file(path: str) -> Ideal:
     false), "generators": [str, ...]} and no other field; an InvalidInput
     names the bad field, the generator (counted from 1, with its text) that
     does not parse or is not homogeneous, or says R/I is zero when the
-    generators give the unit ideal."""
+    generators give the unit ideal, or names the caps when R/I is Artinian
+    and may reach a degree above DEGREE_LIMIT."""
     with open(path) as handle:
         try:
             data = json.load(handle)
@@ -87,6 +93,15 @@ def parse_ideal_file(path: str) -> Ideal:
     if ideal.is_unit():
         raise InvalidInput(f"ideal file {path}: the generators give the unit ideal, "
                          "so R/I is zero")
+    try:
+        caps = artinian_caps(ideal)
+    except NotArtinian:
+        return ideal  # each command that needs R/I Artinian refuses it alike
+    top = sum(c - 1 for c in caps)
+    if top > DEGREE_LIMIT:
+        raise InvalidInput(f"ideal file {path}: the pure-power caps {caps} of the leading "
+                           f"terms let R/I reach degree {top}, above the degree limit "
+                           f"{DEGREE_LIMIT}")
     return ideal
 
 

@@ -14,12 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .ideals import (
-    Ideal,
-    NotArtinian,  # re-exported: build_quotient raises it
-    normal_form,
-    require_artinian,
-)
+from .ideals import Ideal, normal_form, require_artinian
 from .polyring import Polynomial, mono_mul
 
 

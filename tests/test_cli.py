@@ -14,6 +14,7 @@ import pytest
 import citree
 from citree import cli
 from citree.cli import RunConfig, main, parse_ideal_file, run
+from citree.polyring import InvalidInput
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -401,6 +402,14 @@ def test_missing_field_exit_2(tmp_path, capsys):
     ({"nvars": 2, "generators": [5]}, "'generators'"),
     # a misspelt optional field is refused, not silently defaulted
     ({"nvars": 2, "has_Z": True, "generators": ["x1^2", "x2^2"]}, "'has_Z'"),
+    # a quotient whose listing would walk millions of degrees is refused
+    # before any listing, with its caps and the limit
+    ({"nvars": 2, "generators": ["x1^2000000", "x2^2"]},
+     "caps [2000000, 2] of the leading terms let R/I reach degree 2000000, "
+     "above the degree limit 1000"),
+    ({"nvars": 2, "generators": ["x1^99999999999", "x2^2"]},
+     "caps [99999999999, 2] of the leading terms let R/I reach degree 99999999999, "
+     "above the degree limit 1000"),
 ])
 def test_malformed_ideal_file_exit_2(tmp_path, capsys, content, named):
     path = tmp_path / "malformed.json"
@@ -408,6 +417,15 @@ def test_malformed_ideal_file_exit_2(tmp_path, capsys, content, named):
     assert main(["hilbert", "--ideal", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+def test_degree_limit_is_inclusive(tmp_path):
+    # R/(x1^c) reaches degree c - 1
+    at = write_ideal(tmp_path, "at.json", 1, False, [f"x1^{cli.DEGREE_LIMIT + 1}"])
+    assert parse_ideal_file(at).generators
+    over = write_ideal(tmp_path, "over.json", 1, False, [f"x1^{cli.DEGREE_LIMIT + 2}"])
+    with pytest.raises(InvalidInput, match=f"above the degree limit {cli.DEGREE_LIMIT}"):
+        parse_ideal_file(over)
 
 
 @pytest.mark.parametrize("command", ["slp", "csm", "hilbert", "tree-export"])

@@ -155,16 +155,34 @@ def test_frozen_records_refuse_assignment(record, field):
     assert getattr(record, field) is before
 
 
-def test_import_loads_no_introspection_modules():
-    # -S: no site, which on some interpreters loads typing itself
+def _loaded_after(module, names):
+    """Which of names are in sys.modules after importing module alone; -S:
+    no site, which on some interpreters loads typing itself."""
     src = Path(__file__).resolve().parents[1] / "src"
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
-    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import citree; "
-            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import {module}; "
+            f"print(' '.join(m for m in {names!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+LIBRARY = tuple(f"citree.{m}" for m in ("polyring", "linalg", "ideals", "symfun",
+                                        "quotient", "lefschetz", "csm", "tree", "cli"))
+
+
+def test_import_loads_no_introspection_modules():
+    # citree.tree loads every module but cli, so the check covers the whole library
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    assert _loaded_after("citree.tree", LIBRARY + heavy) == list(LIBRARY[:-1])
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("citree", []),  # a plain package: it imports none of its modules
+    ("citree.polyring", ["citree.polyring"]),
+])
+def test_import_loads_only_what_it_names(module, loaded):
+    assert _loaded_after(module, LIBRARY) == loaded
 
 
 # --- hypothesis strategies --------------------------------------------------------
