@@ -150,16 +150,15 @@ class CsmChain:
     """Deduplicated chain (I : v^i) + (v), i = 0..p, p the nilpotency index.
 
     entries[t] = (ideal, lo, hi): the ideal attained exactly for the
-    exponents lo..hi; the last entry is the unit ideal at (p, p).
-    hilbert_functions[t] is HF(R/ideal) of entries[t], recorded by csm_chain.
+    exponents lo..hi; the last entry is the unit ideal at (p, p).  Each
+    ideal keeps its own Hilbert function (hf_of), counted by csm_chain.
     """
 
-    __slots__ = ("p", "entries", "hilbert_functions")
+    __slots__ = ("p", "entries")
 
-    def __init__(self, p: int, entries: list, hilbert_functions: list):
+    def __init__(self, p: int, entries: list):
         self.p = p
         self.entries = entries
-        self.hilbert_functions = hilbert_functions
 
     def ideal_at(self, i: int) -> Ideal:
         for ideal, lo, hi in self.entries:
@@ -182,7 +181,7 @@ class CsmChain:
 
     def dimensions(self):
         """dim R/ideal for each entry."""
-        return [sum(hf) for hf in self.hilbert_functions]
+        return [sum(hf_of(J)) for J, _, _ in self.entries]
 
     def filtration_summands(self):
         """dim R/((I : v^i) + (v)) for i = 0..p; the filtration identity
@@ -207,9 +206,9 @@ class CentralSimpleModule:
 
 
 def csm_chain(I: Ideal) -> CsmChain:
-    """Compute and deduplicate (I : v^i) + (v) until the unit ideal, with
-    each block's Hilbert function; raises NotArtinian when R/I is not
-    Artinian (artinian_caps), listing none of I's standard monomials.
+    """Compute and deduplicate (I : v^i) + (v) until the unit ideal; raises
+    NotArtinian when R/I is not Artinian (artinian_caps), listing none of
+    I's standard monomials.
 
     The chain reaches the unit ideal at p, the nilpotency index of v in
     R/I: (I : v^i) + (v) is homogeneous, so it is R exactly when v^i is in
@@ -232,8 +231,7 @@ def csm_chain(I: Ideal) -> CsmChain:
             raise AssertionError("chain failed to terminate")
         cur = colon_by_variable_power(cur, 1)
         i += 1
-    chain = CsmChain(p=i, entries=[tuple(e) for e in entries],
-                     hilbert_functions=[hf_of(e[0]) for e in entries])
+    chain = CsmChain(p=i, entries=[tuple(e) for e in entries])
     dims = chain.dimensions()
     for t in range(len(entries) - 1):
         small, big = entries[t][0], entries[t + 1][0]
@@ -247,7 +245,7 @@ def csm_chain(I: Ideal) -> CsmChain:
 def central_simple_modules(chain: CsmChain):
     """The nonzero successive quotients of the chain, top first."""
     ideals = chain.distinct_ideals()
-    hfs = chain.hilbert_functions
+    hfs = [hf_of(J) for J in ideals]
     out = []
     m = len(ideals) - 1
     for j in range(1, m + 1):
@@ -556,8 +554,7 @@ def verify_terminal_csm(I: Ideal, chain: CsmChain | None = None) -> dict:
                and ideal_equal(last.denominator, base))
         if cur.is_unit():  # cur = (I : v^q)
             _check(checks, "single_module", len(modules) == 1)
-            dims_match = last.graded_dims == chain.hilbert_functions[0]
-            _check(checks, "module_is_quotient_by_variable", dims_match)
+            _check(checks, "module_is_quotient_by_variable", last.graded_dims == hf_of(base))
     return _finish(report, checks)
 
 

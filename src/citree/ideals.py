@@ -346,7 +346,6 @@ def _interreduce(G):
         others = keep[:idx] + keep[idx + 1:]
         r = _reduce_to_primitive(g.terms, others)
         out.append(_BasisElem(r))
-    out.sort(key=lambda g: g.lm_key)
     return out
 
 

@@ -28,7 +28,7 @@ import random
 from itertools import chain
 
 from . import linalg
-from .ideals import Ideal
+from .ideals import Ideal, hf_of
 from .polyring import InvalidInput, Polynomial
 from .quotient import QuotientAlgebra, build_quotient, mult_map_matrix
 
@@ -70,10 +70,11 @@ def _require_linear(A: QuotientAlgebra, y: Polynomial):
 
 def slp_check_algebra(A: QuotientAlgebra, y: Polynomial) -> LefschetzReport:
     """Exact full-rank check of every power map x y^d: A_i -> A_(i+d)
-    for 1 <= d <= c, 0 <= i <= c-d: the one rank loop."""
+    for 1 <= d <= c, 0 <= i <= c-d: the one rank loop.  h is read from
+    the ideal (hf_of), which the quotient's listing set."""
     _require_linear(A, y)
     c = A.socle_degree
-    hf = A.hilbert_function()
+    hf = hf_of(A.ideal)
     witnesses = []
     mats = [mult_map_matrix(A, y, i) for i in range(c)]
     powers = mats  # powers[i]: multiplication by y^d from degree i
@@ -144,14 +145,29 @@ MAX_TRIES = 24
 def lefschetz_candidates(ring, seed: int, max_tries: int):
     """Deterministic candidate stream, each form built only when it is
     asked for: all-ones, single variables, then seeded small random
-    combinations, until max_tries forms are yielded, every one of the
-    5^width - 1 nonzero coefficient vectors in 0..4 is, or 50 * max_tries
-    draws are spent.  It holds the forms yielded so far and no others."""
+    combinations, until max_tries forms are yielded, 5^width - 1 are, or
+    50 * max_tries draws are spent.  It holds the forms yielded so far and
+    no others.
+
+    From width 5 on, a draw is width distinct coefficients from
+    1..2*width, since a form that repeats a coefficient is never a
+    Lefschetz element of a family member.  A member is a complete
+    intersection of symmetric forms, so its socle A_c is spanned by the
+    Jacobian determinant of its generators, which changes sign under each
+    transposition of the variables.  A form y fixed by a transposition
+    has y^c fixed too, so y^c lies in I and x y^c: A_0 -> A_c is zero.
+    Draws from 0..4 rarely have distinct coefficients at width 5 and never
+    from width 6.  Narrower rings draw each coefficient from 0..4, which
+    reaches every one of the 5^width - 1 nonzero vectors; the thm53
+    reports and the pinned candidate lists are drawn that way."""
     width = ring.total_vars
     wanted = min(max_tries, 5 ** width - 1)
     units = [tuple(1 if j == i else 0 for j in range(width)) for i in range(width)]
     rng = random.Random(seed)
-    draws = ([rng.randint(0, 4) for _ in units] for _ in range(50 * max_tries))
+    if width < 5:
+        draws = ([rng.randint(0, 4) for _ in units] for _ in range(50 * max_tries))
+    else:
+        draws = (rng.sample(range(1, 2 * width + 1), width) for _ in range(50 * max_tries))
     forms = chain([dict.fromkeys(units, 1)], ({u: 1} for u in units),
                   ({u: c for u, c in zip(units, coeffs) if c} for coeffs in draws if any(coeffs)))
     seen = set()

@@ -1,7 +1,8 @@
 """Artinian quotient algebras as graded vector spaces.
 
-A built quotient carries the standard-monomial basis of every graded piece,
-its Hilbert function, and exact multiplication matrices between pieces.
+A built quotient carries the standard-monomial basis of every graded piece
+and exact multiplication matrices between pieces; its Hilbert function is
+the ideal's (ideals.hf_of), which the listing sets.
 Multiplication is linear in the multiplier, so the matrix of f is
 assembled as the sum of c_t * M_t over the terms c_t * t of f, where M_t,
 the map of the monomial t from one degree, comes from exact normal forms
@@ -60,9 +61,6 @@ class QuotientAlgebra:
     @property
     def ring(self):
         return self.ideal.ring
-
-    def hilbert_function(self):
-        return tuple(len(b) for b in self.basis_by_degree)
 
     def graded_piece(self, d):
         if 0 <= d <= self.socle_degree:

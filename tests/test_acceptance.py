@@ -18,8 +18,7 @@ from citree.csm import (
     mixed_family_ideal,
     power_family_ideal,
 )
-from citree.ideals import quotient_dimension
-from citree.quotient import build_quotient
+from citree.ideals import hf_of, quotient_dimension
 from citree.tree import csm_diagram, export_json, family_member, family_members, member_label
 
 
@@ -103,7 +102,7 @@ def test_criterion_03_dimension_law():
         for g in I.generators:
             product *= g.degree()
         dim = quotient_dimension(I)
-        hf = build_quotient(I).hilbert_function()
+        hf = hf_of(I)
         ok = ok and dim == product and hf == tuple(reversed(hf))
     anchor = quotient_dimension(power_family_ideal(2, 2))
     ok = ok and anchor == 24

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from citree import lefschetz, linalg
 from citree.csm import member_ideal
-from citree.ideals import Ideal, ideal_colon, normal_form, standard_monomials_of_degree
+from citree.ideals import Ideal, hf_of, ideal_colon, normal_form, standard_monomials_of_degree
 from citree.lefschetz import (
     find_lefschetz_element,
     lefschetz_candidates,
@@ -80,7 +80,7 @@ def test_monomial_ci_all_ones_against_oracle():
     report = slp_check_algebra(A, y)
     assert report.holds
     c = A.socle_degree
-    hf = A.hilbert_function()
+    hf = hf_of(A.ideal)
     for d in range(1, c + 1):
         for i in range(0, c - d + 1):
             rank, ns, nt = monomial_ci_rank_oracle(caps, (1, 1, 1), d, i)
@@ -113,7 +113,7 @@ def test_power_maps_take_the_smaller_inner_dimension(monkeypatch, ideal, hilbert
     # is smaller, so the Fraction products are
     # sum of h_(i+d) * min(h_(i+d-1), h_(i+1)) * h_i
     A = build_quotient(ideal())
-    hf = A.hilbert_function()
+    hf = hf_of(A.ideal)
     assert hf == hilbert
     c = A.socle_degree
     degree_one = []
@@ -223,7 +223,7 @@ def test_module_first_csm_of_linear_family():
     z = Polynomial.variable(ring, "z")
     A = build_quotient(Ideal(ring, [e1, e2, z]))
     V = module_view(A, Polynomial.one(ring), ideal_colon(A.ideal, Polynomial.one(ring)))
-    assert V.algebra.hilbert_function() == (1, 1)
+    assert hf_of(V.algebra.ideal) == (1, 1)
     rep = slp_check_module(V, parse_polynomial("x1", ring))
     assert rep.holds
 
@@ -311,7 +311,7 @@ def test_module_check_matches_ambient_span_oracle(I, g, ys):
     V = module_view(A, g, ideal_colon(A.ideal, g))
     degree_range, dims, _ = expected
     assert (V.shift, V.shift + V.algebra.socle_degree) == degree_range
-    assert V.algebra.hilbert_function() == dims
+    assert hf_of(V.algebra.ideal) == dims
     for y in ys:
         _, _, witnesses = module_rank_oracle(A, g, y)
         report = slp_check_module(V, y)
@@ -326,7 +326,7 @@ def test_module_check_matches_ambient_span_oracle(I, g, ys):
 def direct_power_witnesses(B, y, shift=0):
     """Failing (d, i + shift, rank, expected) of B for d = 1..c, each map
     x y^d read from the normal forms of y^d * m, with no matrix products."""
-    c, hf = B.socle_degree, B.hilbert_function()
+    c, hf = B.socle_degree, hf_of(B.ideal)
     witnesses = []
     for d in range(1, c + 1):
         for i in range(c - d + 1):
@@ -423,6 +423,38 @@ def test_failed_search_reports_the_candidates_tried():
         find_lefschetz_element(A, max_tries=0)
 
 
+@pytest.mark.parametrize("ring", [RingSpec(5), RingSpec(4, True), RingSpec(6)])
+def test_drawn_candidates_have_distinct_coefficients(ring):
+    # from width 5 on, every form after all-ones and the single variables
+    # has pairwise distinct coefficients, none of them zero
+    width = ring.total_vars
+    for seed in (0, 1, 7):
+        forms = list(lefschetz_candidates(ring, seed, 200))
+        assert len(forms) == 200
+        for y in forms[width + 1:]:
+            coeffs = [c for _, c in y.terms]
+            assert len(coeffs) == width and len(set(coeffs)) == width, str(y)
+
+
+def test_search_reaches_a_lefschetz_element_at_width_five():
+    # A_5(1, 5), the coinvariant algebra of S_5: the first drawn form holds,
+    # after all-ones and the five single variables fail
+    A = build_quotient(member_ideal(5, 1, 5))
+    y, rep = find_lefschetz_element(A)
+    assert rep.holds and rep.linear_form == str(y)
+    assert rep.tries == 7
+
+
+def test_repeated_coefficient_fails_at_the_top_pairing():
+    # x1..x4 share the coefficient 1, so y is fixed by the transposition of
+    # x1 and x2 and y^c lies in I: x y^10: A_0 -> A_10 is zero
+    A = build_quotient(member_ideal(5, 1, 5))
+    rep = slp_check_algebra(A, parse_polynomial("x1 + x2 + x3 + x4 + 2*x5", A.ring))
+    assert not rep.holds
+    assert A.socle_degree == 10
+    assert (10, 0, 0, 1) in rep.witnesses
+
+
 def test_candidates_deterministic():
     a = list(lefschetz_candidates(R3, seed=5, max_tries=12))
     b = list(lefschetz_candidates(R3, seed=5, max_tries=12))
@@ -447,6 +479,13 @@ CANDIDATE_PINS = {
     (RingSpec(2, True), 0): [(5, 5, "ac7b0e225dc3b6df"), (24, 24, "1f8188aaaa87a098"), (200, 124, "35df24195234ac95")],
     (RingSpec(2, True), 1): [(5, 5, "e5ae36b3264ad87c"), (24, 24, "560947fc074bbb5d"), (200, 124, "0e046e359d16dd8b")],
     (RingSpec(2, True), 7): [(5, 5, "bd4535ed70e567bf"), (24, 24, "5f8dbdd18af8c995"), (200, 124, "043e3842802b9b46")],
+    # width 4, the widest ring that still draws each coefficient from 0..4
+    (RingSpec(4), 0): [(5, 5, "51f9aeefc3ecaa58"), (24, 24, "731a59474dd3dbf9"), (200, 200, "632e3d8db78a7735")],
+    (RingSpec(4), 1): [(5, 5, "51f9aeefc3ecaa58"), (24, 24, "f9e7224091abc3a1"), (200, 200, "bf060cde9e74180d")],
+    (RingSpec(4), 7): [(5, 5, "51f9aeefc3ecaa58"), (24, 24, "85ef5e5753109fbf"), (200, 200, "f3f654704af66b96")],
+    (RingSpec(3, True), 0): [(5, 5, "8beee4e7d768e5f7"), (24, 24, "c4b7cfb5a56e9bf2"), (200, 200, "9ca9bacf6ad39ba7")],
+    (RingSpec(3, True), 1): [(5, 5, "8beee4e7d768e5f7"), (24, 24, "f6cca73e4016fe1f"), (200, 200, "253624f6818052b0")],
+    (RingSpec(3, True), 7): [(5, 5, "8beee4e7d768e5f7"), (24, 24, "6fb5818ef3c188b7"), (200, 200, "2fc73376d7644178")],
 }
 
 

@@ -20,9 +20,14 @@ R3 = RingSpec(3)
 R2Z = RingSpec(2, True)
 
 
+def listed_hf(A):
+    """The Hilbert function as the lengths of the quotient's listing."""
+    return tuple(map(len, A.basis_by_degree))
+
+
 def test_build_quotient_squares():
     A = build_quotient(Ideal.from_strings(R2, ["x1^2", "x2^2"]))
-    assert A.hilbert_function() == (1, 2, 1)
+    assert listed_hf(A) == (1, 2, 1)
     assert A.basis_by_degree[0] == [(0, 0)]
     assert set(A.basis_by_degree[1]) == {(1, 0), (0, 1)}
     assert A.basis_by_degree[2] == [(1, 1)]
@@ -32,16 +37,16 @@ def test_build_quotient_squares():
 def test_build_quotient_power_family():
     gens = tilde_generators(2, 2, 3)
     A = build_quotient(Ideal(R2Z, gens))
-    assert sum(A.hilbert_function()) == 24
+    assert sum(listed_hf(A)) == 24
     assert A.socle_degree == 6
-    hf = A.hilbert_function()
+    hf = listed_hf(A)
     assert sum(hf) == 24
     assert hf == tuple(reversed(hf))
 
 
 def test_build_quotient_e_generators():
     A = build_quotient(Ideal(R2, [symmetric_generator("e_signed", 2, i) for i in (1, 2)]))
-    assert A.hilbert_function() == (1, 1)
+    assert listed_hf(A) == (1, 1)
 
 
 def test_not_artinian_reports_variable():
@@ -52,19 +57,19 @@ def test_not_artinian_reports_variable():
 
 def test_hilbert_univariate():
     A = build_quotient(Ideal.from_strings(R1, ["x1^3"]))
-    assert A.hilbert_function() == (1, 1, 1)
+    assert listed_hf(A) == (1, 1, 1)
 
 
 def test_hilbert_three_squares():
     A = build_quotient(Ideal.from_strings(R3, ["x1^2", "x2^2", "x3^2"]))
-    assert A.hilbert_function() == (1, 3, 3, 1)
+    assert listed_hf(A) == (1, 3, 3, 1)
 
 
 def test_hilbert_coinvariants():
     # frozen from the brute-force oracle in test_ideals
     A = build_quotient(Ideal(R3, [symmetric_generator("e_signed", 3, i) for i in (1, 2, 3)]))
-    assert A.hilbert_function() == (1, 2, 2, 1)
-    assert sum(A.hilbert_function()) == 6
+    assert listed_hf(A) == (1, 2, 2, 1)
+    assert sum(listed_hf(A)) == 6
 
 
 def test_mult_map_univariate():
@@ -207,7 +212,7 @@ def test_rank_with_modular_prefilter():
 def test_rank_bound_by_hilbert():
     gens = [symmetric_generator("p", 2, 2), symmetric_generator("p", 2, 3)]
     A = build_quotient(Ideal(R2, gens))
-    hf = A.hilbert_function()
+    hf = listed_hf(A)
     y = parse_polynomial("x1 - 2*x2", R2)
     for i in range(A.socle_degree):
         M = mult_map_matrix(A, y, i)
@@ -228,7 +233,7 @@ def test_dimension_product_and_symmetry_grid():
         prod = 1
         for g in gens:
             prod *= g.degree()
-        hf = A.hilbert_function()
+        hf = listed_hf(A)
         assert sum(hf) == prod
         assert hf == tuple(reversed(hf))
 
