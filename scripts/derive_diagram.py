@@ -11,7 +11,9 @@ Every arrow is recomputed from scratch: the colon chain of each member is
 computed, and the arrow of module j goes to the member the paper's formula
 names, A_(n-1)(a-1, j-1), when the one module certificate
 (csm.cyclic_presentation) holds: module j is presented cyclically by
-e_(j-1), and its annihilator is that member, lifted by xn.
+e_(j-1), and its annihilator is that member, lifted by xn.  The arrows
+come from citree.tree (member_csm_arrows); the diagram and its rendering
+from citree.draw.
 
 Exit status follows the citree command line's contract: 0 when every
 arrow is certified, 1 when some arrow is not, 2 for bad input or a file
@@ -31,7 +33,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 # the command line's one exception rule maps a raise to exit 2 or 3
 from citree.cli import guarded  # noqa: E402
 from citree.polyring import InvalidInput  # noqa: E402
-from citree.tree import csm_diagram, export_dot, export_json, family_member  # noqa: E402
+from citree.draw import csm_diagram, export_dot, export_json  # noqa: E402
+from citree.tree import family_member  # noqa: E402
 
 
 def _member(text: str):

@@ -3,9 +3,11 @@ file, and tree-export, the one subcommand that draws rather than verifies.
 
 Every run prints either a human-readable summary or a deterministic JSON
 report (sorted keys, seed recorded); tree-export --dot prints graphviz.
-Each grid subcommand is one row of _GRIDS, and its flags are the
-parameters of its grid function.  Exit status, with guarded the one place
-that maps an exception to 2 or 3:
+Ideal files and --y are read by citree.parse, and tree-export draws with
+citree.draw; the verification modules import neither.  Each grid
+subcommand is one row of _GRIDS, and its flags are the parameters of its
+grid function.  Exit status, with guarded the one place that maps an
+exception to 2 or 3:
 
     0  every requested check passed
     1  a verification failed
@@ -23,11 +25,12 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 
-from . import __version__, csm, symfun, tree
+from . import __version__, csm, draw, symfun, tree
 from .csm import _check, _finish
 from .ideals import Ideal, NotArtinian, artinian_caps, hf_of
 from .lefschetz import MAX_TRIES, find_lefschetz_element, slp_check_algebra
-from .polyring import InvalidInput, ParseError, RingSpec, parse_polynomial
+from .parse import ParseError, parse_polynomial
+from .polyring import InvalidInput, RingSpec
 from .quotient import build_quotient
 
 DEPTH = 3  # levels of a tree-export tree unless --depth is given
@@ -262,7 +265,7 @@ def _cmd_tree(cfg: RunConfig):
 
 def _cmd_tree_export(cfg: RunConfig):
     I = parse_ideal_file(cfg.params["ideal"])
-    graph = tree.tree_graph(I, cfg.params["depth"])
+    graph = draw.tree_graph(I, cfg.params["depth"])
     return [{"verifier": "tree-export", "graph": graph, "passed": True}]
 
 
@@ -451,7 +454,7 @@ def run(cfg: RunConfig):
         "passed": passed,
     }
     if cfg.output == "dot":
-        text = tree.export_dot(reports[0]["graph"])
+        text = draw.export_dot(reports[0]["graph"])
     elif cfg.output == "json":
         text = json.dumps(envelope, sort_keys=True, indent=2, default=str) + "\n"
     else:

@@ -419,7 +419,7 @@ class Ideal:
 
     @classmethod
     def from_strings(cls, ring: RingSpec, texts):
-        from .polyring import parse_polynomial
+        from .parse import parse_polynomial
 
         return cls(ring, [parse_polynomial(t, ring) for t in texts])
 

@@ -8,8 +8,8 @@ tree closure conditions on bounded enumerations, checks Hilbert-function
 additivity of the child split, sends each central simple module to the
 member J' one level down that the paper predicts for its annihilator,
 certified by the module pass csm.certify_module (so the module has
-the strong Lefschetz property exactly when R/J' does), and exports
-diagrams as DOT or JSON.  Every dimension it reads is a Hilbert function
+the strong Lefschetz property exactly when R/J' does).  Drawing the tree
+or the arrows is citree.draw.  Every dimension it reads is a Hilbert function
 of the ideal layer (ideals.hf_of): the complete-intersection certificate
 counts minimal generators by graded Nakayama, with no linear algebra.
 """
@@ -294,87 +294,3 @@ def verify_family_slp(n_max: int, a_max: int, check_modules: bool = True, seed: 
             report["members"].append(entry)
     report["passed"] = ok_all
     return report
-
-
-def csm_diagram(roots) -> dict:
-    """Arrow diagram spanned by iterating central-simple-module arrows from
-    the given members down to one variable."""
-    nodes = {}
-    edges = []
-    queue = list(roots)
-    all_ok = True
-    while queue:
-        member = queue.pop(0)
-        if member.label in nodes:
-            continue
-        hf = list(hf_of(member.ideal))
-        nodes[member.label] = {
-            "label": member.label,
-            "level": member.n,
-            "ideal": str(member.ideal),
-            "hilbert": hf,
-        }
-        if member.n < 2:
-            continue
-        arrows, rep = member_csm_arrows(member)
-        all_ok = all_ok and rep["passed"]
-        for j, target in arrows:
-            edges.append({"from": member.label, "to": target.label, "kind": "csm", "index": j})
-            queue.append(target)
-    edges.sort(key=lambda e: (-nodes[e["from"]]["level"], e["from"], e["index"]))
-    return {
-        "nodes": sorted(nodes.values(), key=lambda v: (-v["level"], v["label"])),
-        "edges": edges,
-        "passed": all_ok,
-    }
-
-
-def tree_graph(root: Ideal, max_depth: int) -> dict:
-    """The tree under (I : v) and the contraction of I + (v), max_depth
-    levels deep, in csm_diagram's graph schema: each node comes before its
-    left and then its right subtree, and a left child equal to its parent
-    is not drawn."""
-    nodes = []
-    edges = []
-
-    def walk(I, name, depth):
-        nodes.append({"label": name, "level": I.ring.total_vars,
-                      "ideal": I.canonical_str(), "hilbert": list(hf_of(I))})
-        if depth <= 0:
-            return
-        left, right = children(I)
-        if left is not None and ideal_equal(left, I):
-            left = None
-        for kind, child, suffix, index in (("left", left, "L", 1), ("right", right, "R", 0)):
-            if child is not None:
-                edges.append({"from": name, "to": name + suffix, "kind": kind, "index": index})
-                walk(child, name + suffix, depth - 1)
-
-    walk(root, "root", max_depth)
-    return {"nodes": nodes, "edges": edges, "passed": True}
-
-
-def export_dot(graph: dict) -> str:
-    """Deterministic graphviz rendering of a diagram graph."""
-    lines = ["digraph tree {", "  rankdir=TB;"]
-    levels = {}
-    for node in graph["nodes"]:
-        levels.setdefault(node["level"], []).append(node["label"])
-        lines.append(f'  "{node["label"]}" [shape=box];')
-    for level in sorted(levels, reverse=True):
-        members = " ".join(f'"{l}";' for l in sorted(levels[level]))
-        lines.append("  { rank=same; " + members + " }")
-    for e in graph["edges"]:
-        style = {"left": "dashed", "right": "solid", "csm": "solid"}[e["kind"]]
-        lines.append(
-            f'  "{e["from"]}" -> "{e["to"]}" [style={style}, label="{e["index"]}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def export_json(graph: dict) -> str:
-    import json
-
-    return json.dumps({"nodes": graph["nodes"], "edges": graph["edges"]},
-                      sort_keys=True, indent=2) + "\n"

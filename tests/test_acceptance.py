@@ -19,7 +19,8 @@ from citree.csm import (
     power_family_ideal,
 )
 from citree.ideals import hf_of, quotient_dimension
-from citree.tree import csm_diagram, export_json, family_member, family_members, member_label
+from citree.draw import csm_diagram, export_json
+from citree.tree import family_member, family_members, member_label
 
 
 def _report(num, name, ok, started):

@@ -166,6 +166,14 @@ def test_tree_export_bytes_pinned(tmp_path):
     assert {e["index"] for e in edges if e["kind"] == "right"} == {0}
 
 
+def test_tree_export_dot_bytes_pinned(tmp_path, capsys):
+    # the graphviz text of the same tree, as the renderer prints it
+    path = write_ideal(tmp_path, "f.json", 2, False, ["x1^3", "x2^4"])
+    assert main(["tree-export", "--ideal", path, "--depth", "4", "--dot"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "73a5a4fe1ddffc66b7c9aba3f2ac79f77df46d1c360f1ad69f1ee34ae5f1d75f"
+
+
 @pytest.mark.parametrize("argv", [
     ["tree", "--n-max", "1", "--dot"],
     ["tree", "--n-max", "1", "--dot", "--json"],

@@ -35,8 +35,9 @@ from citree.ideals import (
     shifted_hf_matches,
     standard_monomials_of_degree,
 )
+from citree.parse import parse_polynomial
 from citree.polyring import (Polynomial, RingMismatch, RingSpec, grevlex_key, mono_div,
-                             mono_divides, mono_lcm, mono_mul, parse_polynomial)
+                             mono_divides, mono_lcm, mono_mul)
 from citree.symfun import member_generators, symmetric_generator, tilde_generators
 
 R1Z = RingSpec(1, True)

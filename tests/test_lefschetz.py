@@ -19,7 +19,8 @@ from citree.lefschetz import (
     slp_check_algebra,
     slp_check_module,
 )
-from citree.polyring import InvalidInput, Polynomial, RingSpec, parse_polynomial
+from citree.parse import parse_polynomial
+from citree.polyring import InvalidInput, Polynomial, RingSpec
 from citree.quotient import RationalMatrix, build_quotient, mult_map_matrix
 from citree.symfun import symmetric_generator
 

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from citree.parse import ParseError, parse_polynomial
 from citree.polyring import (
-    ParseError,
     Polynomial,
     RingMismatch,
     RingSpec,
@@ -18,7 +18,6 @@ from citree.polyring import (
     grevlex_key,
     mono_degree,
     mono_mul,
-    parse_polynomial,
 )
 from citree.quotient import RationalMatrix
 from citree.tree import family_member
@@ -167,19 +166,26 @@ def _loaded_after(module, names):
     return proc.stdout.split()
 
 
-LIBRARY = tuple(f"citree.{m}" for m in ("polyring", "linalg", "ideals", "symfun",
-                                        "quotient", "lefschetz", "csm", "tree", "cli"))
+# the modules the verifiers load
+VERIFICATION = tuple(f"citree.{m}" for m in ("polyring", "linalg", "ideals", "symfun",
+                                             "quotient", "lefschetz", "csm", "tree"))
+# and the text layers: parse reads polynomials, draw renders diagrams
+LIBRARY = VERIFICATION + ("citree.parse", "citree.draw", "citree.cli")
 
 
 def test_import_loads_no_introspection_modules():
-    # citree.tree loads every module but cli, so the check covers the whole library
+    # citree.draw loads every verification module, so with citree.parse the
+    # check covers the whole library but cli
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
-    assert _loaded_after("citree.tree", LIBRARY + heavy) == list(LIBRARY[:-1])
+    assert _loaded_after("citree.draw, citree.parse", LIBRARY + heavy) == list(LIBRARY[:-1])
 
 
 @pytest.mark.parametrize("module, loaded", [
     ("citree", []),  # a plain package: it imports none of its modules
     ("citree.polyring", ["citree.polyring"]),
+    ("citree.parse", ["citree.polyring", "citree.parse"]),
+    # the verifiers load no parser, no renderer and no command line
+    ("citree.tree", list(VERIFICATION)),
 ])
 def test_import_loads_only_what_it_names(module, loaded):
     assert _loaded_after(module, LIBRARY) == loaded

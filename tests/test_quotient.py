@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from citree import linalg, quotient
 from citree.cli import thm53_bounds
 from citree.ideals import Ideal, NotArtinian, normal_form
-from citree.polyring import Polynomial, RingSpec, parse_polynomial
+from citree.parse import parse_polynomial
+from citree.polyring import Polynomial, RingSpec
 from citree.quotient import RationalMatrix, build_quotient, mult_map_matrix
 from citree.symfun import symmetric_generator, tilde_generators
 from citree.tree import family_members

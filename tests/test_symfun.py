@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citree import cli, symfun
-from citree.polyring import Polynomial, RingSpec, parse_polynomial
+from citree.parse import parse_polynomial
+from citree.polyring import Polynomial, RingSpec
 from citree.symfun import (
     boundary_polynomial,
     derivative_identity_check,

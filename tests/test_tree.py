@@ -17,6 +17,7 @@ from citree.csm import (
     predicted_member,
     sym_e,
 )
+from citree.draw import csm_diagram, export_dot, export_json, tree_graph
 from citree.ideals import (
     Ideal,
     NotArtinian,
@@ -31,7 +32,8 @@ from citree.ideals import (
     standard_monomials_of_degree,
 )
 from citree.lefschetz import LefschetzReport, module_slp_search, module_view, slp_check_module
-from citree.polyring import InvalidInput, Polynomial, RingSpec, parse_polynomial
+from citree.parse import parse_polynomial
+from citree.polyring import InvalidInput, Polynomial, RingSpec
 from citree.quotient import build_quotient
 from citree.symfun import symmetric_generator
 from citree.tree import (
@@ -39,17 +41,13 @@ from citree.tree import (
     children,
     colon_closure_family,
     contract_modulo_last,
-    csm_diagram,
     exact_sequence_check,
-    export_dot,
-    export_json,
     family_member,
     family_members,
     member_csm_arrows,
     member_label,
     minimal_generator_degrees,
     resolve_member_label,
-    tree_graph,
     verify_family_slp,
     verify_tree_conditions,
 )
