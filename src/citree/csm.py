@@ -31,7 +31,6 @@ from math import prod
 
 from .ideals import (
     Ideal,
-    _last_variable,
     add_last_variable,
     artinian_caps,
     certify_regular_sequence,
@@ -108,7 +107,7 @@ def member_block(ring: RingSpec, a: int, m: int) -> Ideal:
     ring, extended to ring, plus the cheapest variable v: the member's
     reduced basis, rewritten, and its Hilbert function, carried
     (extend_with_last_variable counts the member's once)."""
-    return extend_with_last_variable(member_ideal(_last_variable(ring), a, m), ring)
+    return extend_with_last_variable(member_ideal(ring.cheapest, a, m), ring)
 
 
 def chain_blocks(ring: RingSpec, a: int, b: int):
@@ -121,7 +120,7 @@ def chain_blocks(ring: RingSpec, a: int, b: int):
 
     With a >= 2 and 0 <= b <= n no block is empty, and adjacent blocks
     differ: their quotient dimensions are in the ratio (a+m-1)/m."""
-    n = _last_variable(ring)
+    n = ring.cheapest
     unit = Ideal(ring, [Polynomial.one(ring)])
     if a == 1:
         return [(member_block(ring, 1, 0), 0, n), (unit, n + 1, n + 1)]
@@ -138,7 +137,7 @@ def chain_blocks(ring: RingSpec, a: int, b: int):
 def first_block_colon_holds(I: Ideal, a: int, b: int) -> bool:
     """I : v^(n-b) = (p~_a..p~_(a+b), e_(b+1)..e_n), the generators of I_1
     (_swap_generators at top = b), for the mixed family I."""
-    n = _last_variable(I.ring)
+    n = I.ring.cheapest
     ptilde, rest = _swap_generators(n, a, b, 0)
     return ideal_equal(colon_by_variable_power(I, n - b), Ideal(I.ring, ptilde + rest))
 
@@ -306,7 +305,7 @@ def certify_module(ring: RingSpec, a: int, j: int, num: Ideal, den: Ideal):
     certified by cyclic_presentation.  Returns (key, annihilator, report);
     when j - 1 exceeds the level no member is predicted, key and
     annihilator are None and the report fails with "no_member"."""
-    key = predicted_member(_last_variable(ring), a, j - 1)
+    key = predicted_member(ring.cheapest, a, j - 1)
     if key is None:
         return None, None, {"passed": False, "failed_condition": "no_member"}
     annihilator = member_block(ring, *key)
@@ -337,7 +336,7 @@ def _family_chain(I: Ideal, a: int, b: int):
     kind b < n, None for the power family)."""
     expected = chain_blocks(I.ring, a, b)
     chain = csm_chain(I)
-    colon_ok = first_block_colon_holds(I, a, b) if b < _last_variable(I.ring) else None
+    colon_ok = first_block_colon_holds(I, a, b) if b < I.ring.cheapest else None
     return chain, [[lo, hi] for _, lo, hi in expected], chain.matches(expected), colon_ok
 
 
@@ -347,7 +346,7 @@ def _verify_family(report, I, a, b):
     R/(A_n(a-1, j-1)R + (v)): one module per predicted block below the
     unit ideal."""
     checks = []
-    n = _last_variable(I.ring)
+    n = I.ring.cheapest
     dim = quotient_dimension(I)
     expected = prod(g.degree() for g in I.generators)
     _check(checks, "dimension_product", dim == expected, dim=dim, expected=expected)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .ideals import Ideal, hf_of, ideal_equal
+from .ideals import Ideal, hf_of
 from .tree import children, member_csm_arrows
 
 
@@ -49,25 +49,31 @@ def csm_diagram(roots) -> dict:
 def tree_graph(root: Ideal, max_depth: int) -> dict:
     """The tree under (I : v) and the contraction of I + (v), max_depth
     levels deep, in csm_diagram's graph schema: each node comes before its
-    left and then its right subtree, and a left child equal to its parent
-    is not drawn."""
+    left and then its right subtree, and the edge to a node comes right
+    before it.  The walk keeps its own stack, so a deep tree needs no
+    recursion.
+
+    The root is Artinian (hf_of refuses it otherwise), and so is every
+    child.  A left child never equals its parent: when v is not in I, v is
+    nilpotent on R/I, so the last power of v outside I lies in (I : v).
+    """
     nodes = []
     edges = []
-
-    def walk(I, name, depth):
+    stack = [(root, "root", max_depth, None)]
+    while stack:
+        I, name, depth, edge = stack.pop()
+        if edge is not None:
+            edges.append(edge)
         nodes.append({"label": name, "level": I.ring.total_vars,
                       "ideal": I.canonical_str(), "hilbert": list(hf_of(I))})
         if depth <= 0:
-            return
+            continue
         left, right = children(I)
-        if left is not None and ideal_equal(left, I):
-            left = None
-        for kind, child, suffix, index in (("left", left, "L", 1), ("right", right, "R", 0)):
+        # pushed right first, so the left subtree is walked first
+        for kind, child, suffix, index in (("right", right, "R", 0), ("left", left, "L", 1)):
             if child is not None:
-                edges.append({"from": name, "to": name + suffix, "kind": kind, "index": index})
-                walk(child, name + suffix, depth - 1)
-
-    walk(root, "root", max_depth)
+                stack.append((child, name + suffix, depth - 1,
+                              {"from": name, "to": name + suffix, "kind": kind, "index": index}))
     return {"nodes": nodes, "edges": edges, "passed": True}
 
 

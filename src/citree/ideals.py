@@ -17,7 +17,8 @@ elements whose leading monomial it divides, and I + (v) keeps v and drops
 the v-terms of the other elements, because in grevlex with v cheapest
 in(I + (v)) = in(I) + (v) (Bayer-Stillman).  The way back up,
 extend_with_last_variable, is a rewrite too: JR + (v) from J's basis.
-ring_below states which ring is R without v, for both directions.
+The ring states v and the ring without it (RingSpec.cheapest and
+RingSpec.below), for both directions.
 
 Every colon a verifier needs is predicted, and one certificate,
 csm.cyclic_presentation, settles each prediction J of (I : f).  It reads
@@ -511,21 +512,9 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.ring, I.generators + J.generators)
 
 
-def _last_variable(ring: RingSpec) -> int:
-    """The index of the cheapest variable, which is the number of variables
-    before it (n in K[x1..xn, z])."""
-    return ring.total_vars - 1
-
-
-def ring_below(ring: RingSpec) -> RingSpec:
-    """The ring without ring's cheapest variable: K[x1..xn] below
-    K[x1..xn, z], K[x1..x(n-1)] below K[x1..xn], and none (ValueError)
-    below one variable."""
-    if ring.has_z:
-        return RingSpec(ring.nvars)
-    if ring.nvars < 2:
-        raise ValueError("no smaller ring below one variable")
-    return RingSpec(ring.nvars - 1)
+def _v_exps(ring: RingSpec):
+    """The exponent vector of ring's cheapest variable v."""
+    return (0,) * ring.cheapest + (1,)
 
 
 def _from_basis(ring: RingSpec, elems) -> Ideal:
@@ -533,32 +522,11 @@ def _from_basis(ring: RingSpec, elems) -> Ideal:
     return Ideal._from_reduced_basis(ring, [_core_to_poly(g.terms, ring) for g in elems], elems)
 
 
-def _colon_by_last_variable(I: Ideal) -> Ideal:
-    """(I : v) for the cheapest variable v, by rewriting the reduced basis.
-
-    For a homogeneous ideal in grevlex with v cheapest, v | lm(g) forces
-    v | g, and {g/v : v | lm g} + {g : otherwise} is a Groebner basis of
-    the colon ideal.
-    """
-    slot = _last_variable(I.ring)
-    vkey = grevlex_key(tuple(1 if i == slot else 0 for i in range(I.ring.total_vars)))
-    elems = []
-    for g in I._gb_elems():
-        if g.lm_exps[slot] > 0:
-            shifted = [(mono_div(k, vkey), c) for k, c in g.terms]
-            if any(min(_decode(k)) < 0 for k, _ in shifted):
-                raise AssertionError("division by the cheapest variable failed")
-            elems.append(_BasisElem(shifted))
-        else:
-            elems.append(g)
-    return _from_basis(I.ring, _interreduce(elems))
-
-
 def _rest_modulo_last(I: Ideal):
     """The elements of I's reduced basis whose leading monomial the
     cheapest variable v does not divide, their v-terms dropped and made
     primitive."""
-    slot = _last_variable(I.ring)
+    slot = I.ring.cheapest
     return [_BasisElem(_normalize([(k, c) for k, c in g.terms if not k[1]]))
             for g in I._gb_elems() if not g.lm_exps[slot]]
 
@@ -572,41 +540,42 @@ def add_last_variable(I: Ideal) -> Ideal:
     """
     if I.is_unit():
         return I
-    slot = _last_variable(I.ring)
-    v = tuple(1 if i == slot else 0 for i in range(I.ring.total_vars))
-    return _from_basis(I.ring, [_BasisElem([(grevlex_key(v), 1)])] + _rest_modulo_last(I))
+    return _from_basis(I.ring, [_BasisElem([(grevlex_key(_v_exps(I.ring)), 1)])]
+                       + _rest_modulo_last(I))
 
 
 def contract_modulo_last(I: Ideal) -> Ideal:
-    """The contraction of I + (v) to ring_below(I.ring), v the cheapest
-    variable, by rewriting the reduced basis.
+    """The contraction of I + (v) to I.ring.below(), the ring without
+    the cheapest variable v, by rewriting the reduced basis: the right
+    child of I in the paper's tree.
 
     Apart from v no element of the reduced basis of I + (v) involves v
     (add_last_variable), and dropping component 1 of a grevlex key (v's
-    exponent) gives the key in the smaller ring, so the contraction is
+    exponent) gives the key in I.ring.below(), so the contraction is
     _rest_modulo_last(I) read there.
     """
-    return _from_basis(ring_below(I.ring), [_BasisElem([(k[:1] + k[2:], c) for k, c in g.terms])
+    return _from_basis(I.ring.below(), [_BasisElem([(k[:1] + k[2:], c) for k, c in g.terms])
                                             for g in _rest_modulo_last(I)])
 
 
 def extend_with_last_variable(J: Ideal, ring: RingSpec) -> Ideal:
-    """JR + (v) for J in ring_below(ring), v the cheapest variable of ring,
-    by rewriting J's reduced basis (the inverse of add_last_variable); any
-    other ring of J is refused with RingMismatch.
+    """JR + (v) for J in ring.below(), v the cheapest variable of ring,
+    by rewriting J's reduced basis (the inverse of contract_modulo_last
+    on ideals that contain v); any other ring of J is refused with
+    RingMismatch, as Polynomial.extend refuses it.
 
     A zero v-exponent inserted at component 1 of a grevlex key gives the
     key in ring, and every S-pair with v has coprime leading monomials, so
     J's reduced basis plus v is the reduced basis of JR + (v).  The
-    generators are J's, extended, then v.  R/(JR + (v)) is R'/J with R'
-    the ring without v, so the lift carries hf_of(J), counted here if J
-    has none yet, and never lists.  When J is not Artinian, neither is
-    JR + (v), for the same variable, and the lift carries no Hilbert
-    function.
+    generators are J's, each read one variable up (Polynomial.extend),
+    then v.  R/(JR + (v)) is ring.below()/J, so the lift carries
+    hf_of(J), counted here if J has none yet, and never lists.  When J is
+    not Artinian, neither is JR + (v), for the same variable, and the lift
+    carries no Hilbert function.
     """
-    if ring.total_vars < 2 or J.ring != ring_below(ring):
+    if ring.total_vars < 2 or ring.below() != J.ring:
         raise RingMismatch(f"{J.ring} is not {ring} without its cheapest variable")
-    v = Polynomial.variable(ring, _last_variable(ring))
+    v = Polynomial.monomial(ring, _v_exps(ring))
     elems = [_BasisElem([(k[:1] + (0,) + k[1:], c) for k, c in g.terms])
              for g in J._gb_elems()]
     if not J.is_unit():
@@ -664,10 +633,8 @@ def ideal_colon(I: Ideal, f: Polynomial) -> Ideal:
         raise ValueError("colon divisor must be homogeneous")
     if f.degree() == 0:
         return I
-    slot = _last_variable(I.ring)
-    unit_last = tuple(1 if i == slot else 0 for i in range(I.ring.total_vars))
-    if len(f.terms) == 1 and f.terms[0][0] == unit_last:
-        return _colon_by_last_variable(I)
+    if len(f.terms) == 1 and f.terms[0][0] == _v_exps(I.ring):
+        return colon_by_variable_power(I, 1)
     return _colon_artinian(I, f)
 
 
@@ -697,12 +664,27 @@ def shifted_hf_matches(dims, hf, shift: int) -> bool:
 
 
 def colon_by_variable_power(I: Ideal, i: int) -> Ideal:
-    """(I : v^i) for the cheapest variable v, by i basis rewrites;
-    (I : v^0) = I."""
-    out = I
+    """(I : v^i) for the cheapest variable v, by i rewrites of the reduced
+    basis; (I : v^0) = I.
+
+    For a homogeneous ideal in grevlex with v cheapest, v | lm(g) forces
+    v | g, and {g/v : v | lm g} + {g : otherwise} is a Groebner basis of
+    (I : v).
+    """
+    slot = I.ring.cheapest
+    vkey = grevlex_key(_v_exps(I.ring))
     for _ in range(i):
-        out = _colon_by_last_variable(out)
-    return out
+        elems = []
+        for g in I._gb_elems():
+            if g.lm_exps[slot] > 0:
+                shifted = [(mono_div(k, vkey), c) for k, c in g.terms]
+                if any(min(_decode(k)) < 0 for k, _ in shifted):
+                    raise AssertionError("division by the cheapest variable failed")
+                elems.append(_BasisElem(shifted))
+            else:
+                elems.append(g)
+        I = _from_basis(I.ring, _interreduce(elems))
+    return I
 
 
 def artinian_caps(I: Ideal):

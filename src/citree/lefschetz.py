@@ -144,32 +144,35 @@ MAX_TRIES = 24
 
 def lefschetz_candidates(ring, seed: int, max_tries: int):
     """Deterministic candidate stream, each form built only when it is
-    asked for: all-ones, single variables, then seeded small random
-    combinations, until max_tries forms are yielded, 5^width - 1 are, or
+    asked for, until max_tries forms are yielded, 5^width - 1 are, or
     50 * max_tries draws are spent.  It holds the forms yielded so far and
     no others.
 
-    From width 5 on, a draw is width distinct coefficients from
-    1..2*width, since a form that repeats a coefficient is never a
-    Lefschetz element of a family member.  A member is a complete
-    intersection of symmetric forms, so its socle A_c is spanned by the
-    Jacobian determinant of its generators, which changes sign under each
-    transposition of the variables.  A form y fixed by a transposition
-    has y^c fixed too, so y^c lies in I and x y^c: A_0 -> A_c is zero.
-    Draws from 0..4 rarely have distinct coefficients at width 5 and never
-    from width 6.  Narrower rings draw each coefficient from 0..4, which
-    reaches every one of the 5^width - 1 nonzero vectors; the thm53
-    reports and the pinned candidate lists are drawn that way."""
+    Up to width 4 the stream is all-ones, the single variables, then
+    seeded draws of each coefficient from 0..4, which reach every one of
+    the 5^width - 1 nonzero vectors; the thm53 reports and the pinned
+    candidate lists are drawn that way.  From width 5 on it is the draws
+    alone, each width distinct coefficients from 1..2*width, since a form
+    that repeats a coefficient (all-ones and the single variables among
+    them) is never a Lefschetz element of a family member.  A member is a
+    complete intersection of symmetric forms, so its socle A_c is spanned
+    by the Jacobian determinant of its generators, which changes sign
+    under each transposition of the variables.  A form y fixed by a
+    transposition has y^c fixed too, so y^c lies in I and
+    x y^c: A_0 -> A_c is zero.  Draws from 0..4 rarely have distinct
+    coefficients at width 5 and never from width 6."""
     width = ring.total_vars
     wanted = min(max_tries, 5 ** width - 1)
     units = [tuple(1 if j == i else 0 for j in range(width)) for i in range(width)]
     rng = random.Random(seed)
     if width < 5:
         draws = ([rng.randint(0, 4) for _ in units] for _ in range(50 * max_tries))
+        fixed = [dict.fromkeys(units, 1)] + [{u: 1} for u in units]
     else:
         draws = (rng.sample(range(1, 2 * width + 1), width) for _ in range(50 * max_tries))
-    forms = chain([dict.fromkeys(units, 1)], ({u: 1} for u in units),
-                  ({u: c for u, c in zip(units, coeffs) if c} for coeffs in draws if any(coeffs)))
+        fixed = []
+    forms = chain(fixed, ({u: c for u, c in zip(units, coeffs) if c}
+                          for coeffs in draws if any(coeffs)))
     seen = set()
     for terms in forms:
         if len(seen) >= wanted:

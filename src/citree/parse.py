@@ -9,11 +9,13 @@ with the ring, since every report prints polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from string import ascii_letters, digits
 
 from .polyring import InvalidInput, Polynomial, RingSpec
 
 # Grammar: rationals as `a` or `a/b`, variables x1..x<n> and z, operators
-# + - * ^; juxtaposition is not allowed.  Example: 3/2*x1^2*z - x2
+# + - * ^; juxtaposition is not allowed.  Digits and letters are ASCII
+# only.  Example: 3/2*x1^2*z - x2
 
 
 class ParseError(InvalidInput):
@@ -32,16 +34,16 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in digits:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in digits:
                 j += 1
             tokens.append(("num", int(text[i:j]), i + 1))
             i = j
             continue
-        if ch.isalpha():
+        if ch in ascii_letters:
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in digits:
                 j += 1
             tokens.append(("var", text[i:j], i + 1))
             i = j

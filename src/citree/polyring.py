@@ -29,6 +29,9 @@ class RingSpec:
 
     The monomial order is graded reverse lexicographic with the variable
     order x1 > x2 > ... > xn > z; z, when present, is always cheapest.
+    The paper's tree moves across the cheapest variable v one step at a
+    time: `cheapest` is v's index, below() the ring without v, and
+    Polynomial.extend reads a polynomial of below() in this ring.
     Immutable, with value equality and hashing.
     """
 
@@ -66,9 +69,19 @@ class RingSpec:
         except ValueError:
             raise KeyError(f"unknown variable {name!r} in {self}") from None
 
-    def embeds_in(self, other: "RingSpec") -> bool:
-        """x_i -> x_i and z -> z is a ring embedding into `other`."""
-        return self.nvars <= other.nvars and (other.has_z or not self.has_z)
+    @property
+    def cheapest(self) -> int:
+        """The index of the cheapest variable v: z when present, else xn."""
+        return self.total_vars - 1
+
+    def below(self) -> "RingSpec":
+        """The ring without v: K[x1..xn] below K[x1..xn, z], K[x1..x(n-1)]
+        below K[x1..xn], and none (ValueError) below one variable."""
+        if self.has_z:
+            return RingSpec(self.nvars)
+        if self.nvars < 2:
+            raise ValueError("no smaller ring below one variable")
+        return RingSpec(self.nvars - 1)
 
     def __str__(self):
         return "K[" + ", ".join(self.var_names) + "]"
@@ -239,33 +252,12 @@ class Polynomial:
         return out
 
     def extend(self, ring: RingSpec) -> "Polynomial":
-        """Reinterpret in a larger ring via x_i -> x_i, z -> z."""
-        if ring == self.ring:
-            return self
-        old = self.ring
-        if not old.embeds_in(ring):
-            raise RingMismatch(f"{old} does not embed in {ring}")
-        pad = (0,) * (ring.nvars - old.nvars)
-        ztail = (0,) * (ring.has_z - old.has_z)
-        return Polynomial(ring, {m[:old.nvars] + pad + m[old.nvars:] + ztail: c
-                                 for m, c in self.terms})
-
-    def contract(self, ring: RingSpec) -> "Polynomial":
-        """Reinterpret in a smaller ring; the dropped variables must be unused."""
-        if ring == self.ring:
-            return self
-        old = self.ring
-        if not ring.embeds_in(old):
-            raise RingMismatch(f"{ring} does not embed in {old}")
-        acc = {}
-        for m, c in self.terms:
-            xs = m[: old.nvars]
-            zexp = m[old.nvars] if old.has_z else 0
-            if any(xs[ring.nvars:]) or (zexp and not ring.has_z):
-                raise RingMismatch(f"term uses a variable outside {ring}")
-            new = xs[: ring.nvars] + ((zexp,) if ring.has_z else ())
-            acc[new] = c
-        return Polynomial(ring, acc)
+        """Read in ring, one variable up: ring.below() must be this
+        polynomial's ring, and v's exponent 0 is appended to every term.
+        Any other ring raises RingMismatch."""
+        if ring.total_vars < 2 or ring.below() != self.ring:
+            raise RingMismatch(f"{self.ring} is not {ring} without its cheapest variable")
+        return Polynomial(ring, {m + (0,): c for m, c in self.terms})
 
     # -- canonical form ------------------------------------------------------
     def __eq__(self, other):

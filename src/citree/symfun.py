@@ -72,7 +72,7 @@ def tilde_generators(n: int, a: int, m: int):
 def sym_e(ring: RingSpec, i: int) -> Polynomial:
     """Signed e_i of the leading variables (all but the cheapest one) read
     in ring: e_i of x1..xn in K[x1..xn, z]."""
-    return symmetric_generator("e_signed", ring.total_vars - 1, i).extend(ring)
+    return symmetric_generator("e_signed", ring.cheapest, i).extend(ring)
 
 
 def derivative_vector(n: int, size: int, k: int):

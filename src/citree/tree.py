@@ -88,7 +88,7 @@ def family_members(n: int, a_max: int):
 def children(I: Ideal):
     """(left, right): (I : v) when v is not already in I, and the
     contraction of I + (v) when the ring has at least two variables."""
-    v = Polynomial.variable(I.ring, I.ring.total_vars - 1)
+    v = Polynomial.variable(I.ring, I.ring.cheapest)
     left = None
     if not normal_form(v, I).is_zero():
         left = colon_by_variable_power(I, 1)

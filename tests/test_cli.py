@@ -174,6 +174,17 @@ def test_tree_export_dot_bytes_pinned(tmp_path, capsys):
     assert digest == "73a5a4fe1ddffc66b7c9aba3f2ac79f77df46d1c360f1ad69f1ee34ae5f1d75f"
 
 
+def test_tree_export_deep_tree(tmp_path, capsys):
+    # (x1^1000) is under the degree limit and its tree is a chain of 1000
+    # left children, (x1^999) down to (x1): deeper than Python's default
+    # recursion limit, so the walk must keep its own stack
+    path = write_ideal(tmp_path, "deep.json", 1, False, ["x1^1000"])
+    assert main(["tree-export", "--ideal", path, "--depth", "2000", "--json"]) == 0
+    nodes = json.loads(capsys.readouterr().out)["reports"][0]["graph"]["nodes"]
+    assert len(nodes) == 1000
+    assert (nodes[-1]["ideal"], nodes[-1]["hilbert"]) == ("(x1)", [1])
+
+
 @pytest.mark.parametrize("argv", [
     ["tree", "--n-max", "1", "--dot"],
     ["tree", "--n-max", "1", "--dot", "--json"],
@@ -418,6 +429,10 @@ def test_missing_field_exit_2(tmp_path, capsys):
     ({"nvars": 2, "generators": ["x1^99999999999", "x2^2"]},
      "caps [99999999999, 2] of the leading terms let R/I reach degree 99999999999, "
      "above the degree limit 1000"),
+    # digits and letters are ASCII only: a superscript exponent is refused
+    # rather than crashing, and an Arabic-Indic digit is not read as 3
+    ({"nvars": 1, "generators": ["x1^\u00b2"]}, "unexpected character '\u00b2' at column 4"),
+    ({"nvars": 1, "generators": ["\u0663*x1^2"]}, "unexpected character '\u0663' at column 1"),
 ])
 def test_malformed_ideal_file_exit_2(tmp_path, capsys, content, named):
     path = tmp_path / "malformed.json"

@@ -30,7 +30,7 @@ R2Z = RingSpec(2, True)
 
 
 def _power_p(ring, i):
-    return symmetric_generator("p", ring.total_vars - 1, i).extend(ring)
+    return symmetric_generator("p", ring.cheapest, i).extend(ring)
 
 
 # --- nilpotency -----------------------------------------------------------------

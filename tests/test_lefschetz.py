@@ -426,24 +426,25 @@ def test_failed_search_reports_the_candidates_tried():
 
 @pytest.mark.parametrize("ring", [RingSpec(5), RingSpec(4, True), RingSpec(6)])
 def test_drawn_candidates_have_distinct_coefficients(ring):
-    # from width 5 on, every form after all-ones and the single variables
-    # has pairwise distinct coefficients, none of them zero
+    # from width 5 on, every form of the stream has pairwise distinct
+    # coefficients, none of them zero: all-ones and the single variables
+    # are not tried
     width = ring.total_vars
     for seed in (0, 1, 7):
         forms = list(lefschetz_candidates(ring, seed, 200))
         assert len(forms) == 200
-        for y in forms[width + 1:]:
+        for y in forms:
             coeffs = [c for _, c in y.terms]
             assert len(coeffs) == width and len(set(coeffs)) == width, str(y)
 
 
 def test_search_reaches_a_lefschetz_element_at_width_five():
-    # A_5(1, 5), the coinvariant algebra of S_5: the first drawn form holds,
-    # after all-ones and the five single variables fail
+    # A_5(1, 5), the coinvariant algebra of S_5: the first form of the
+    # stream, a draw with distinct coefficients, holds
     A = build_quotient(member_ideal(5, 1, 5))
     y, rep = find_lefschetz_element(A)
     assert rep.holds and rep.linear_form == str(y)
-    assert rep.tries == 7
+    assert rep.tries == 1
 
 
 def test_repeated_coefficient_fails_at_the_top_pairing():

@@ -105,13 +105,22 @@ def test_ring_mismatch():
         parse_polynomial("x1", R2) + P("x1")
 
 
-def test_extend_contract():
+def test_extend_reads_one_variable_up():
+    # the one lift: from ring.below() into ring, v's exponent 0 appended
     p = parse_polynomial("x1*x2 - 2*x2^2", R2)
     q = p.extend(R2Z)
-    assert q.ring == R2Z
-    assert q.contract(R2) == p
+    assert q.ring == R2Z and q == P("x1*x2 - 2*x2^2")
+    assert [m for m, _ in q.terms] == [m + (0,) for m, _ in p.terms]
+    assert p.extend(RingSpec(3)) == parse_polynomial("x1*x2 - 2*x2^2", RingSpec(3))
+    # any other ring is refused: the same ring, two steps up, one variable,
+    # and K[x1, x2, z] for K[x1, z], where z would move to x2's slot
+    for ring in (R2, RingSpec(3, True), RingSpec(4)):
+        with pytest.raises(RingMismatch):
+            p.extend(ring)
     with pytest.raises(RingMismatch):
-        P("z").contract(R2)
+        parse_polynomial("x1", RingSpec(1)).extend(RingSpec(1))
+    with pytest.raises(RingMismatch):
+        parse_polynomial("x1 + z", RingSpec(1, True)).extend(R2Z)
 
 
 def test_zero_polynomial_degree():
@@ -136,6 +145,9 @@ def test_ring_spec_value_semantics():
     assert hash(RingSpec(2, has_z=True)) == hash(R2Z)
     assert {RingSpec(2): "a"}[RingSpec(2, False)] == "a"
     assert str(R2Z) == "K[x1, x2, z]"
+    # the cheapest variable and the ring without it
+    assert (R2Z.cheapest, R2.cheapest, RingSpec(1).cheapest) == (2, 1, 0)
+    assert (R2Z.below(), R2.below(), RingSpec(1, True).below()) == (R2, RingSpec(1), RingSpec(1))
     with pytest.raises(ValueError, match="at least one x-variable"):
         RingSpec(0)
 
