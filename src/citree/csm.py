@@ -20,6 +20,9 @@ the swap, chain and identity runs is kind g at b = n: boundary_top maps a
 verifier derives a colon: a failed certificate is reported with the
 prediction and the condition that failed.
 
+An ideal file (citree csm) has no prediction: its chain and modules are
+reported, and its verdict is filtration_check, the one identity they obey.
+
 Every verifier returns a structured report; a failing sub-check is recorded
 rather than raised, so a whole grid can run to completion.
 """
@@ -158,12 +161,6 @@ class CsmChain:
     def __init__(self, p: int, entries: list):
         self.p = p
         self.entries = entries
-
-    def ideal_at(self, i: int) -> Ideal:
-        for ideal, lo, hi in self.entries:
-            if lo <= i <= hi:
-                return ideal
-        raise IndexError(f"exponent {i} outside 0..{self.p}")
 
     def distinct_ideals(self):
         return [e[0] for e in self.entries]
@@ -522,39 +519,7 @@ def verify_chain_blocks(kind: str, n: int, a: int, b: int | None = None) -> dict
     return _finish(report, checks)
 
 
-# --- terminal module (least exponent where the chain moves) --------------------
-
-
-def verify_terminal_csm(I: Ideal, chain: CsmChain | None = None) -> dict:
-    """Recompute q = min{i : (I : v^i) + (v) != I + (v)} directly and check
-    it against the deduplicated chain (computed when not given); when
-    (I : v^q) is everything there is exactly one module, the full quotient
-    by the variable."""
-    report = {"verifier": "terminal-csm", "ideal": str(I)}
-    checks = []
-    if chain is None:
-        chain = csm_chain(I)
-    base = chain.entries[0][0]
-    q = None
-    cur = I
-    for i in range(1, chain.p + 1):
-        cur = colon_by_variable_power(cur, 1)
-        if not ideal_equal(add_last_variable(cur), base):
-            q = i
-            break
-    _check(checks, "q_found", q is not None, q=q)
-    if q is not None:
-        _check(checks, "q_matches_chain", chain.entries[0][2] + 1 == q,
-               chain_hi=chain.entries[0][2])
-        modules = central_simple_modules(chain)
-        last = modules[-1]
-        _check(checks, "terminal_module",
-               ideal_equal(last.numerator, chain.ideal_at(q))
-               and ideal_equal(last.denominator, base))
-        if cur.is_unit():  # cur = (I : v^q)
-            _check(checks, "single_module", len(modules) == 1)
-            _check(checks, "module_is_quotient_by_variable", last.graded_dims == hf_of(base))
-    return _finish(report, checks)
+# --- filtration -----------------------------------------------------------------
 
 
 def filtration_check(I: Ideal, chain: CsmChain | None = None) -> dict:

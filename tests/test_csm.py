@@ -18,7 +18,6 @@ from citree.csm import (
     verify_generator_swap,
     verify_mixed_family,
     verify_power_family,
-    verify_terminal_csm,
 )
 from citree.ideals import Ideal, colon_by_variable_power, hf_of, ideal_equal, quotient_dimension
 from citree.polyring import InvalidInput, Polynomial, RingSpec
@@ -436,25 +435,7 @@ def test_chain_strictness_dims():
     assert len(set(dims)) == len(dims)
 
 
-# --- terminal module and filtration ----------------------------------------------------
-
-
-def test_terminal_csm_single_module_case():
-    report = verify_terminal_csm(power_family_ideal(2, 1))
-    assert report["passed"]
-    names = [c["name"] for c in report["checks"]]
-    assert "single_module" in names
-    assert "module_is_quotient_by_variable" in names
-
-
-def test_terminal_csm_monomial():
-    R1Z = RingSpec(1, True)
-    report = verify_terminal_csm(Ideal.from_strings(R1Z, ["x1^2", "z^2"]))
-    assert report["passed"]
-
-
-def test_terminal_csm_power_family():
-    assert verify_terminal_csm(power_family_ideal(2, 2))["passed"]
+# --- filtration ------------------------------------------------------------------------
 
 
 def test_filtration_grid():

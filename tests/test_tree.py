@@ -21,6 +21,8 @@ from citree.draw import csm_diagram, export_dot, export_json, tree_graph
 from citree.ideals import (
     Ideal,
     NotArtinian,
+    add_last_variable,
+    colon_by_variable_power,
     extend_with_last_variable,
     hf_of,
     ideal_colon,
@@ -130,8 +132,6 @@ def test_right_child_literal_condition():
 def test_left_child_saturation_to_unit():
     # once xn lies in (I : xn^i) the next colon is everything
     I = Ideal.from_strings(R2, ["x1^2", "x2^2"])
-    from citree.ideals import colon_by_variable_power
-
     step = colon_by_variable_power(I, 1)
     assert normal_form(Polynomial.variable(R2, 1), step).is_zero()
     assert colon_by_variable_power(I, 2).is_unit()
@@ -140,28 +140,31 @@ def test_left_child_saturation_to_unit():
 # --- exact sequence ---------------------------------------------------------------
 
 
+def child_hfs(I):
+    """HF of R/(I : v) and R/(I + (v)), the two sides of the child split."""
+    return hf_of(colon_by_variable_power(I, 1)), hf_of(add_last_variable(I))
+
+
 def test_exact_sequence_squares():
-    rep = exact_sequence_check(Ideal.from_strings(R2, ["x1^2", "x2^2"]))
-    assert rep["passed"]
-    assert rep["hilbert"] == [1, 2, 1]
-    assert rep["left"] == [1, 1]
-    assert rep["right"] == [1, 1]
+    I = Ideal.from_strings(R2, ["x1^2", "x2^2"])
+    assert exact_sequence_check(I) is True
+    assert hf_of(I) == (1, 2, 1)
+    assert child_hfs(I) == ((1, 1), (1, 1))
 
 
 def test_exact_sequence_power_family():
     from citree.csm import power_family_ideal
 
-    rep = exact_sequence_check(power_family_ideal(2, 2))
-    assert rep["passed"]
-    assert sum(rep["hilbert"]) == 24
-    assert sum(rep["left"]) == 18
-    assert sum(rep["right"]) == 6
+    I = power_family_ideal(2, 2)
+    assert exact_sequence_check(I) is True
+    left, right = child_hfs(I)
+    assert (sum(hf_of(I)), sum(left), sum(right)) == (24, 18, 6)
 
 
 def test_exact_sequence_degenerate():
-    rep = exact_sequence_check(Ideal.from_strings(R2, ["x1^2", "x2"]))
-    assert rep["passed"]
-    assert rep["left"] == []  # colon is the unit ideal
+    I = Ideal.from_strings(R2, ["x1^2", "x2"])
+    assert exact_sequence_check(I) is True
+    assert child_hfs(I)[0] == ()  # colon is the unit ideal
 
 
 # --- minimal generators and complete intersection certification ---------------------
@@ -215,8 +218,6 @@ def test_minimal_generator_degrees_match_rank_oracle():
 
 
 def test_minimal_generators_of_colon():
-    from citree.ideals import colon_by_variable_power
-
     gens = [symmetric_generator("p", 2, 2), symmetric_generator("p", 2, 3)]
     I = colon_by_variable_power(Ideal(R2, gens), 1)
     assert certify_complete_intersection(I)
@@ -259,8 +260,6 @@ def test_verify_tree_conditions_colon_closure():
 
 
 def test_left_child_of_colon_member_stays_in_family():
-    from citree.ideals import colon_by_variable_power
-
     base = Ideal(R2, [symmetric_generator("p", 2, 2), symmetric_generator("p", 2, 3)])
     first = colon_by_variable_power(base, 1)
     second = colon_by_variable_power(base, 2)
